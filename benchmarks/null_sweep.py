@@ -21,34 +21,12 @@ import json
 import math
 import multiprocessing
 
-from hamattn.cli import SWEEP_DEFAULTS
-from hamattn.data import gen_task
-from hamattn.train import TrainConfig, depth_sweep
+from hamattn.cli import SWEEP_DEFAULTS, run_sweep
 
 
 def null_sweep(root: int) -> dict:
     cfg = {**SWEEP_DEFAULTS, "seed": root}
-    train_corpus = gen_task(cfg["task"], cfg["pairs"], cfg["seq_len"], cfg["payload_vocab"], root)
-    eval_corpus = gen_task(
-        cfg["task"], cfg["eval_pairs"], cfg["seq_len"], cfg["payload_vocab"], root + 1
-    )
-    config = TrainConfig(
-        learning_rate=cfg["learning_rate"],
-        optimizer=cfg["optimizer"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        seed=root,
-        restarts=cfg["restarts"],
-    )
-    records, summary = depth_sweep(
-        train_corpus,
-        eval_corpus,
-        cfg["depths"],
-        config,
-        hidden=cfg["hidden"],
-        bidirectional=cfg["bidirectional"],
-        null=True,
-    )
+    records, summary = run_sweep(cfg, null=True)
     best = [summary["best_loss"][str(d)] for d in cfg["depths"]]
     return {
         "root": root,

@@ -34,7 +34,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .tensor import Tensor, l2_norm, matmul, softmax_vec
+from .tensor import Tensor, l2_norm, softmax_vec
 from .train import TrainConfig, adam_step, depth_sweep, sgd_step, train
 
 __version__ = "0.1.0"
@@ -77,7 +77,6 @@ __all__ = [
     "l2_norm",
     "load_checkpoint",
     "load_corpus",
-    "matmul",
     "multi_head",
     "multi_level_attention",
     "save_checkpoint",

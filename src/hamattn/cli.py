@@ -162,7 +162,6 @@ def cmd_train(args) -> int:
         epochs=cfg["epochs"],
         batch_size=cfg["batch_size"],
         seed=cfg["seed"],
-        ham_depth=cfg["depth"],
     )
     corpus = load_corpus(args.corpus)
     if len(corpus) == 0:
@@ -192,8 +191,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _merge_config(SWEEP_DEFAULTS, args.config, args, SWEEP_DEFAULTS.keys())
+def run_sweep(cfg: dict, null: bool = False):
+    """Run the sweep a ``SWEEP_DEFAULTS``-shaped dict describes.
+
+    Builds the train corpus from the root seed and the held-out corpus from
+    root+1, then returns ``depth_sweep``'s (records, summary). ``hamattn
+    sweep``, the null sweep and acceptance criterion 5 all go through here, so
+    the band and the criterion are measured on one protocol.
+    """
     train_config = TrainConfig(
         learning_rate=cfg["learning_rate"],
         optimizer=cfg["optimizer"],
@@ -202,24 +207,26 @@ def cmd_sweep(args) -> int:
         seed=cfg["seed"],
         restarts=cfg["restarts"],
     )
-    depths = [int(d) for d in cfg["depths"]]
-    if depths != sorted(depths) or not depths:
-        raise DomainError(f"depths must be a non-empty ascending list, got {depths}")
     train_corpus = gen_task(
         cfg["task"], cfg["pairs"], cfg["seq_len"], cfg["payload_vocab"], cfg["seed"]
     )
     eval_corpus = gen_task(
         cfg["task"], cfg["eval_pairs"], cfg["seq_len"], cfg["payload_vocab"], cfg["seed"] + 1
     )
-
-    records, summary = depth_sweep(
+    return depth_sweep(
         train_corpus,
         eval_corpus,
-        depths,
+        cfg["depths"],
         train_config,
         hidden=cfg["hidden"],
         bidirectional=cfg["bidirectional"],
+        null=null,
     )
+
+
+def cmd_sweep(args) -> int:
+    cfg = _merge_config(SWEEP_DEFAULTS, args.config, args, SWEEP_DEFAULTS.keys())
+    records, summary = run_sweep(cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -228,7 +235,7 @@ def cmd_sweep(args) -> int:
         {**summary, "config": cfg, "records": [asdict(r) for r in records]},
         out / "sweep_summary.json",
     )
-    for depth in depths:
+    for depth in summary["depths"]:
         print(f"depth {depth}: best final loss {summary['best_loss'][str(depth)]:.6f}")
     verdict = summary["monotone_within_tolerance"]
     print(f"monotone within {summary['tolerance']:.0%} tolerance: {verdict}")

@@ -1,42 +1,32 @@
-"""Hot numeric kernels with two interchangeable backends.
-
-Every kernel exists twice: a pure-numpy version and a numba ``@njit`` version
-with identical semantics. The active backend is chosen once at import time:
-
-* ``HAMATTN_KERNELS=numpy``  -- force the pure-numpy path
-* ``HAMATTN_KERNELS=numba``  -- force numba (raises if numba is missing)
-* unset                      -- numba when importable, numpy otherwise
-
-``IMPLEMENTATIONS`` exposes both backends so tests can cross-check them and
-``benchmarks/bench_kernels.py`` can time them side by side. The two paths may
-differ by a few ulp (summation order), never more.
+"""Hot numeric kernels in plain numpy.
 
 Shape contracts: ``softmax_rows`` / ``softmax_rows_vjp`` /
 ``cross_entropy_rows`` take 2-D float64 arrays and apply row-wise; the
 elementwise kernels accept any shape. All kernels are pure functions.
 """
 
-import os
-
 import numpy as np
 
-# ---------------------------------------------------------------------------
-# pure-numpy backend
+# stamped into every benchmark result; results with different backends are
+# never compared
+BACKEND = "numpy"
 
 
-def _softmax_rows_np(x: np.ndarray) -> np.ndarray:
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Row-wise stabilized softmax of a 2-D array."""
     m = x.max(axis=1, keepdims=True)
     e = np.exp(x - m)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _softmax_rows_vjp_np(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+def softmax_rows_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Pull an upstream gradient back through ``softmax_rows`` output ``p``."""
     # action of the Jacobian diag(p) - p p^T on g, row-wise
     inner = (p * g).sum(axis=1, keepdims=True)
     return p * (g - inner)
 
 
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0.0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -45,19 +35,24 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigmoid_vjp_np(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+def sigmoid_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g * s * (1.0 - s)
 
 
-def _tanh_np(x: np.ndarray) -> np.ndarray:
+def tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(x)
 
 
-def _tanh_vjp_np(t: np.ndarray, g: np.ndarray) -> np.ndarray:
+def tanh_vjp(t: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g * (1.0 - t * t)
 
 
-def _cross_entropy_rows_np(logits: np.ndarray, targets: np.ndarray):
+def cross_entropy_rows(logits: np.ndarray, targets: np.ndarray):
+    """Summed cross-entropy of integer ``targets`` under row logits.
+
+    Returns ``(loss_sum, probs)`` where ``probs`` is the row-wise softmax,
+    cached for the backward pass.
+    """
     n = logits.shape[0]
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
@@ -66,193 +61,3 @@ def _cross_entropy_rows_np(logits: np.ndarray, targets: np.ndarray):
     lse = m[:, 0] + np.log(s[:, 0])
     loss = lse - logits[np.arange(n), targets]
     return float(loss.sum()), probs
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _softmax_rows_nb(x):
-        n, k = x.shape
-        out = np.empty((n, k))
-        for i in range(n):
-            m = x[i, 0]
-            for j in range(1, k):
-                if x[i, j] > m:
-                    m = x[i, j]
-            s = 0.0
-            for j in range(k):
-                e = np.exp(x[i, j] - m)
-                out[i, j] = e
-                s += e
-            for j in range(k):
-                out[i, j] = out[i, j] / s
-        return out
-
-    @njit(cache=True)
-    def _softmax_rows_vjp_nb(p, g):
-        n, k = p.shape
-        out = np.empty((n, k))
-        for i in range(n):
-            inner = 0.0
-            for j in range(k):
-                inner += p[i, j] * g[i, j]
-            for j in range(k):
-                out[i, j] = p[i, j] * (g[i, j] - inner)
-        return out
-
-    @njit(cache=True)
-    def _sigmoid_nb(x):
-        out = np.empty_like(x)
-        flat = x.ravel()
-        oflat = out.ravel()
-        for i in range(flat.size):
-            v = flat[i]
-            if v >= 0.0:
-                oflat[i] = 1.0 / (1.0 + np.exp(-v))
-            else:
-                e = np.exp(v)
-                oflat[i] = e / (1.0 + e)
-        return out
-
-    @njit(cache=True)
-    def _sigmoid_vjp_nb(s, g):
-        out = np.empty_like(s)
-        sf = s.ravel()
-        gf = g.ravel()
-        of = out.ravel()
-        for i in range(sf.size):
-            of[i] = gf[i] * sf[i] * (1.0 - sf[i])
-        return out
-
-    @njit(cache=True)
-    def _tanh_nb(x):
-        out = np.empty_like(x)
-        flat = x.ravel()
-        oflat = out.ravel()
-        for i in range(flat.size):
-            oflat[i] = np.tanh(flat[i])
-        return out
-
-    @njit(cache=True)
-    def _tanh_vjp_nb(t, g):
-        out = np.empty_like(t)
-        tf = t.ravel()
-        gf = g.ravel()
-        of = out.ravel()
-        for i in range(tf.size):
-            of[i] = gf[i] * (1.0 - tf[i] * tf[i])
-        return out
-
-    @njit(cache=True)
-    def _cross_entropy_rows_nb(logits, targets):
-        n, k = logits.shape
-        probs = np.empty((n, k))
-        total = 0.0
-        for i in range(n):
-            m = logits[i, 0]
-            for j in range(1, k):
-                if logits[i, j] > m:
-                    m = logits[i, j]
-            s = 0.0
-            for j in range(k):
-                e = np.exp(logits[i, j] - m)
-                probs[i, j] = e
-                s += e
-            for j in range(k):
-                probs[i, j] = probs[i, j] / s
-            total += m + np.log(s) - logits[i, targets[i]]
-        return total, probs
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-IMPLEMENTATIONS = {
-    "numpy": {
-        "softmax_rows": _softmax_rows_np,
-        "softmax_rows_vjp": _softmax_rows_vjp_np,
-        "sigmoid": _sigmoid_np,
-        "sigmoid_vjp": _sigmoid_vjp_np,
-        "tanh": _tanh_np,
-        "tanh_vjp": _tanh_vjp_np,
-        "cross_entropy_rows": _cross_entropy_rows_np,
-    }
-}
-if _HAVE_NUMBA:
-    IMPLEMENTATIONS["numba"] = {
-        "softmax_rows": _softmax_rows_nb,
-        "softmax_rows_vjp": _softmax_rows_vjp_nb,
-        "sigmoid": _sigmoid_nb,
-        "sigmoid_vjp": _sigmoid_vjp_nb,
-        "tanh": _tanh_nb,
-        "tanh_vjp": _tanh_vjp_nb,
-        "cross_entropy_rows": _cross_entropy_rows_nb,
-    }
-
-
-def _select_backend() -> str:
-    requested = os.environ.get("HAMATTN_KERNELS", "").strip().lower()
-    if requested == "":
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("HAMATTN_KERNELS=numba but numba is not importable")
-        return "numba"
-    raise RuntimeError(f"HAMATTN_KERNELS must be 'numpy' or 'numba', got {requested!r}")
-
-
-BACKEND = _select_backend()
-_ACTIVE = IMPLEMENTATIONS[BACKEND]
-
-
-def _as_c64(x) -> np.ndarray:
-    return np.ascontiguousarray(x, dtype=np.float64)
-
-
-def softmax_rows(x) -> np.ndarray:
-    """Row-wise stabilized softmax of a 2-D array."""
-    return _ACTIVE["softmax_rows"](_as_c64(x))
-
-
-def softmax_rows_vjp(p, g) -> np.ndarray:
-    """Pull an upstream gradient back through ``softmax_rows`` output ``p``."""
-    return _ACTIVE["softmax_rows_vjp"](_as_c64(p), _as_c64(g))
-
-
-def sigmoid(x) -> np.ndarray:
-    return _ACTIVE["sigmoid"](_as_c64(x))
-
-
-def sigmoid_vjp(s, g) -> np.ndarray:
-    return _ACTIVE["sigmoid_vjp"](_as_c64(s), _as_c64(g))
-
-
-def tanh(x) -> np.ndarray:
-    return _ACTIVE["tanh"](_as_c64(x))
-
-
-def tanh_vjp(t, g) -> np.ndarray:
-    return _ACTIVE["tanh_vjp"](_as_c64(t), _as_c64(g))
-
-
-def cross_entropy_rows(logits, targets):
-    """Summed cross-entropy of integer ``targets`` under row logits.
-
-    Returns ``(loss_sum, probs)`` where ``probs`` is the row-wise softmax,
-    cached for the backward pass.
-    """
-    return _ACTIVE["cross_entropy_rows"](
-        _as_c64(logits), np.ascontiguousarray(targets, dtype=np.int64)
-    )

@@ -15,25 +15,6 @@ from . import kernels
 Tensor = np.ndarray
 
 
-def as_tensor(data) -> np.ndarray:
-    """Coerce ``data`` to a C-contiguous float64 array, rejecting non-finite entries."""
-    arr = np.ascontiguousarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("tensor entries must be finite (no NaN/Inf)")
-    return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Standard matrix product of two 2-D tensors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def softmax_vec(x) -> np.ndarray:
     """Softmax of a 1-D tensor, stabilized by max subtraction.
 

@@ -49,7 +49,6 @@ class TrainConfig:
     epochs: int = 1
     batch_size: int = 32
     seed: int = 0
-    ham_depth: int = 1
     restarts: int = 1
     max_grad_norm: float = 5.0  # single fixed safeguard, not a tunable schedule
 
@@ -58,8 +57,8 @@ class TrainConfig:
             raise DomainError(f"learning rate must be >= 0, got {self.learning_rate}")
         if self.optimizer not in ("sgd", "adam"):
             raise DomainError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
-        if self.epochs < 1 or self.batch_size < 1 or self.ham_depth < 1 or self.restarts < 1:
-            raise DomainError("epochs, batch_size, ham_depth and restarts must all be >= 1")
+        if self.epochs < 1 or self.batch_size < 1 or self.restarts < 1:
+            raise DomainError("epochs, batch_size and restarts must all be >= 1")
 
 
 @dataclass
@@ -210,9 +209,15 @@ def depth_sweep(
     (c = [0, NULL_LEVEL_LOGIT, ...]) and left out of the optimizer, so each
     cell computes its depth-1 partner's function up to round-off.
     """
-    depths = [int(d) for d in depths]
-    if not depths or depths != sorted(depths):
-        raise DomainError(f"depths must be a non-empty ascending list, got {depths}")
+    # type(d) is int: a bool or a float would otherwise be trained as int(d)
+    if (
+        not isinstance(depths, (list, tuple))
+        or not depths
+        or any(type(d) is not int for d in depths)
+        or list(depths) != sorted(depths)
+    ):
+        raise DomainError(f"depths must be a non-empty ascending list of integers, got {depths!r}")
+    depths = list(depths)
     if null and depths[0] != 1:
         raise DomainError(f"a null sweep starts at depth 1, got {depths}")
     records = []
@@ -228,7 +233,7 @@ def depth_sweep(
             if null and depth > 1:
                 model.var_c.value[1:] = NULL_LEVEL_LOGIT
                 frozen = ("ham_c",)
-            cfg = replace(config, seed=seed, ham_depth=depth)
+            cfg = replace(config, seed=seed)
             _, losses = train(model, train_corpus, cfg, frozen)
             metric = _exact_match(model, eval_corpus) if len(eval_corpus) else 0.0
             records.append(

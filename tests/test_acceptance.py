@@ -13,22 +13,13 @@ import pytest
 
 from hamattn.attention import MultiHeadParams, multi_head, sdp_attention, vanilla_attention
 from hamattn.checks import gradcheck_table
-from hamattn.cli import main as cli_main
-from hamattn.data import gen_task
+from hamattn.cli import SWEEP_DEFAULTS, main as cli_main, run_sweep
 from hamattn.evaluate import averaged_bleu, bleu2
 from hamattn.ham import reduction_report, norm_bound_suite
 from hamattn.tensor import l2_norm
-from hamattn.train import SWEEP_TOLERANCE, TrainConfig, depth_sweep
+from hamattn.train import SWEEP_TOLERANCE
 
 from oracle_bleu import bleu2_bruteforce
-
-# pinned protocol for the depth-sweep criterion; every number that the run
-# records is determined by these plus the corpus seeds below
-SWEEP_ROOT_SEED = 0
-SWEEP_BATCH_SIZE = 32
-SWEEP_DEPTHS = [1, 2, 5]
-SWEEP_RESTARTS = 5
-SWEEP_EPOCHS = 200
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
@@ -114,33 +105,21 @@ def test_criterion_5_depth_sweep_monotone_within_tolerance():
     grown over 200 epochs, separates them. See README "Depth-sweep behavior
     at desk scale" for the null table; the exact reduction identities
     (criterion 3) and the frozen-one-hot training equivalence test carry the
-    representational claim itself.
+    representational claim itself. The protocol is ``SWEEP_DEFAULTS``, the
+    one ``hamattn sweep`` and the null sweep run.
     """
     start = time.perf_counter()
-    train_corpus = gen_task("copy", 512, 6, 8, seed=SWEEP_ROOT_SEED)
-    eval_corpus = gen_task("copy", 64, 6, 8, seed=SWEEP_ROOT_SEED + 1)
-    cfg = TrainConfig(
-        learning_rate=0.01,
-        optimizer="adam",
-        epochs=SWEEP_EPOCHS,
-        batch_size=SWEEP_BATCH_SIZE,
-        seed=SWEEP_ROOT_SEED,
-        restarts=SWEEP_RESTARTS,
-    )
-    records, summary = depth_sweep(
-        train_corpus, eval_corpus, SWEEP_DEPTHS, cfg, hidden=16, bidirectional=True
-    )
+    _, summary = run_sweep(SWEEP_DEFAULTS)
     elapsed = time.perf_counter() - start
     best = summary["best_loss"]
-    ratios = [
-        best[str(b)] / best[str(a)] for a, b in zip(SWEEP_DEPTHS, SWEEP_DEPTHS[1:])
-    ]
+    depths = summary["depths"]
+    ratios = [best[str(b)] / best[str(a)] for a, b in zip(depths, depths[1:])]
     ok = summary["monotone_within_tolerance"] and elapsed < 900.0
     _report(
         "5 depth sweep trend",
         ok,
         "best losses "
-        + ", ".join(f"d={d}: {best[str(d)]:.5f}" for d in SWEEP_DEPTHS)
+        + ", ".join(f"d={d}: {best[str(d)]:.5f}" for d in depths)
         + f"; transition ratios {ratios[0]:.3f}, {ratios[1]:.3f} "
         f"(allowed <= {1 + SWEEP_TOLERANCE}); {elapsed:.0f}s",
     )

@@ -177,15 +177,20 @@ def test_sweep_tiny_and_rerun_is_byte_identical(tmp_path, capsys):
     assert len(summary["records"]) == 2
 
 
-def test_sweep_rejects_bad_config_before_writing_outputs(tmp_path):
+def test_sweep_rejects_bad_config_before_writing_outputs(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
-    cfg.write_text(json.dumps({"depths": [5, 1], "epochs": 1, "pairs": 4, "restarts": 1}))
     out = tmp_path / "out"
-    assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
-    assert not out.exists()
-    cfg.write_text(json.dumps({"bogus_key": 1}))
-    assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
-    assert not out.exists()
+    for config in (
+        {"depths": [5, 1], "epochs": 1, "pairs": 4, "restarts": 1},
+        {"bogus_key": 1},
+        {"depths": [1.7, 2], "epochs": 1, "pairs": 4, "restarts": 1},
+        {"depths": [True, 2], "epochs": 1, "pairs": 4, "restarts": 1},
+    ):
+        cfg.write_text(json.dumps(config))
+        assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 2, config
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "depths" in err or "bogus_key" in config, err
 
 
 def test_module_entrypoint_smoke():

@@ -1,58 +1,8 @@
-"""Cross-checks between the numpy and numba kernel backends."""
+"""Numerical properties of the numpy kernels."""
 
 import numpy as np
-import pytest
 
 from hamattn import kernels
-
-HAS_NUMBA = "numba" in kernels.IMPLEMENTATIONS
-
-pytestmark = pytest.mark.skipif(not HAS_NUMBA, reason="numba backend unavailable")
-
-rng = np.random.default_rng(12345)
-CASES = [rng.uniform(-30, 30, size=(n, k)) for n, k in [(1, 1), (4, 7), (32, 16), (3, 64)]]
-
-
-def _pair(name):
-    return kernels.IMPLEMENTATIONS["numpy"][name], kernels.IMPLEMENTATIONS["numba"][name]
-
-
-@pytest.mark.parametrize("x", CASES)
-def test_softmax_rows_backends_agree(x):
-    f_np, f_nb = _pair("softmax_rows")
-    np.testing.assert_allclose(f_np(x), f_nb(x), rtol=1e-13, atol=1e-15)
-
-
-@pytest.mark.parametrize("x", CASES)
-def test_softmax_vjp_backends_agree(x):
-    p = kernels.softmax_rows(x)
-    g = np.random.default_rng(0).uniform(-1, 1, size=x.shape)
-    f_np, f_nb = _pair("softmax_rows_vjp")
-    np.testing.assert_allclose(f_np(p, g), f_nb(p, g), rtol=1e-13, atol=1e-15)
-
-
-@pytest.mark.parametrize("x", CASES)
-def test_elementwise_backends_agree(x):
-    for name in ("sigmoid", "tanh"):
-        f_np, f_nb = _pair(name)
-        np.testing.assert_allclose(f_np(x), f_nb(x), rtol=1e-14, atol=1e-16)
-    g = np.random.default_rng(1).uniform(-1, 1, size=x.shape)
-    s = kernels.sigmoid(x)
-    t = kernels.tanh(x)
-    for name, cache in (("sigmoid_vjp", s), ("tanh_vjp", t)):
-        f_np, f_nb = _pair(name)
-        np.testing.assert_allclose(f_np(cache, g), f_nb(cache, g), rtol=1e-13, atol=1e-15)
-
-
-def test_cross_entropy_backends_agree():
-    gen = np.random.default_rng(7)
-    logits = gen.uniform(-5, 5, size=(9, 6))
-    targets = gen.integers(0, 6, size=9)
-    f_np, f_nb = _pair("cross_entropy_rows")
-    loss_np, probs_np = f_np(logits, targets)
-    loss_nb, probs_nb = f_nb(logits, targets)
-    assert abs(loss_np - loss_nb) < 1e-12
-    np.testing.assert_allclose(probs_np, probs_nb, rtol=1e-13, atol=1e-15)
 
 
 def test_cross_entropy_matches_direct_formula():
@@ -75,7 +25,3 @@ def test_softmax_rows_is_row_stochastic():
     p = kernels.softmax_rows(x)
     assert p.min() >= 0.0
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_backend_selection_reports_a_known_backend():
-    assert kernels.BACKEND in kernels.IMPLEMENTATIONS

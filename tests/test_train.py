@@ -77,7 +77,7 @@ def _tiny_setup(depth=2, seed=0, pairs=6):
 
 def test_zero_learning_rate_keeps_loss_constant():
     corpus, model = _tiny_setup()
-    cfg = TrainConfig(learning_rate=0.0, epochs=4, batch_size=3, seed=1, ham_depth=2)
+    cfg = TrainConfig(learning_rate=0.0, epochs=4, batch_size=3, seed=1)
     _, losses = train(model, corpus, cfg)
     # parameters never move; epoch means differ only by the float summation
     # order of the reshuffled batches
@@ -88,7 +88,7 @@ def test_identical_seeds_give_bitwise_identical_trajectories():
     runs = []
     for _ in range(2):
         corpus, model = _tiny_setup(seed=5)
-        cfg = TrainConfig(epochs=5, batch_size=3, seed=9, ham_depth=2)
+        cfg = TrainConfig(epochs=5, batch_size=3, seed=9)
         _, losses = train(model, corpus, cfg)
         runs.append((losses, {k: v.value.copy() for k, v in model.parameters().items()}))
     assert runs[0][0] == runs[1][0]
@@ -98,7 +98,7 @@ def test_identical_seeds_give_bitwise_identical_trajectories():
 
 def test_losses_stay_positive():
     corpus, model = _tiny_setup()
-    _, losses = train(model, corpus, TrainConfig(epochs=6, batch_size=3, seed=2, ham_depth=2))
+    _, losses = train(model, corpus, TrainConfig(epochs=6, batch_size=3, seed=2))
     assert all(l > 0.0 for l in losses)
 
 
@@ -106,7 +106,7 @@ def test_non_finite_loss_aborts_with_location():
     corpus, model = _tiny_setup()
     model.w_out.value[...] = np.nan
     with pytest.raises(TrainingDiverged, match="epoch 0, batch 0"):
-        train(model, corpus, TrainConfig(epochs=1, batch_size=3, seed=0, ham_depth=2))
+        train(model, corpus, TrainConfig(epochs=1, batch_size=3, seed=0))
 
 
 def test_train_rejects_empty_corpus():
@@ -122,7 +122,7 @@ def test_single_pair_memorization_and_reproduction():
     model = Seq2SeqModel(
         ModelConfig(corpus.vocab_size, 16, 2, True), np.random.default_rng(7)
     )
-    cfg = TrainConfig(epochs=500, batch_size=1, seed=7, ham_depth=2)
+    cfg = TrainConfig(epochs=500, batch_size=1, seed=7)
     model, losses = train(model, corpus, cfg)
     assert losses[-1] < 0.05
     src, tgt = corpus.pairs[0]
@@ -224,7 +224,7 @@ def test_onehot_frozen_ham_trains_like_multilevel_connector():
     """
     depth = 3
     corpus = gen_task("copy", 12, 3, 5, seed=4)
-    cfg = TrainConfig(epochs=12, batch_size=4, seed=11, ham_depth=depth)
+    cfg = TrainConfig(epochs=12, batch_size=4, seed=11)
 
     def multilevel_loss(model, src, tgt):
         # mirrors sequence_loss but takes only the deepest attention level
