@@ -19,7 +19,7 @@ from .attention import (
     self_attention_layer,
     vanilla_attention,
 )
-from .autodiff import Tape, Variable, backward, check_gradients, grad_check
+from .autodiff import Tape, Variable, backward, check_gradients
 from .data import BOS, EOS, PAD, Corpus, gen_task, load_corpus, save_corpus
 from .errors import CorpusError, DimensionError, DomainError, TrainingDiverged
 from .evaluate import EvalReport, averaged_bleu, bleu2, exact_match_rate
@@ -27,8 +27,6 @@ from .ham import HamWeights, ham_s, ham_v, norm_bound_suite
 from .model import (
     ModelConfig,
     Seq2SeqModel,
-    decode_step,
-    encode,
     generate,
     gru_step,
     load_checkpoint,
@@ -64,13 +62,10 @@ __all__ = [
     "backward",
     "bleu2",
     "check_gradients",
-    "decode_step",
     "depth_sweep",
-    "encode",
     "exact_match_rate",
     "gen_task",
     "generate",
-    "grad_check",
     "gru_step",
     "ham_s",
     "ham_v",

@@ -418,35 +418,6 @@ def cross_entropy_logits(logits, targets) -> Variable:
 # finite-difference checking
 
 
-def grad_check(f, x, h: float = 1e-5) -> float:
-    """Compare reverse-mode against central finite differences.
-
-    ``f`` maps a Variable to a scalar Variable and must be pure. Returns the
-    max over coordinates of |analytic - numeric| / max(1, |analytic|).
-    """
-    if not 1e-7 <= h <= 1e-3:
-        raise DomainError(f"step size h must lie in [1e-7, 1e-3], got {h}")
-    x = np.asarray(x, dtype=np.float64)
-    xv = Variable(x.copy())
-    with Tape() as tape:
-        loss = f(xv)
-    tape.backward(loss)
-    analytic = xv.grad.copy()
-
-    numeric = np.zeros_like(analytic)
-    for i in range(x.size):
-        xp = x.copy()
-        xp.flat[i] += h
-        fp = float(f(Variable(xp)).value)
-        xm = x.copy()
-        xm.flat[i] -= h
-        fm = float(f(Variable(xm)).value)
-        numeric.flat[i] = (fp - fm) / (2.0 * h)
-
-    denom = np.maximum(1.0, np.abs(analytic))
-    return float(np.max(np.abs(analytic - numeric) / denom)) if x.size else 0.0
-
-
 class GradCheckResult(NamedTuple):
     max_rel_error: float
     worst_variable: int
@@ -454,14 +425,13 @@ class GradCheckResult(NamedTuple):
 
 
 def check_gradients(build_loss, variables, h: float = 1e-5) -> GradCheckResult:
-    """Multi-variable version of :func:`grad_check`.
+    """Compare reverse-mode against central finite differences.
 
     ``build_loss`` recomputes the scalar loss from the current values of
     ``variables`` (leaf Variables perturbed in place), so one call checks the
-    gradient of every coordinate of every listed variable against central
-    differences. The result carries the max relative error (same
-    normalization as ``grad_check``) plus which variable/coordinate attained
-    it.
+    gradient of every coordinate of every listed variable. The result carries
+    the max over coordinates of |analytic - numeric| / max(1, |analytic|),
+    plus which variable/coordinate attained it.
     """
     if not 1e-7 <= h <= 1e-3:
         raise DomainError(f"step size h must lie in [1e-7, 1e-3], got {h}")

@@ -18,7 +18,7 @@ from .attention import (
 )
 from .autodiff import Variable, check_gradients
 from .errors import DomainError
-from .ham import ham_s_vars, ham_v_vars, reduction_report, norm_bound_suite
+from .ham import ham_s_vars, ham_v_context, reduction_report, norm_bound_suite
 from .model import GRUParams, ModelConfig, Seq2SeqModel, gru_step, sequence_loss
 from .tensor import softmax_vec
 
@@ -234,9 +234,10 @@ def gradcheck_table(scale: str = "tiny", seed: int = 0, instances: int = 30) -> 
         return check_gradients(lambda: ad.cross_entropy_logits(logits, targets), [logits])
 
     def ham_v_case():
-        q, K, cc = u(k), u(k, r), u(3)
-        loss = _proj(ham_v_vars(q, K, cc), rng)
-        return check_gradients(lambda: loss(ham_v_vars(q, K, cc)), [q, K, cc])
+        # one example through the batched connector: [1, k] query, [1, r, k] keys
+        q, K, cc = u(1, k), u(1, r, k), u(3)
+        loss = _proj(ham_v_context(K, q, cc), rng)
+        return check_gradients(lambda: loss(ham_v_context(K, q, cc)), [q, K, cc])
 
     def ham_s_case():
         X, cc = u(r, k), u(3)
@@ -246,8 +247,8 @@ def gradcheck_table(scale: str = "tiny", seed: int = 0, instances: int = 30) -> 
     def gru_chain_case():
         h = d["hidden"]
         cell = GRUParams(rng, h, h)
-        xs = [u(h) for _ in range(3)]
-        h0 = u(h)
+        xs = [u(1, h) for _ in range(3)]
+        h0 = u(1, h)
 
         def forward():
             state = h0

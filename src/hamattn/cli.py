@@ -63,6 +63,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _int_list(text: str) -> list:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
@@ -71,7 +78,11 @@ def _int_list(text: str) -> list:
 
 
 def _merge_config(defaults: dict, config_path, args, keys) -> dict:
-    """defaults < JSON config file < explicitly passed flags."""
+    """defaults < JSON config file < explicitly passed flags.
+
+    A file value must have its default's type, bool and int kept apart; an
+    int may stand for a float. Ranges are checked where the values are used.
+    """
     cfg = dict(defaults)
     if config_path:
         with open(config_path, "r", encoding="utf-8") as f:
@@ -81,6 +92,12 @@ def _merge_config(defaults: dict, config_path, args, keys) -> dict:
         unknown = sorted(set(loaded) - set(defaults))
         if unknown:
             raise DomainError(f"unknown config keys {unknown}; known: {sorted(defaults)}")
+        for key, value in loaded.items():
+            kind = type(defaults[key])
+            if type(value) is not kind and not (kind is float and type(value) is int):
+                raise DomainError(
+                    f"config key {key!r} must be of type {kind.__name__}, got {json.dumps(value)}"
+                )
         cfg.update(loaded)
     for key in keys:
         value = getattr(args, key, None)
@@ -277,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run norm-bound, reduction and distribution suites")
     p.add_argument("--trials", type=_positive_int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-depth", type=_positive_int, default=10)
     p.add_argument("--reduction-instances", type=_positive_int, default=1_000)
     p.add_argument("--out", help="write the full JSON report to this file")
@@ -285,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every differentiable op")
     p.add_argument("--scale", choices=("tiny", "small"), default="tiny")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--instances", type=_positive_int, default=30)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -294,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=_positive_int, required=True)
     p.add_argument("--seq-len", type=_positive_int, default=6)
     p.add_argument("--payload-vocab", type=_positive_int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gendata)
 
@@ -307,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, dest="learning_rate")
     p.add_argument("--batch-size", type=_positive_int, dest="batch_size")
     p.add_argument("--optimizer", choices=("sgd", "adam"))
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--hidden", type=_positive_int)
     p.add_argument("--bidirectional", action=argparse.BooleanOptionalAction)
     p.add_argument("--emit-generations", action="store_true")
@@ -327,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, dest="learning_rate")
     p.add_argument("--batch-size", type=_positive_int, dest="batch_size")
     p.add_argument("--optimizer", choices=("sgd", "adam"))
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--hidden", type=_positive_int)
     p.add_argument("--bidirectional", action=argparse.BooleanOptionalAction)
     p.add_argument(

@@ -19,6 +19,23 @@ NUM_RESERVED = 3
 TASKS = ("copy", "reverse", "sort")
 
 
+def _pair_problem(src, tgt, vocab_size: int, strict: bool):
+    """What is wrong with one (src, tgt) token pair, or None if nothing is.
+
+    Sources are never empty and every id lies in [0, vocab_size). A strict
+    pair (a training corpus) also has a non-empty target and no reserved ids.
+    """
+    for name, seq in (("src", src), ("tgt", tgt)):
+        if not seq and (strict or name == "src"):
+            return f"empty {name} sequence"
+        for tok in seq:
+            if not 0 <= tok < vocab_size:
+                return f"{name} id {tok} outside vocab [0, {vocab_size})"
+            if strict and tok < NUM_RESERVED:
+                return f"reserved id {tok} inside a {name} payload"
+    return None
+
+
 @dataclass
 class Corpus:
     vocab_size: int
@@ -35,18 +52,9 @@ class Corpus:
         if self.vocab_size < NUM_RESERVED:
             raise DomainError(f"vocab size must be >= {NUM_RESERVED}, got {self.vocab_size}")
         for i, (src, tgt) in enumerate(self.pairs):
-            for name, seq in (("src", src), ("tgt", tgt)):
-                if not seq and (self.strict or name == "src"):
-                    raise DomainError(f"pair {i}: empty {name} sequence")
-                for tok in seq:
-                    if not 0 <= tok < self.vocab_size:
-                        raise DomainError(
-                            f"pair {i}: {name} id {tok} outside vocab [0, {self.vocab_size})"
-                        )
-                    if self.strict and tok < NUM_RESERVED:
-                        raise DomainError(
-                            f"pair {i}: reserved id {tok} inside a {name} payload"
-                        )
+            problem = _pair_problem(src, tgt, self.vocab_size, self.strict)
+            if problem:
+                raise DomainError(f"pair {i}: {problem}")
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -127,17 +135,8 @@ def load_corpus(path, strict: bool = True) -> Corpus:
             raise CorpusError(f"line {line_no}: expected an object with 'src' and 'tgt'")
         src = _int_list(obj["src"], line_no, "src")
         tgt = _int_list(obj["tgt"], line_no, "tgt")
-        for key, seq in (("src", src), ("tgt", tgt)):
-            if not seq and (strict or key == "src"):
-                raise CorpusError(f"line {line_no}: empty {key} sequence")
-            for tok in seq:
-                if not 0 <= tok < vocab:
-                    raise CorpusError(
-                        f"line {line_no}: {key} id {tok} outside vocab [0, {vocab})"
-                    )
-                if strict and tok < NUM_RESERVED:
-                    raise CorpusError(
-                        f"line {line_no}: reserved id {tok} inside a {key} payload"
-                    )
+        problem = _pair_problem(src, tgt, vocab, strict)
+        if problem:
+            raise CorpusError(f"line {line_no}: {problem}")
         pairs.append((src, tgt))
     return Corpus(vocab_size=vocab, pairs=pairs, task=task, strict=strict)

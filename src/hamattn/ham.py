@@ -7,10 +7,10 @@ The level weights are the softmax of d trainable scalars, so the one-hot
 limits recover plain vanilla attention (weight on level 1) and plain
 multi-level attention (weight on level d).
 
-Each operation exists twice: a plain-numpy forward (fast path for the
-randomized bound suites) and a taped form built from autodiff primitives
-(``*_vars`` for single instances, ``ham_v_context`` batched for the seq2seq
-connector). Equivalence of the two paths is covered by tests.
+Each operation has a plain-numpy forward (fast path for the randomized bound
+suites) and one taped form built from autodiff primitives: ``ham_v_context``,
+batched over examples, is the seq2seq connector, and ``ham_s_vars`` takes one
+[n, dk] sequence. Tests cover the equivalence of the two paths.
 """
 
 from dataclasses import dataclass, field
@@ -67,24 +67,6 @@ def ham_s(X, w: HamWeights) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # taped (differentiable) forms
-
-
-def ham_v_vars(q, K, c) -> ad.Variable:
-    """Taped ham_v: q is [dk], K is [dk, n], c is [d]; all differentiable."""
-    q, K, c = ad.as_variable(q), ad.as_variable(K), ad.as_variable(c)
-    dk, n = K.value.shape
-    if q.value.shape != (dk,):
-        raise DimensionError(f"query shape {q.value.shape} does not match keys {K.value.shape}")
-    inv = 1.0 / np.sqrt(dk)
-    kt = ad.transpose(K)
-    cur = ad.reshape(q, (1, dk))
-    levels = []
-    for _ in range(c.value.shape[0]):
-        scores = ad.scale(ad.matmul(cur, K), inv)
-        cur = ad.matmul(ad.softmax(scores), kt)
-        levels.append(cur)
-    out = ad.weighted_sum(levels, ad.softmax(c))
-    return ad.reshape(out, (dk,))
 
 
 def ham_s_vars(X, c) -> ad.Variable:

@@ -14,7 +14,7 @@ Checkpoints are versioned JSON containers of named parameter tensors; see
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -124,19 +124,14 @@ def _gru_cell(x: Variable, h: Variable, p: GRUParams) -> Variable:
 
 
 def gru_step(x, h_prev, params: GRUParams) -> Variable:
-    """One GRU transition; accepts a single vector or a [batch, dim] matrix."""
+    """One GRU transition of a [batch, d_in] input and a [batch, hidden] state."""
     x = ad.as_variable(x)
     h = ad.as_variable(h_prev)
-    single = x.value.ndim == 1
-    if single:
-        x = ad.reshape(x, (1, -1))
-        h = ad.reshape(h, (1, -1))
     if x.value.ndim != 2 or h.value.ndim != 2 or x.value.shape[0] != h.value.shape[0]:
         raise DimensionError(
             f"gru_step expects matching batches, got x {x.value.shape}, h {h.value.shape}"
         )
-    out = _gru_cell(x, h, params)
-    return ad.reshape(out, (-1,)) if single else out
+    return _gru_cell(x, h, params)
 
 
 class Seq2SeqModel:
@@ -197,15 +192,6 @@ def encode_batch(tokens, model: Seq2SeqModel):
     return ad.stack(states, axis=1), states[-1]
 
 
-def encode(tokens, model: Seq2SeqModel) -> Variable:
-    """Per-token encoder states [n, H] of a single id sequence."""
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size == 0:
-        raise DomainError(f"expected a non-empty 1-D id sequence, got shape {tokens.shape}")
-    enc, _ = encode_batch(tokens.reshape(1, -1), model)
-    return ad.reshape(enc, enc.value.shape[1:])
-
-
 def decode_step_batch(h_dec, enc_states, prev_tokens, model: Seq2SeqModel):
     """One teacher-forced decoder step over a batch: returns (logits, new state)."""
     h_dec = ad.as_variable(h_dec)
@@ -215,20 +201,6 @@ def decode_step_batch(h_dec, enc_states, prev_tokens, model: Seq2SeqModel):
     x = ad.concat([emb, context], axis=1)
     h_new = gru_step(x, h_dec, model.dec)
     return ad.matmul(h_new, model.w_out), h_new
-
-
-def decode_step(h_dec, enc_states, prev_token: int, model: Seq2SeqModel):
-    """Single-example decoder step: [H] state and [n, H] encoder states."""
-    h_dec = ad.as_variable(h_dec)
-    enc_states = ad.as_variable(enc_states)
-    if h_dec.value.ndim != 1 or enc_states.value.ndim != 2:
-        raise DimensionError(
-            f"decode_step expects [H] and [n, H], got {h_dec.value.shape}, {enc_states.value.shape}"
-        )
-    hb = ad.reshape(h_dec, (1, -1))
-    encb = ad.reshape(enc_states, (1,) + enc_states.value.shape)
-    logits, h_new = decode_step_batch(hb, encb, np.array([prev_token]), model)
-    return ad.reshape(logits, (-1,)), ad.reshape(h_new, (-1,))
 
 
 def sequence_loss(model: Seq2SeqModel, src_batch, tgt_batch) -> Variable:
@@ -302,14 +274,29 @@ def save_checkpoint(model: Seq2SeqModel, path) -> None:
 
 
 def load_checkpoint(path) -> Seq2SeqModel:
+    """Rebuild a model from ``save_checkpoint`` output.
+
+    Config keys and value types, tensor names and shapes, and finiteness are
+    checked; a bad file raises :class:`DomainError` (:class:`DimensionError`
+    for a shape) naming what is wrong.
+    """
     with open(path, "r", encoding="utf-8") as f:
         payload = json.load(f)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise DomainError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise DomainError(f"unsupported checkpoint version {payload.get('version')}")
-    config = ModelConfig(**payload["config"])
-    model = Seq2SeqModel(config, np.random.default_rng(0))
+    stored_config = payload.get("config")
+    if not isinstance(stored_config, dict):
+        raise DomainError(f"checkpoint config must be an object, got {stored_config!r}")
+    config_fields = {f.name: f.type for f in fields(ModelConfig)}
+    odd = sorted(set(stored_config) ^ set(config_fields))
+    if odd:
+        raise DomainError(f"checkpoint config keys do not match the model config: {odd}")
+    for name, kind in config_fields.items():
+        if type(stored_config[name]) is not kind:
+            raise DomainError(f"checkpoint config {name!r} must be {kind.__name__}")
+    model = Seq2SeqModel(ModelConfig(**stored_config), np.random.default_rng(0))
     params = model.parameters()
     stored = payload["params"]
     if set(stored) != set(params):
@@ -322,5 +309,7 @@ def load_checkpoint(path) -> Seq2SeqModel:
             raise DimensionError(
                 f"checkpoint tensor {name} has shape {arr.shape}, expected {var.value.shape}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"checkpoint tensor {name} holds non-finite values")
         var.value[...] = arr
     return model

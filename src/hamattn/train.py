@@ -17,6 +17,7 @@ from the paired null sweep (``depth_sweep(..., null=True)``), in which every
 depth computes the depth-1 function, so only that spread separates the depths.
 """
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -53,12 +54,14 @@ class TrainConfig:
     max_grad_norm: float = 5.0  # single fixed safeguard, not a tunable schedule
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise DomainError(f"learning rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise DomainError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if self.optimizer not in ("sgd", "adam"):
             raise DomainError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.restarts < 1:
             raise DomainError("epochs, batch_size and restarts must all be >= 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,13 +160,17 @@ def test_eval_length_mismatch(tmp_path):
     assert run(["eval", "--generated", str(a), "--gold", str(b)]) == 2
 
 
+TINY_SWEEP = {
+    "pairs": 8, "seq_len": 3, "payload_vocab": 5, "eval_pairs": 4,
+    "depths": [1, 2], "restarts": 1, "epochs": 2, "batch_size": 4, "seed": 3,
+    "hidden": 5,
+}
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def test_sweep_tiny_and_rerun_is_byte_identical(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
-    cfg.write_text(json.dumps({
-        "pairs": 8, "seq_len": 3, "payload_vocab": 5, "eval_pairs": 4,
-        "depths": [1, 2], "restarts": 1, "epochs": 2, "batch_size": 4, "seed": 3,
-        "hidden": 5,
-    }))
+    cfg.write_text(json.dumps(TINY_SWEEP))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     code_a = run(["sweep", "--config", str(cfg), "--out", str(out_a)])
     code_b = run(["sweep", "--config", str(cfg), "--out", str(out_b)])
@@ -177,20 +183,84 @@ def test_sweep_tiny_and_rerun_is_byte_identical(tmp_path, capsys):
     assert len(summary["records"]) == 2
 
 
+def test_outputs_match_committed_golden(tmp_path, capsys):
+    """The tiny sweep's CSV and a tiny train run's checkpoint, byte for byte.
+
+    Both golden files were written by this code on numpy's float64 kernels.
+    A change that moves the numbers on purpose regenerates them with the
+    commands this test runs and records the change in CHANGES.md.
+    """
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(TINY_SWEEP))
+    run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")])
+    golden_csv = (GOLDEN / "sweep_tiny.csv").read_bytes()
+    assert (tmp_path / "sweep" / "sweep.csv").read_bytes() == golden_csv
+
+    corpus_path = tmp_path / "task.jsonl"
+    save_corpus(gen_task("copy", 6, 3, 5, seed=0), corpus_path)
+    assert run(["train", "--corpus", str(corpus_path), "--out", str(tmp_path / "run"),
+                "--epochs", "3", "--depth", "2", "--hidden", "6", "--batch-size", "3",
+                "--seed", "4"]) == 0
+    digest = hashlib.sha256((tmp_path / "run" / "checkpoint.json").read_bytes()).hexdigest()
+    assert digest == (GOLDEN / "train_checkpoint.sha256").read_text().strip()
+
+
 def test_sweep_rejects_bad_config_before_writing_outputs(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     out = tmp_path / "out"
-    for config in (
-        {"depths": [5, 1], "epochs": 1, "pairs": 4, "restarts": 1},
-        {"bogus_key": 1},
-        {"depths": [1.7, 2], "epochs": 1, "pairs": 4, "restarts": 1},
-        {"depths": [True, 2], "epochs": 1, "pairs": 4, "restarts": 1},
+    small = {"epochs": 1, "pairs": 4, "restarts": 1, "depths": [1]}
+    for field, config in (
+        ("depths", {**small, "depths": [5, 1]}),
+        ("bogus_key", {"bogus_key": 1}),
+        ("depths", {**small, "depths": [1.7, 2]}),
+        ("depths", {**small, "depths": [True, 2]}),
+        ("epochs", {**small, "epochs": "3"}),
+        ("hidden", {**small, "hidden": 2.5}),
+        ("bidirectional", {**small, "bidirectional": "no"}),
+        ("restarts", {**small, "restarts": True}),
+        ("learning rate", {**small, "learning_rate": float("nan")}),
+        ("learning rate", {**small, "learning_rate": float("inf")}),
+        ("seed", {**small, "seed": -1}),
     ):
         cfg.write_text(json.dumps(config))
         assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 2, config
         assert not out.exists()
         err = capsys.readouterr().err
-        assert "depths" in err or "bogus_key" in config, err
+        assert field in err and "Traceback" not in err, err
+
+
+def test_train_rejects_bad_config_before_writing_outputs(tmp_path, capsys):
+    corpus_path = tmp_path / "task.jsonl"
+    save_corpus(gen_task("copy", 4, 3, 5, seed=0), corpus_path)
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "run"
+    for field, config in (
+        ("epochs", {"epochs": "3"}),
+        ("depth", {"depth": 2.0}),
+        ("learning rate", {"learning_rate": float("nan")}),
+    ):
+        cfg.write_text(json.dumps(config))
+        code = run(["train", "--corpus", str(corpus_path), "--out", str(out), "--config", str(cfg)])
+        assert code == 2, config
+        assert not out.exists()
+        assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "gradcheck", "gendata", "train", "sweep"])
+def test_negative_seed_flag_is_a_usage_error(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    required = {
+        "verify": [],
+        "gradcheck": [],
+        "gendata": ["--task", "copy", "--pairs", "1", "--out", str(out)],
+        "train": ["--corpus", str(tmp_path / "c.jsonl"), "--out", str(out)],
+        "sweep": ["--out", str(out)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run([command, *required, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_module_entrypoint_smoke():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,7 @@ from hamattn.model import (
     GRUParams,
     ModelConfig,
     Seq2SeqModel,
-    decode_step,
-    encode,
+    decode_step_batch,
     encode_batch,
     generate,
     gru_step,
@@ -35,15 +36,15 @@ def _model(vocab=8, hidden=4, depth=2, bidirectional=True, seed=0):
 
 def test_gru_step_zero_params_zero_state():
     cell = _zero_gru(3, 3)
-    out = gru_step(np.zeros(3), np.zeros(3), cell)
-    np.testing.assert_array_equal(out.value, np.zeros(3))
+    out = gru_step(np.zeros((1, 3)), np.zeros((1, 3)), cell)
+    np.testing.assert_array_equal(out.value, np.zeros((1, 3)))
 
 
 def test_gru_step_zero_params_halves_state():
     # z = r = 0.5, candidate tanh(0) = 0, so h' = 0.5 h
     cell = _zero_gru(3, 3)
-    v = np.array([1.0, -2.0, 0.5])
-    out = gru_step(np.zeros(3), v, cell)
+    v = np.array([[1.0, -2.0, 0.5]])
+    out = gru_step(np.zeros((1, 3)), v, cell)
     np.testing.assert_allclose(out.value, 0.5 * v, atol=1e-15)
 
 
@@ -54,27 +55,32 @@ def test_gru_step_batched_matches_single():
     hs = rng.uniform(-1, 1, (5, 4))
     batched = gru_step(xs, hs, cell).value
     for i in range(5):
-        np.testing.assert_allclose(gru_step(xs[i], hs[i], cell).value, batched[i], atol=1e-14)
+        single = gru_step(xs[i : i + 1], hs[i : i + 1], cell).value
+        np.testing.assert_allclose(single[0], batched[i], atol=1e-14)
 
 
 def test_gru_step_shape_error():
     cell = GRUParams(np.random.default_rng(0), 3, 4)
     with pytest.raises(DimensionError):
-        gru_step(np.zeros(5), np.zeros(4), cell)
+        gru_step(np.zeros((1, 5)), np.zeros((1, 4)), cell)
+    with pytest.raises(DimensionError):
+        gru_step(np.zeros((2, 3)), np.zeros((1, 4)), cell)
+    with pytest.raises(DimensionError):
+        gru_step(np.zeros(3), np.zeros(4), cell)
 
 
 def test_gru_chain_gradients():
     rng = np.random.default_rng(2)
     cell = GRUParams(rng, 3, 3)
-    xs = [Variable(rng.uniform(-1, 1, 3)) for _ in range(3)]
-    h0 = Variable(rng.uniform(-1, 1, 3))
-    r = Variable(rng.uniform(-1, 1, 3))
+    xs = [Variable(rng.uniform(-1, 1, (1, 3))) for _ in range(3)]
+    h0 = Variable(rng.uniform(-1, 1, (1, 3)))
+    r = Variable(rng.uniform(-1, 1, (1, 3)))
 
     def forward():
         h = h0
         for x in xs:
             h = gru_step(x, h, cell)
-        return ad.dot(h, r)
+        return ad.sum_all(ad.mul(h, r))
 
     res = check_gradients(forward, [*cell.variables().values(), *xs, h0])
     assert res.max_rel_error < 1e-5
@@ -82,18 +88,19 @@ def test_gru_chain_gradients():
 
 def test_encode_length_one_is_single_gru_step():
     model = _model(bidirectional=False)
-    states = encode(np.array([5]), model)
-    emb = model.embedding.value[5]
-    expected = gru_step(emb, np.zeros(4), model.enc_fwd).value
-    np.testing.assert_allclose(states.value, expected.reshape(1, -1), atol=1e-15)
+    states, last = encode_batch(np.array([[5]]), model)
+    emb = model.embedding.value[5:6]
+    expected = gru_step(emb, np.zeros((1, 4)), model.enc_fwd).value
+    np.testing.assert_allclose(states.value[0], expected, atol=1e-15)
+    np.testing.assert_array_equal(last.value, expected)
 
 
 def test_encode_zero_params_gives_zero_states():
     model = _model(bidirectional=False)
     for var in model.parameters().values():
         var.value[...] = 0.0
-    states = encode(np.array([3, 4, 5]), model)
-    np.testing.assert_array_equal(states.value, np.zeros((3, 4)))
+    states, _ = encode_batch(np.array([[3, 4, 5]]), model)
+    np.testing.assert_array_equal(states.value, np.zeros((1, 3, 4)))
 
 
 def test_bidirectional_palindrome_symmetry():
@@ -101,16 +108,18 @@ def test_bidirectional_palindrome_symmetry():
     # share forward and backward params
     for name, var in model.enc_fwd.variables().items():
         getattr(model.enc_bwd, name).value[...] = var.value
-    states = encode(np.array([3, 5, 3]), model).value
+    states = encode_batch(np.array([[3, 5, 3]]), model)[0].value[0]
     np.testing.assert_allclose(states, states[::-1], atol=1e-14)
 
 
 def test_encode_validation():
     model = _model()
     with pytest.raises(DomainError):
-        encode(np.array([], dtype=int), model)
+        encode_batch(np.zeros((1, 0), dtype=int), model)
     with pytest.raises(DomainError):
-        encode(np.array([99]), model)
+        encode_batch(np.array([[99]]), model)
+    with pytest.raises(DomainError):
+        encode_batch(np.array([3, 4]), model)
 
 
 def test_single_encoder_state_context_is_depth_independent():
@@ -124,8 +133,6 @@ def test_single_encoder_state_context_is_depth_independent():
     src = np.array([[6]])
     enc_a, h_a = encode_batch(src, shallow)
     enc_b, h_b = encode_batch(src, deep)
-    from hamattn.model import decode_step_batch
-
     logits_a, _ = decode_step_batch(h_a, enc_a, np.array([BOS]), shallow)
     logits_b, _ = decode_step_batch(h_b, enc_b, np.array([BOS]), deep)
     np.testing.assert_allclose(logits_a.value, logits_b.value, atol=1e-13)
@@ -135,8 +142,6 @@ def test_depth_one_connector_matches_manual_vanilla_attention():
     model = _model(depth=1, seed=5, bidirectional=False)
     src = np.array([3, 4, 5, 6])
     enc, h = encode_batch(src.reshape(1, -1), model)
-    from hamattn.model import decode_step_batch
-
     logits, h2 = decode_step_batch(h, enc, np.array([BOS]), model)
 
     # independent numpy re-derivation of one decoder step
@@ -161,14 +166,14 @@ def test_depth_one_connector_matches_manual_vanilla_attention():
 
 
 def test_decode_step_single_example_form():
+    # one example is a batch of 1, as in generate
     model = _model(seed=6)
-    enc = encode(np.array([3, 4]), model)
-    h = np.zeros(4)
-    logits, h_new = decode_step(h, enc, BOS, model)
-    assert logits.value.shape == (8,)
-    assert h_new.value.shape == (4,)
+    enc, h = encode_batch(np.array([[3, 4]]), model)
+    logits, h_new = decode_step_batch(h, enc, np.array([BOS]), model)
+    assert logits.value.shape == (1, 8)
+    assert h_new.value.shape == (1, 4)
     with pytest.raises(DimensionError):
-        decode_step(np.zeros((2, 4)), enc, BOS, model)
+        decode_step_batch(np.zeros((2, 4)), enc, np.array([BOS, BOS]), model)
 
 
 def test_decode_step_gradients():
@@ -178,8 +183,6 @@ def test_decode_step_gradients():
 
     def forward():
         enc, h = encode_batch(src, model)
-        from hamattn.model import decode_step_batch
-
         logits, _ = decode_step_batch(h, enc, np.array([4]), model)
         return ad.sum_all(ad.mul(logits, r))
 
@@ -202,8 +205,6 @@ def test_generate_eos_forcing_model_returns_empty():
     model = _model(seed=9)
     src = np.array([3, 4])
     enc, h = encode_batch(src.reshape(1, -1), model)
-    from hamattn.model import decode_step_batch
-
     _, h1 = decode_step_batch(h, enc, np.array([BOS]), model)
     direction = h1.value[0]
     assert np.linalg.norm(direction) > 0
@@ -255,6 +256,29 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(DomainError):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_bad_config_and_nonfinite_tensors(tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(_model(seed=15), path)
+    good = json.loads(path.read_text())
+
+    def corrupt(edit):
+        payload = json.loads(json.dumps(good))
+        edit(payload)
+        path.write_text(json.dumps(payload))
+
+    cases = [
+        ("extra_key", lambda p: p["config"].update(extra_key=1)),
+        ("hidden", lambda p: p["config"].pop("hidden")),
+        ("bidirectional", lambda p: p["config"].update(bidirectional=1)),
+        ("w_out", lambda p: p["params"]["w_out"]["data"].__setitem__(0, float("nan"))),
+        ("embedding", lambda p: p["params"]["embedding"]["data"].__setitem__(3, float("inf"))),
+    ]
+    for name, edit in cases:
+        corrupt(edit)
+        with pytest.raises(DomainError, match=name):
+            load_checkpoint(path)
 
 
 def test_ham_weights_share_memory_with_trainable_variable():

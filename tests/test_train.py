@@ -27,6 +27,11 @@ def test_config_validation():
         TrainConfig(optimizer="rmsprop")
     with pytest.raises(DomainError):
         TrainConfig(epochs=0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(DomainError, match="learning rate"):
+            TrainConfig(learning_rate=bad)
+    with pytest.raises(DomainError, match="seed"):
+        TrainConfig(seed=-1)
 
 
 def test_sgd_on_half_square():
