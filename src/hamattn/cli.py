@@ -15,7 +15,7 @@ depths of one restart share their init draws and batch order.
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .data import Corpus, TASKS, gen_task, load_corpus, save_corpus
 from .errors import CorpusError, DomainError, TrainingDiverged
 from .evaluate import evaluate_pairs, evaluate_quatrains
 from .model import ModelConfig, Seq2SeqModel, generate, save_checkpoint
-from .train import TrainConfig, depth_sweep, train, write_sweep_csv
+from .train import OPTIMIZERS, TrainConfig, depth_sweep, train, write_sweep_csv
 
 TRAIN_DEFAULTS = {
     "depth": 1,
@@ -77,11 +77,29 @@ def _int_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from e
 
 
-def _merge_config(defaults: dict, config_path, args, keys) -> dict:
+def _flag_options(key: str, default) -> dict:
+    """argparse keywords of a config key's ``--key-name`` flag, typed by its default."""
+    if key in ("task", "optimizer"):
+        return {"choices": TASKS if key == "task" else OPTIMIZERS}
+    if isinstance(default, bool):
+        return {"action": argparse.BooleanOptionalAction}
+    if isinstance(default, list):
+        return {"type": _int_list}
+    if isinstance(default, float):
+        return {"type": float}
+    return {"type": _seed if key == "seed" else _positive_int}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
+    for key, default in defaults.items():
+        parser.add_argument("--" + key.replace("_", "-"), **_flag_options(key, default))
+
+
+def _merge_config(defaults: dict, config_path, args) -> dict:
     """defaults < JSON config file < explicitly passed flags.
 
     A file value must have its default's type, bool and int kept apart; an
-    int may stand for a float. Ranges are checked where the values are used.
+    int may stand for a float, and an int passes its flag's range check.
     """
     cfg = dict(defaults)
     if config_path:
@@ -98,12 +116,22 @@ def _merge_config(defaults: dict, config_path, args, keys) -> dict:
                 raise DomainError(
                     f"config key {key!r} must be of type {kind.__name__}, got {json.dumps(value)}"
                 )
+            if kind is int:
+                try:
+                    _flag_options(key, defaults[key])["type"](value)
+                except argparse.ArgumentTypeError as e:
+                    raise DomainError(f"config key {key!r} {e}") from e
         cfg.update(loaded)
-    for key in keys:
+    for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
     return cfg
+
+
+def _train_config(cfg: dict) -> TrainConfig:
+    """The TrainConfig a merged config describes; keys it lacks keep their defaults."""
+    return TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig) if f.name in cfg})
 
 
 def _write_json(payload: dict, path) -> None:
@@ -172,14 +200,8 @@ def cmd_gendata(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _merge_config(TRAIN_DEFAULTS, args.config, args, TRAIN_DEFAULTS.keys())
-    train_config = TrainConfig(
-        learning_rate=cfg["learning_rate"],
-        optimizer=cfg["optimizer"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        seed=cfg["seed"],
-    )
+    cfg = _merge_config(TRAIN_DEFAULTS, args.config, args)
+    train_config = _train_config(cfg)
     corpus = load_corpus(args.corpus)
     if len(corpus) == 0:
         raise DomainError(f"corpus {args.corpus} holds no pairs")
@@ -216,14 +238,7 @@ def run_sweep(cfg: dict, null: bool = False):
     sweep``, the null sweep and acceptance criterion 5 all go through here, so
     the band and the criterion are measured on one protocol.
     """
-    train_config = TrainConfig(
-        learning_rate=cfg["learning_rate"],
-        optimizer=cfg["optimizer"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        seed=cfg["seed"],
-        restarts=cfg["restarts"],
-    )
+    train_config = _train_config(cfg)
     train_corpus = gen_task(
         cfg["task"], cfg["pairs"], cfg["seq_len"], cfg["payload_vocab"], cfg["seed"]
     )
@@ -242,7 +257,7 @@ def run_sweep(cfg: dict, null: bool = False):
 
 
 def cmd_sweep(args) -> int:
-    cfg = _merge_config(SWEEP_DEFAULTS, args.config, args, SWEEP_DEFAULTS.keys())
+    cfg = _merge_config(SWEEP_DEFAULTS, args.config, args)
     records, summary = run_sweep(cfg)
 
     out = Path(args.out)
@@ -262,12 +277,6 @@ def cmd_sweep(args) -> int:
 def cmd_eval(args) -> int:
     gold = load_corpus(args.gold)
     generated = load_corpus(args.generated, strict=False)
-    if len(generated) != len(gold):
-        raise DomainError(
-            f"pair count mismatch: {len(generated)} generated vs {len(gold)} gold"
-        )
-    if len(gold) == 0:
-        raise DomainError("nothing to evaluate")
     gen_targets = [tgt for _, tgt in generated.pairs]
     gold_targets = [tgt for _, tgt in gold.pairs]
     if args.quatrains:
@@ -319,34 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="JSON config; flags override its keys")
-    p.add_argument("--depth", type=_positive_int)
-    p.add_argument("--epochs", type=_positive_int)
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--batch-size", type=_positive_int, dest="batch_size")
-    p.add_argument("--optimizer", choices=("sgd", "adam"))
-    p.add_argument("--seed", type=_seed)
-    p.add_argument("--hidden", type=_positive_int)
-    p.add_argument("--bidirectional", action=argparse.BooleanOptionalAction)
+    _add_config_flags(p, TRAIN_DEFAULTS)
     p.add_argument("--emit-generations", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep", help="depth sweep with restarts under one budget")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="JSON config; flags override its keys")
-    p.add_argument("--task", choices=TASKS)
-    p.add_argument("--pairs", type=_positive_int)
-    p.add_argument("--seq-len", type=_positive_int, dest="seq_len")
-    p.add_argument("--payload-vocab", type=_positive_int, dest="payload_vocab")
-    p.add_argument("--eval-pairs", type=_positive_int, dest="eval_pairs")
-    p.add_argument("--depths", type=_int_list)
-    p.add_argument("--restarts", type=_positive_int)
-    p.add_argument("--epochs", type=_positive_int)
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--batch-size", type=_positive_int, dest="batch_size")
-    p.add_argument("--optimizer", choices=("sgd", "adam"))
-    p.add_argument("--seed", type=_seed)
-    p.add_argument("--hidden", type=_positive_int)
-    p.add_argument("--bidirectional", action=argparse.BooleanOptionalAction)
+    _add_config_flags(p, SWEEP_DEFAULTS)
     p.add_argument(
         "--record-timing",
         action="store_true",

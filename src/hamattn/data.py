@@ -69,7 +69,7 @@ def gen_task(task: str, n_pairs: int, seq_len: int, payload_vocab: int, seed: in
     if task not in TASKS:
         raise DomainError(f"unknown task {task!r}, expected one of {TASKS}")
     if payload_vocab < 2:
-        raise DomainError(f"payload vocab must be >= 2, got {payload_vocab}")
+        raise DomainError(f"payload_vocab must be >= 2, got {payload_vocab}")
     if seq_len < 1:
         raise DomainError(f"sequence length must be >= 1, got {seq_len}")
     if n_pairs < 1:

@@ -11,7 +11,7 @@ import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .errors import DomainError
@@ -49,6 +49,11 @@ def bleu2(candidate: Sequence[int], reference: Sequence[int]) -> float:
     return bp * math.sqrt(p1 * p2)
 
 
+def _continuation_scores(generated: Sequence, gold: Sequence, start: int) -> list:
+    """BLEU-2 of lines 2..4 of the four-line group that begins at ``start``."""
+    return [bleu2(generated[start + i], gold[start + i]) for i in (1, 2, 3)]
+
+
 def averaged_bleu(generated_lines: Sequence, gold_lines: Sequence) -> float:
     """Mean BLEU-2 of the three continuation lines of a four-line group.
 
@@ -61,8 +66,7 @@ def averaged_bleu(generated_lines: Sequence, gold_lines: Sequence) -> float:
         raise DomainError(
             f"expected 4 generated and 4 gold lines, got {len(generated_lines)} and {len(gold_lines)}"
         )
-    scores = [bleu2(generated_lines[i], gold_lines[i]) for i in (1, 2, 3)]
-    return sum(scores) / 3.0
+    return sum(_continuation_scores(generated_lines, gold_lines, 0)) / 3.0
 
 
 def exact_match_rate(pairs: Sequence) -> float:
@@ -84,26 +88,20 @@ class EvalReport:
     exact_match: float
     n: int
 
-    def to_dict(self) -> dict:
-        return {
-            "bleu_1": self.bleu_1,
-            "bleu_2": self.bleu_2,
-            "bleu_3": self.bleu_3,
-            "bleu_avg": self.bleu_avg,
-            "exact_match": self.exact_match,
-            "n": self.n,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
-def evaluate_pairs(generated: Sequence, gold: Sequence) -> EvalReport:
-    """Score parallel lists of sequences: mean BLEU-2 plus exact match."""
+def _check_lengths(generated: Sequence, gold: Sequence) -> None:
     if len(generated) != len(gold):
         raise DomainError(f"length mismatch: {len(generated)} generated vs {len(gold)} gold")
     if not gold:
         raise DomainError("nothing to evaluate")
+
+
+def evaluate_pairs(generated: Sequence, gold: Sequence) -> EvalReport:
+    """Score parallel lists of sequences: mean BLEU-2 plus exact match."""
+    _check_lengths(generated, gold)
     scores = [bleu2(g, t) for g, t in zip(generated, gold)]
     return EvalReport(
         bleu_1=None,
@@ -123,16 +121,12 @@ def evaluate_quatrains(generated: Sequence, gold: Sequence) -> EvalReport:
     per-group score of continuation line i+1; bleu_avg is their mean. Exact
     match counts all lines.
     """
-    if len(generated) != len(gold):
-        raise DomainError(f"length mismatch: {len(generated)} generated vs {len(gold)} gold")
-    if not gold or len(gold) % 4 != 0:
-        raise DomainError(f"quatrain evaluation needs a positive multiple of 4 lines, got {len(gold)}")
+    _check_lengths(generated, gold)
+    if len(gold) % 4 != 0:
+        raise DomainError(f"quatrain evaluation needs a multiple of 4 lines, got {len(gold)}")
     groups = len(gold) // 4
-    per_line = [[], [], []]
-    for g in range(groups):
-        for i in (1, 2, 3):
-            per_line[i - 1].append(bleu2(generated[4 * g + i], gold[4 * g + i]))
-    bleu_i = [sum(s) / groups for s in per_line]
+    per_group = [_continuation_scores(generated, gold, 4 * g) for g in range(groups)]
+    bleu_i = [sum(line) / groups for line in zip(*per_group)]
     return EvalReport(
         bleu_1=bleu_i[0],
         bleu_2=bleu_i[1],

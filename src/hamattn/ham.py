@@ -13,7 +13,7 @@ batched over examples, is the seq2seq connector, and ``ham_s_vars`` takes one
 [n, dk] sequence. Tests cover the equivalence of the two paths.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -123,22 +123,13 @@ class NormBoundReport:
     upper_violations: int
     lower_violations: int
     first_upper_violation: dict | None
-    counterexample: dict
+    lower_bound_counterexample: dict
 
     def passed(self) -> bool:
         return self.upper_violations == 0
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "max_depth": self.max_depth,
-            "seed": self.seed,
-            "levels_checked": self.levels_checked,
-            "upper_violations": self.upper_violations,
-            "lower_violations": self.lower_violations,
-            "first_upper_violation": self.first_upper_violation,
-            "lower_bound_counterexample": self.counterexample,
-        }
+        return asdict(self)
 
 
 def _counterexample_record() -> dict:
@@ -212,7 +203,7 @@ def norm_bound_suite(
         upper_violations=upper_violations,
         lower_violations=lower_violations,
         first_upper_violation=first_upper,
-        counterexample=_counterexample_record(),
+        lower_bound_counterexample=_counterexample_record(),
     )
 
 

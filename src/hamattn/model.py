@@ -14,7 +14,7 @@ Checkpoints are versioned JSON containers of named parameter tensors; see
 """
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from . import kernels
 from .autodiff import Variable
 from .data import BOS, EOS, NUM_RESERVED
 from .errors import DimensionError, DomainError
-from .ham import HamWeights, ham_v_context
+from .ham import ham_v_context
 
 INIT_SCALE = 0.1
 
@@ -146,8 +146,7 @@ class Seq2SeqModel:
         # decoder input is concat(embedding, attention context)
         self.dec = GRUParams(rng, 2 * h, h)
         self.w_out = Variable(rng.uniform(-INIT_SCALE, INIT_SCALE, (h, v)))
-        self.ham = HamWeights(config.ham_depth)
-        self.var_c = Variable(self.ham.c)  # shares memory with ham.c
+        self.var_c = Variable(np.zeros(config.ham_depth))  # uniform level weights 1/d
 
     def parameters(self) -> dict:
         params = {"embedding": self.embedding}
@@ -253,16 +252,10 @@ def generate(src, model: Seq2SeqModel, max_len: int = 50) -> list:
 
 def save_checkpoint(model: Seq2SeqModel, path) -> None:
     """Write a versioned JSON checkpoint of config plus named parameter tensors."""
-    cfg = model.config
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": {
-            "vocab_size": cfg.vocab_size,
-            "hidden": cfg.hidden,
-            "ham_depth": cfg.ham_depth,
-            "bidirectional": cfg.bidirectional,
-        },
+        "config": asdict(model.config),
         "params": {
             name: {"shape": list(var.value.shape), "data": var.value.ravel().tolist()}
             for name, var in model.parameters().items()

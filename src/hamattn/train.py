@@ -39,25 +39,26 @@ SWEEP_TOLERANCE = 0.70
 # weight of 1 - 4e-18 at depth 2
 NULL_LEVEL_LOGIT = -40.0
 
+OPTIMIZERS = ("sgd", "adam")
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+MAX_GRAD_NORM = 5.0  # single fixed safeguard, not a tunable schedule
+
 
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-2
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 1
     batch_size: int = 32
     seed: int = 0
     restarts: int = 1
-    max_grad_norm: float = 5.0  # single fixed safeguard, not a tunable schedule
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise DomainError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise DomainError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise DomainError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.restarts < 1:
             raise DomainError("epochs, batch_size and restarts must all be >= 1")
         if self.seed < 0:
@@ -94,7 +95,7 @@ def init_adam_state(params) -> dict:
 def adam_step(params, grads, state, config: TrainConfig):
     state["t"] += 1
     t = state["t"]
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETAS
     for i, (p, g) in enumerate(zip(params, grads)):
         m = state["m"][i]
         v = state["v"][i]
@@ -104,7 +105,7 @@ def adam_step(params, grads, state, config: TrainConfig):
         v += (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        p.value -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+        p.value -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 
@@ -166,7 +167,7 @@ def train(model: Seq2SeqModel, corpus: Corpus, config: TrainConfig, frozen=()):
                 )
             tape.backward(loss)
             grads = [p.grad for p in params]
-            clip_gradients(grads, config.max_grad_norm)
+            clip_gradients(grads, MAX_GRAD_NORM)
             step(params, grads, state, config)
             tokens = src.shape[0] * (tgt.shape[1] + 1)
             loss_sum += loss_value * tokens
@@ -216,10 +217,10 @@ def depth_sweep(
     if (
         not isinstance(depths, (list, tuple))
         or not depths
-        or any(type(d) is not int for d in depths)
+        or any(type(d) is not int or d < 1 for d in depths)
         or list(depths) != sorted(depths)
     ):
-        raise DomainError(f"depths must be a non-empty ascending list of integers, got {depths!r}")
+        raise DomainError(f"depths must be a non-empty ascending list of positive integers, got {depths!r}")
     depths = list(depths)
     if null and depths[0] != 1:
         raise DomainError(f"a null sweep starts at depth 1, got {depths}")

@@ -1,13 +1,19 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hamattn.cli import main
-from hamattn.data import gen_task, load_corpus, save_corpus
+from hamattn.cli import SWEEP_DEFAULTS, TRAIN_DEFAULTS, _merge_config, build_parser, main
+from hamattn.data import TASKS, gen_task, load_corpus, save_corpus
+from hamattn.train import OPTIMIZERS
 
 
 def run(argv):
@@ -221,6 +227,13 @@ def test_sweep_rejects_bad_config_before_writing_outputs(tmp_path, capsys):
         ("learning rate", {**small, "learning_rate": float("nan")}),
         ("learning rate", {**small, "learning_rate": float("inf")}),
         ("seed", {**small, "seed": -1}),
+        ("eval_pairs", {**small, "eval_pairs": 0}),
+        ("pairs", {**small, "pairs": 0}),
+        ("seq_len", {**small, "seq_len": 0}),
+        ("payload_vocab", {**small, "payload_vocab": 1}),
+        ("batch_size", {**small, "batch_size": 0}),
+        ("restarts", {**small, "restarts": 0}),
+        ("depths", {**small, "depths": [0, 1]}),
     ):
         cfg.write_text(json.dumps(config))
         assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 2, config
@@ -244,6 +257,98 @@ def test_train_rejects_bad_config_before_writing_outputs(tmp_path, capsys):
         assert code == 2, config
         assert not out.exists()
         assert field in capsys.readouterr().err
+
+
+def _flag_override(key, default):
+    """A flag spelling of a value other than ``default``, and that value."""
+    if isinstance(default, bool):
+        return [f"--{'no-' if default else ''}{key.replace('_', '-')}"], not default
+    if isinstance(default, list):
+        value = default + [default[-1] + 1]
+        text = ",".join(map(str, value))
+    elif isinstance(default, str):
+        value = next(c for c in (TASKS if key == "task" else OPTIMIZERS) if c != default)
+        text = value
+    else:
+        value = default * 2 if isinstance(default, float) else default + 1
+        text = str(value)
+    return [f"--{key.replace('_', '-')}", text], value
+
+
+# command -> (default table, required flags, its flags that set no config key)
+CONFIG_COMMANDS = {
+    "train": (
+        TRAIN_DEFAULTS,
+        ["--corpus", "c.jsonl", "--out", "o"],
+        {"help", "corpus", "out", "config", "emit_generations"},
+    ),
+    "sweep": (SWEEP_DEFAULTS, ["--out", "o"], {"help", "out", "config", "record_timing"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+def test_config_flags_are_the_default_table(command, tmp_path):
+    """Each default-table key has one flag, which overrides the file's value."""
+    defaults, required, other = CONFIG_COMMANDS[command]
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices[command]._actions if a.option_strings}
+    assert dests == set(defaults) | other
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(defaults))
+    for key, default in defaults.items():
+        flag, value = _flag_override(key, default)
+        args = parser.parse_args([command, *required, *flag])
+        assert getattr(args, key) == value != default, key
+        assert _merge_config(defaults, str(cfg), args)[key] == value, key
+
+
+FUZZ_BASE = {"pairs": 4, "eval_pairs": 2, "epochs": 1, "restarts": 1, "depths": [1], "hidden": 3}
+VALUES_BY_TYPE = {
+    int: st.integers(-2, 6),
+    float: st.floats(),
+    bool: st.booleans(),
+    str: st.sampled_from([*TASKS, *OPTIMIZERS]) | st.text(max_size=4),
+    list: st.lists(st.integers(-2, 6), max_size=3),
+}
+CONFIG_VALUES = st.one_of(*VALUES_BY_TYPE.values(), st.none())
+
+
+def _fuzz_configs(defaults):
+    """Three values in four have their key's type, so range checks and runs are reached too."""
+
+    def entry(key):
+        typed = VALUES_BY_TYPE.get(type(defaults.get(key)), st.none())
+        value = st.integers(0, 3).flatmap(lambda i: typed if i else CONFIG_VALUES)
+        return st.tuples(st.just(key), value)
+
+    keys = st.sampled_from([*defaults, "not_a_key"])
+    return st.lists(keys.flatmap(entry), max_size=3).map(dict)
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzzed_config_exits_cleanly(command, data):
+    """Any config file ends in exit 0, 1 or 2, never a traceback; exit 2 writes nothing."""
+    defaults = CONFIG_COMMANDS[command][0]
+    drawn = data.draw(_fuzz_configs(defaults), label="config")
+    base = {k: v for k, v in FUZZ_BASE.items() if k in defaults}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "cfg.json").write_text(json.dumps({**base, **drawn}))
+        out = tmp / "out"
+        argv = [command, "--config", str(tmp / "cfg.json"), "--out", str(out)]
+        if command == "train":
+            save_corpus(gen_task("copy", 4, 3, 5, seed=0), tmp / "c.jsonl")
+            argv += ["--corpus", str(tmp / "c.jsonl")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert not out.exists(), err.getvalue()
 
 
 @pytest.mark.parametrize("command", ["verify", "gradcheck", "gendata", "train", "sweep"])

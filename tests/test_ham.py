@@ -171,9 +171,9 @@ def test_norm_bound_suite_small_run():
     report = norm_bound_suite(2_000, seed=0, max_depth=10)
     assert report.upper_violations == 0
     assert report.lower_violations > 0
-    assert report.counterexample["lower_bound_violated"]
-    assert report.counterexample["output_norm"] == 0.0
-    assert report.counterexample["min_key_norm"] == 1.0
+    assert report.lower_bound_counterexample["lower_bound_violated"]
+    assert report.lower_bound_counterexample["output_norm"] == 0.0
+    assert report.lower_bound_counterexample["min_key_norm"] == 1.0
     # all-equal-keys instance: both bounds tight
     v = np.array([1.0, 2.0])
     K = np.tile(v[:, None], (1, 3))

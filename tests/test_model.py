@@ -279,9 +279,3 @@ def test_checkpoint_rejects_bad_config_and_nonfinite_tensors(tmp_path):
         corrupt(edit)
         with pytest.raises(DomainError, match=name):
             load_checkpoint(path)
-
-
-def test_ham_weights_share_memory_with_trainable_variable():
-    model = _model(depth=3, seed=14)
-    model.var_c.value[...] = [1.0, 2.0, 3.0]
-    np.testing.assert_array_equal(model.ham.c, [1.0, 2.0, 3.0])

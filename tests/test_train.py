@@ -7,6 +7,7 @@ from hamattn.data import BOS, EOS, gen_task
 from hamattn.errors import DomainError, TrainingDiverged
 from hamattn.model import ModelConfig, Seq2SeqModel, encode_batch, generate, gru_step, sequence_loss
 from hamattn.train import (
+    MAX_GRAD_NORM,
     SWEEP_CSV_HEADER,
     TrainConfig,
     adam_step,
@@ -276,7 +277,7 @@ def test_onehot_frozen_ham_trains_like_multilevel_connector():
                         loss = multilevel_loss(model, src, tgt)
                 tape.backward(loss)
                 grads = [p.grad for p in params]
-                clip_gradients(grads, cfg.max_grad_norm)
+                clip_gradients(grads, MAX_GRAD_NORM)
                 adam_step(params, grads, state, cfg)
                 track.append(float(loss.value))
         losses[variant] = track
