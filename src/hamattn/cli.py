@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import gradcheck_table, verify_report
-from .data import Corpus, TASKS, gen_task, load_corpus, save_corpus
+from .data import Corpus, TASKS, gen_task, load_corpus, read_text, save_corpus
 from .errors import CorpusError, DomainError, TrainingDiverged
 from .evaluate import evaluate_pairs, evaluate_quatrains
 from .model import ModelConfig, Seq2SeqModel, generate, save_checkpoint
@@ -103,8 +103,7 @@ def _merge_config(defaults: dict, config_path, args) -> dict:
     """
     cfg = dict(defaults)
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as f:
-            loaded = json.load(f)
+        loaded = json.loads(read_text(config_path))
         if not isinstance(loaded, dict):
             raise DomainError(f"config file must hold a JSON object: {config_path}")
         unknown = sorted(set(loaded) - set(defaults))
@@ -132,6 +131,19 @@ def _merge_config(defaults: dict, config_path, args) -> dict:
 def _train_config(cfg: dict) -> TrainConfig:
     """The TrainConfig a merged config describes; keys it lacks keep their defaults."""
     return TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig) if f.name in cfg})
+
+
+def _out_dir(path) -> Path:
+    """``--out`` as a Path, checked before any training.
+
+    It must be a directory, or not exist yet below one. Nothing is made
+    here, so a run rejected later still writes nothing.
+    """
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise DomainError(f"--out {out}: {existing} exists and is not a directory")
+    return out
 
 
 def _write_json(payload: dict, path) -> None:
@@ -200,6 +212,7 @@ def cmd_gendata(args) -> int:
 
 
 def cmd_train(args) -> int:
+    out = _out_dir(args.out)
     cfg = _merge_config(TRAIN_DEFAULTS, args.config, args)
     train_config = _train_config(cfg)
     corpus = load_corpus(args.corpus)
@@ -211,7 +224,6 @@ def cmd_train(args) -> int:
     )
     model, losses = train(model, corpus, train_config)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "checkpoint.json")
     with open(out / "losses.csv", "w", encoding="utf-8") as f:
@@ -257,10 +269,10 @@ def run_sweep(cfg: dict, null: bool = False):
 
 
 def cmd_sweep(args) -> int:
+    out = _out_dir(args.out)
     cfg = _merge_config(SWEEP_DEFAULTS, args.config, args)
     records, summary = run_sweep(cfg)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(records, out / "sweep.csv", include_timing=args.record_timing)
     _write_json(

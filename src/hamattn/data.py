@@ -19,6 +19,23 @@ NUM_RESERVED = 3
 TASKS = ("copy", "reverse", "sort")
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of a file a user named.
+
+    Any failure to read it (missing, a directory, not UTF-8, ...) raises a
+    :class:`DomainError` whose one-line message names the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise DomainError(
+            f"{path} is not UTF-8 text (byte 0x{e.object[e.start]:02x} at offset {e.start})"
+        ) from e
+    except OSError as e:
+        raise DomainError(f"cannot read {path}: {e.strerror or e}") from e
+
+
 def _pair_problem(src, tgt, vocab_size: int, strict: bool):
     """What is wrong with one (src, tgt) token pair, or None if nothing is.
 
@@ -109,8 +126,7 @@ def load_corpus(path, strict: bool = True) -> Corpus:
     ``strict=False`` permits reserved ids inside payloads, for files holding
     raw model generations.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or all(not ln.strip() for ln in lines):
         return Corpus(vocab_size=NUM_RESERVED, pairs=[], task="file")
     try:

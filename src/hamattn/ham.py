@@ -8,9 +8,15 @@ limits recover plain vanilla attention (weight on level 1) and plain
 multi-level attention (weight on level d).
 
 Each operation has a plain-numpy forward (fast path for the randomized bound
-suites) and one taped form built from autodiff primitives: ``ham_v_context``,
-batched over examples, is the seq2seq connector, and ``ham_s_vars`` takes one
-[n, dk] sequence. Tests cover the equivalence of the two paths.
+suites) and one taped form. ``ham_s_vars`` takes one [n, dk] sequence and is
+built from autodiff primitives. ``ham_v_context``, batched over examples, is
+the seq2seq connector and one fused tape op: its forward keeps each level's
+query and attention weights, and its hand-written vjp replays the levels in
+reverse with the primitives' exact arithmetic. It lists ``enc`` 2d times
+among its inputs and returns one gradient per listed slot, so ``enc``'s
+gradient is summed in the same order, and to the same bits, as the unfused
+chain of 4d+2 entries; summing them into one array first would round
+differently. Tests cover the equivalence of the paths.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -18,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels
 from .attention import attention_levels, self_attention_layer, vanilla_attention
 from .errors import DimensionError, DomainError
 from .tensor import l2_norm, softmax_vec
@@ -88,17 +95,51 @@ def ham_v_context(enc, query, c) -> ad.Variable:
     """Batched taped ham_v used as the encoder-decoder connector.
 
     ``enc`` is [B,T,H] (each example brings its own keys), ``query`` is
-    [B,H] and ``c`` is [d]; returns the [B,H] context.
+    [B,H] and ``c`` is [d]; returns the [B,H] context as one tape entry.
+    The arithmetic is that of the primitive chain attend_scores -> scale ->
+    softmax -> attend_combine per level, then weighted_sum by softmax(c).
     """
     enc, query, c = ad.as_variable(enc), ad.as_variable(query), ad.as_variable(c)
-    inv = 1.0 / np.sqrt(enc.value.shape[2])
-    cur = query
-    levels = []
-    for _ in range(c.value.shape[0]):
-        scores = ad.scale(ad.attend_scores(enc, cur), inv)
-        cur = ad.attend_combine(enc, ad.softmax(scores))
-        levels.append(cur)
-    return ad.weighted_sum(levels, ad.softmax(c))
+    keys, q0, cv = enc.value, query.value, c.value
+    if keys.ndim != 3 or q0.ndim != 2 or keys.shape[::2] != q0.shape or cv.ndim != 1:
+        raise DimensionError(
+            f"ham_v_context expects [B,T,H], [B,H], [d], got {keys.shape}, {q0.shape}, {cv.shape}"
+        )
+    if keys.shape[0] * keys.shape[1] == 0 or cv.size == 0:
+        raise DomainError(f"ham_v_context needs B, T and d >= 1, got {keys.shape[:2]}, d={cv.size}")
+    d = cv.shape[0]
+    inv = float(1.0 / np.sqrt(keys.shape[2]))
+    queries, probs = [q0], []  # queries[i] feeds level i+1, queries[1:] are the levels
+    for _ in range(d):
+        p = kernels.softmax_rows(np.einsum("bth,bh->bt", keys, queries[-1]) * inv)
+        probs.append(p)
+        queries.append(np.einsum("bth,bt->bh", keys, p))
+    pc = kernels.softmax_rows(cv.reshape(1, -1))
+    w = pc.reshape(cv.shape)
+    acc = np.zeros_like(queries[1])
+    for wi, x in zip(w, queries[1:]):
+        acc += wi * x
+    out = ad.Variable(acc)
+
+    def vjp(g):
+        gw = np.array([np.sum(g * x) for x in queries[1:]])
+        gc = kernels.softmax_rows_vjp(pc, gw.reshape(1, -1)).reshape(cv.shape)
+        d_enc = []  # combine_d, scores_d, ..., combine_1, scores_1
+        carry = None  # gradient reaching queries[i] through level i+1's scores
+        for i in reversed(range(d)):
+            g_level = w[i] * g
+            if carry is not None:
+                g_level += carry
+            p = probs[i]
+            d_enc.append(np.einsum("bt,bh->bth", p, g_level))
+            g_scores = kernels.softmax_rows_vjp(p, np.einsum("bh,bth->bt", g_level, keys)) * inv
+            d_enc.append(np.einsum("bt,bh->bth", g_scores, queries[i]))
+            carry = np.einsum("bt,bth->bh", g_scores, keys)
+        return (*d_enc, carry, gc)
+
+    # enc is listed once per contribution so that Tape.backward adds them to
+    # enc's gradient one at a time, in the primitive chain's order
+    return ad._record((enc,) * (2 * d) + (query, c), out, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,14 @@ def softmax_rows_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Logistic function without overflow: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below.
+
+    Both branches share e = exp(-|x|) <= 1, so no mask or scatter is needed;
+    the result equals the two-branch formula bit for bit on every non-NaN
+    input, -0.0, infinities and subnormals included.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import Variable
-from .data import BOS, EOS, NUM_RESERVED
+from .data import BOS, EOS, NUM_RESERVED, read_text
 from .errors import DimensionError, DomainError
 from .ham import ham_v_context
 
@@ -273,8 +273,7 @@ def load_checkpoint(path) -> Seq2SeqModel:
     checked; a bad file raises :class:`DomainError` (:class:`DimensionError`
     for a shape) naming what is wrong.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
+    payload = json.loads(read_text(path))
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise DomainError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if payload.get("version") != CHECKPOINT_VERSION:

@@ -105,6 +105,14 @@ def test_grad_check_validates_step_size():
         check_gradients(lambda: ad.sum_all(Variable(np.ones(2))), [], h=0.5)
 
 
+@pytest.fixture(scope="module")
+def tiny_gradcheck_rows():
+    # full 100-instance sweep lives in the acceptance suite
+    from hamattn.checks import gradcheck_table
+
+    return {r["name"]: r for r in gradcheck_table(scale="tiny", seed=11, instances=3)}
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -127,12 +135,9 @@ def test_grad_check_validates_step_size():
         "cross_entropy",
     ],
 )
-def test_primitive_gradients_smoke(name):
-    # full 100-instance sweep lives in the acceptance suite
-    from hamattn.checks import gradcheck_table
-
-    rows = {r["name"]: r for r in gradcheck_table(scale="tiny", seed=11, instances=3)}
-    assert rows[name]["max_err"] < rows[name]["threshold"]
+def test_primitive_gradients_smoke(name, tiny_gradcheck_rows):
+    row = tiny_gradcheck_rows[name]
+    assert row["max_err"] < row["threshold"]
 
 
 def test_shape_errors():

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hamattn import cli
 from hamattn.cli import SWEEP_DEFAULTS, TRAIN_DEFAULTS, _merge_config, build_parser, main
 from hamattn.data import TASKS, gen_task, load_corpus, save_corpus
 from hamattn.train import OPTIMIZERS
@@ -257,6 +258,54 @@ def test_train_rejects_bad_config_before_writing_outputs(tmp_path, capsys):
         assert code == 2, config
         assert not out.exists()
         assert field in capsys.readouterr().err
+
+
+def _one_line_error(capsys, *names):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1, err
+    assert err.startswith("error: ") and all(str(n) in err for n in names), err
+
+
+def test_unreadable_inputs_exit_cleanly(tmp_path, capsys):
+    """Non-UTF-8 configs and corpora, and a directory as config, exit 2 naming the path."""
+    out = tmp_path / "out"
+    bad_config = tmp_path / "bad.json"
+    bad_config.write_bytes(bytes([0xFF, 0xFE, 0x7B, 0x7D]))
+    corpus_path = tmp_path / "task.jsonl"
+    save_corpus(gen_task("copy", 4, 3, 5, seed=0), corpus_path)
+    lines = corpus_path.read_bytes().splitlines(keepends=True)
+    bad_corpus = tmp_path / "bad.jsonl"
+    bad_corpus.write_bytes(lines[0] + b"\xff" + lines[1] + b"".join(lines[2:]))
+    for argv, name in (
+        (["sweep", "--config", str(bad_config), "--out", str(out)], bad_config),
+        (["sweep", "--config", str(tmp_path), "--out", str(out)], tmp_path),
+        (["train", "--corpus", str(corpus_path), "--config", str(bad_config), "--out", str(out)],
+         bad_config),
+        (["train", "--corpus", str(bad_corpus), "--out", str(out)], bad_corpus),
+        (["eval", "--generated", str(bad_corpus), "--gold", str(corpus_path)], bad_corpus),
+        (["eval", "--generated", str(corpus_path), "--gold", str(bad_corpus)], bad_corpus),
+    ):
+        assert run(argv) == 2, argv
+        _one_line_error(capsys, name)
+        assert not out.exists()
+
+
+def test_out_that_is_a_file_is_rejected_before_training(tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    monkeypatch.setattr(cli, "depth_sweep", no_training)
+    corpus_path = tmp_path / "task.jsonl"
+    save_corpus(gen_task("copy", 4, 3, 5, seed=0), corpus_path)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    for out in (taken, taken / "sub"):
+        for argv in (["train", "--corpus", str(corpus_path), "--out", str(out)],
+                     ["sweep", "--out", str(out)]):
+            assert run(argv) == 2, argv
+            _one_line_error(capsys, out)
+    assert taken.read_text() == "keep"
 
 
 def _flag_override(key, default):

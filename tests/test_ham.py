@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hamattn import autodiff as ad
 from hamattn.attention import attention_levels, self_attention_layer, vanilla_attention
-from hamattn.autodiff import Variable, check_gradients
+from hamattn.autodiff import Tape, Variable, check_gradients
 from hamattn.errors import DimensionError, DomainError
 from hamattn.ham import (
     HamWeights,
@@ -137,6 +137,55 @@ def test_batched_context_matches_per_example_ham_v():
     w = HamWeights(d, c)
     for i in range(b):
         np.testing.assert_allclose(out[i], ham_v(q[i], enc[i].T, w), atol=1e-13)
+
+
+def _primitive_ham_v_context(enc, query, c):
+    """The connector as the chain of taped primitives that ham_v_context fuses."""
+    inv = 1.0 / np.sqrt(enc.value.shape[2])
+    cur = query
+    levels = []
+    for _ in range(c.value.shape[0]):
+        scores = ad.scale(ad.attend_scores(enc, cur), inv)
+        cur = ad.attend_combine(enc, ad.softmax(scores))
+        levels.append(cur)
+    return ad.weighted_sum(levels, ad.softmax(c))
+
+
+def _connector_run(connector, d, b):
+    rng = np.random.default_rng(10 * d + b)
+    enc = Variable(rng.uniform(-2, 2, (b, 6, 16)))
+    query = Variable(rng.uniform(-2, 2, (b, 16)))
+    c = Variable(rng.uniform(-1, 1, d))
+    r = Variable(rng.uniform(-1, 1, (b, 16)))
+    r2 = Variable(rng.uniform(-1, 1, (b, 6)))
+    with Tape() as tape:
+        ctx = connector(enc, query, c)
+        # fan-out: enc and query also feed an op recorded after the connector,
+        # so their gradients are non-zero when the connector's arrive
+        side = ad.attend_scores(enc, query)
+        loss = ad.add(ad.sum_all(ad.mul(ctx, r)), ad.sum_all(ad.mul(side, r2)))
+    tape.backward(loss)
+    return loss.value, ctx.value, enc.grad, query.grad, c.grad
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_fused_context_is_bit_identical_to_primitive_chain(d, b):
+    fused = _connector_run(ham_v_context, d, b)
+    chain = _connector_run(_primitive_ham_v_context, d, b)
+    for name, got, want in zip(("loss", "context", "enc", "query", "c"), fused, chain):
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+def test_fused_context_shape_and_domain_errors():
+    enc, q, c = np.zeros((2, 3, 4)), np.zeros((2, 4)), np.zeros(2)
+    for bad in ((enc[0], q, c), (enc, q[0], c), (enc, np.zeros((3, 4)), c),
+                (enc, np.zeros((2, 5)), c), (enc, q, np.zeros((1, 2)))):
+        with pytest.raises(DimensionError):
+            ham_v_context(*bad)
+    for bad in ((np.zeros((2, 0, 4)), q, c), (enc, q, np.zeros(0))):
+        with pytest.raises(DomainError):
+            ham_v_context(*bad)
 
 
 def test_gradients_of_ham_outputs_pass_finite_differences():

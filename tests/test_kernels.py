@@ -25,3 +25,28 @@ def test_softmax_rows_is_row_stochastic():
     p = kernels.softmax_rows(x)
     assert p.min() >= 0.0
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+
+
+def _two_branch_sigmoid(x):
+    """The masked formula: 1/(1+e^-x) where x >= 0, e^x/(1+e^x) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_is_bitwise_the_two_branch_formula():
+    gen = np.random.default_rng(12)
+    tiny = np.finfo(np.float64).tiny
+    special = [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 5e-324, -5e-324, tiny / 3, -tiny / 3,
+               tiny, -tiny, 36.7, -36.7, 745.2, -745.2]
+    x = np.concatenate([gen.normal(0.0, 8.0, 20_000), gen.uniform(-900, 900, 2_000), special])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = kernels.sigmoid(x)
+        got_2d = kernels.sigmoid(x[:32 * 16].reshape(32, 16))
+    want = _two_branch_sigmoid(x)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(got_2d, want[:32 * 16].reshape(32, 16))
+    assert got.min() >= 0.0 and got.max() <= 1.0

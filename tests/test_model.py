@@ -230,6 +230,18 @@ def test_generate_deterministic():
     assert generate(src, model, max_len=6) == generate(src, model, max_len=6)
 
 
+@pytest.mark.parametrize("depth", [1, 5])
+def test_sequence_loss_tape_length_is_depth_independent(depth):
+    # 6 gathers, 12 GRU steps, 6 direction sums and a stack encode; each of the
+    # 7 decoder steps is connector, gather, concat, GRU step and output matmul;
+    # then one concat and one cross-entropy
+    model = _model(vocab=8, hidden=4, depth=depth, seed=14)
+    batch = np.random.default_rng(14).integers(3, 8, (3, 6))
+    with ad.Tape() as tape:
+        sequence_loss(model, batch, batch)
+    assert len(tape.entries) == 62
+
+
 def test_end_to_end_batch_gradient():
     model = _model(vocab=6, hidden=3, depth=2, seed=12)
     src = np.array([[3, 4], [5, 3]])
