@@ -10,7 +10,9 @@ sums). With no tape active the same ops just compute values, which is how
 inference-mode code runs at full speed.
 
 A tape lives for one forward/backward pass and is then discarded; it must
-stay on a single thread.
+stay on a single thread. Every recorded output links back to its tape, so a
+tape and its outputs form a reference cycle that only Python's cyclic
+collector frees; ``Tape.release`` breaks it once the gradients are read.
 """
 
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -68,6 +70,7 @@ class Tape:
 
     def __init__(self):
         self.entries: list[TapeEntry] = []
+        self._released = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -86,6 +89,8 @@ class Tape:
             )
         if loss._tape is not self:
             raise DomainError("loss was not produced through this tape's ops")
+        if self._released:
+            raise DomainError("backward on a released tape; record a new one")
         # zero-init: None stands for an all-zero gradient
         for entry in self.entries:
             for v in (*entry.inputs, entry.output):
@@ -103,6 +108,17 @@ class Tape:
                     v._grad = dv.copy() if (dv is g or dv.base is not None) else dv
                 else:
                     v._grad += dv
+
+    def release(self) -> None:
+        """Drop the record, and with it the arrays the vjps saved.
+
+        The entries are freed at once instead of whenever the cyclic
+        collector next runs, so memory stays at one pass's worth however
+        many passes a loop makes. Gradients already accumulated stay; the
+        tape cannot run backward again.
+        """
+        self.entries.clear()
+        self._released = True
 
 
 _TAPE_STACK: list[Tape] = []

@@ -146,6 +146,21 @@ def _out_dir(path) -> Path:
     return out
 
 
+def _out_file(path):
+    """A file ``--out`` as a Path (None if not given), checked before any work.
+
+    It must not be a directory, and its parent must be one.
+    """
+    if path is None:
+        return None
+    out = Path(path)
+    if out.is_dir():
+        raise DomainError(f"--out {out} is a directory")
+    if not out.parent.is_dir():
+        raise DomainError(f"--out {out}: {out.parent} is not an existing directory")
+    return out
+
+
 def _write_json(payload: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2)
@@ -157,14 +172,15 @@ def _write_json(payload: dict, path) -> None:
 
 
 def cmd_verify(args) -> int:
+    out = _out_file(args.out)
     report, passed = verify_report(
         trials=args.trials,
         seed=args.seed,
         max_depth=args.max_depth,
         reduction_instances=args.reduction_instances,
     )
-    if args.out:
-        _write_json(report, args.out)
+    if out:
+        _write_json(report, out)
     nb = report["norm_bounds"]
     print(
         f"norm bounds: {nb['upper_violations']} upper-bound violations over "
@@ -205,9 +221,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_gendata(args) -> int:
+    out = _out_file(args.out)
     corpus = gen_task(args.task, args.pairs, args.seq_len, args.payload_vocab, args.seed)
-    save_corpus(corpus, args.out)
-    print(f"wrote {len(corpus) + 1} lines (header + {len(corpus)} pairs) to {args.out}")
+    save_corpus(corpus, out)
+    print(f"wrote {len(corpus) + 1} lines (header + {len(corpus)} pairs) to {out}")
     return 0
 
 
@@ -287,6 +304,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    out = _out_file(args.out)
     gold = load_corpus(args.gold)
     generated = load_corpus(args.generated, strict=False)
     gen_targets = [tgt for _, tgt in generated.pairs]
@@ -296,8 +314,8 @@ def cmd_eval(args) -> int:
     else:
         report = evaluate_pairs(gen_targets, gold_targets)
     text = report.to_json()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    if out:
+        out.write_text(text, encoding="utf-8")
     print(text, end="")
     return 0
 
@@ -375,6 +393,11 @@ def main(argv=None) -> int:
         return 1
     except (DomainError, CorpusError, FileNotFoundError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        # backstop: sizes are capped where they are read, but numpy may still
+        # refuse an allocation on a small host
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
         return 2
 
 

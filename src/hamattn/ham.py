@@ -9,14 +9,16 @@ multi-level attention (weight on level d).
 
 Each operation has a plain-numpy forward (fast path for the randomized bound
 suites) and one taped form. ``ham_s_vars`` takes one [n, dk] sequence and is
-built from autodiff primitives. ``ham_v_context``, batched over examples, is
-the seq2seq connector and one fused tape op: its forward keeps each level's
-query and attention weights, and its hand-written vjp replays the levels in
-reverse with the primitives' exact arithmetic. It lists ``enc`` 2d times
-among its inputs and returns one gradient per listed slot, so ``enc``'s
-gradient is summed in the same order, and to the same bits, as the unfused
-chain of 4d+2 entries; summing them into one array first would round
-differently. Tests cover the equivalence of the paths.
+built from autodiff primitives. The seq2seq connector, batched over
+examples, is written once as a plain-numpy pair: ``ham_v_levels`` keeps each
+level's query and attention weights, and ``ham_v_levels_vjp`` replays the
+levels in reverse with the primitives' exact arithmetic. ``ham_v_context``
+wraps the pair as one tape op, and the model's fused decoder calls the pair
+once per step. The vjp returns the 2d contributions to the keys' gradient
+separately, in the unfused chain's order: ``ham_v_context`` lists ``enc`` 2d
+times among its inputs so that Tape.backward adds them one at a time, which
+gives the same bits as the chain of 4d+2 entries; summing them into one array
+first would round differently. Tests cover the equivalence of the paths.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -91,13 +93,60 @@ def ham_s_vars(X, c) -> ad.Variable:
     return ad.weighted_sum(levels, ad.softmax(c))
 
 
+def ham_v_levels(keys, q0, pc):
+    """Plain-numpy forward of the batched ham_v connector.
+
+    ``keys`` is [B,T,H] (C-contiguous), ``q0`` is [B,H] and ``pc`` is the
+    [1, d] level-weight row softmax(c). Returns ``(context, queries, probs)``:
+    ``queries[i]`` feeds level i+1, so ``queries[1:]`` are the level outputs,
+    and ``probs[i]`` are level i+1's attention weights. The arithmetic is that
+    of the primitive chain attend_scores -> scale -> softmax -> attend_combine
+    per level, then weighted_sum.
+    """
+    inv = float(1.0 / np.sqrt(keys.shape[2]))
+    queries, probs = [q0], []
+    for _ in range(pc.shape[1]):
+        p = kernels.softmax_rows(np.einsum("bth,bh->bt", keys, queries[-1]) * inv)
+        probs.append(p)
+        queries.append(np.einsum("bth,bt->bh", keys, p))
+    context = np.zeros_like(queries[1])
+    for wi, x in zip(pc[0], queries[1:]):
+        context += wi * x
+    return context, queries, probs
+
+
+def ham_v_levels_vjp(g, keys, queries, probs, pc):
+    """Backward of ``ham_v_levels`` for a [B,H] context gradient ``g``.
+
+    Returns ``(d_keys, d_q0, d_c)``. ``d_keys`` is the list of the 2d
+    contributions to the keys' gradient in the primitive chain's tape order
+    (combine_d, scores_d, ..., combine_1, scores_1); adding them one at a
+    time, in that order, reproduces the chain's gradient bit for bit.
+    """
+    inv = float(1.0 / np.sqrt(keys.shape[2]))
+    w = pc[0]
+    gw = np.array([np.sum(g * x) for x in queries[1:]])
+    d_c = kernels.softmax_rows_vjp(pc, gw.reshape(1, -1))[0]
+    d_keys = []
+    carry = None  # gradient reaching queries[i] through level i+1's scores
+    for i in reversed(range(len(probs))):
+        g_level = w[i] * g
+        if carry is not None:
+            g_level += carry
+        p = probs[i]
+        d_keys.append(np.einsum("bt,bh->bth", p, g_level))
+        g_scores = kernels.softmax_rows_vjp(p, np.einsum("bh,bth->bt", g_level, keys)) * inv
+        d_keys.append(np.einsum("bt,bh->bth", g_scores, queries[i]))
+        carry = np.einsum("bt,bth->bh", g_scores, keys)
+    return d_keys, carry, d_c
+
+
 def ham_v_context(enc, query, c) -> ad.Variable:
     """Batched taped ham_v used as the encoder-decoder connector.
 
     ``enc`` is [B,T,H] (each example brings its own keys), ``query`` is
-    [B,H] and ``c`` is [d]; returns the [B,H] context as one tape entry.
-    The arithmetic is that of the primitive chain attend_scores -> scale ->
-    softmax -> attend_combine per level, then weighted_sum by softmax(c).
+    [B,H] and ``c`` is [d]; returns the [B,H] context as one tape entry
+    whose forward and backward are ``ham_v_levels`` and ``ham_v_levels_vjp``.
     """
     enc, query, c = ad.as_variable(enc), ad.as_variable(query), ad.as_variable(c)
     keys, q0, cv = enc.value, query.value, c.value
@@ -107,39 +156,16 @@ def ham_v_context(enc, query, c) -> ad.Variable:
         )
     if keys.shape[0] * keys.shape[1] == 0 or cv.size == 0:
         raise DomainError(f"ham_v_context needs B, T and d >= 1, got {keys.shape[:2]}, d={cv.size}")
-    d = cv.shape[0]
-    inv = float(1.0 / np.sqrt(keys.shape[2]))
-    queries, probs = [q0], []  # queries[i] feeds level i+1, queries[1:] are the levels
-    for _ in range(d):
-        p = kernels.softmax_rows(np.einsum("bth,bh->bt", keys, queries[-1]) * inv)
-        probs.append(p)
-        queries.append(np.einsum("bth,bt->bh", keys, p))
     pc = kernels.softmax_rows(cv.reshape(1, -1))
-    w = pc.reshape(cv.shape)
-    acc = np.zeros_like(queries[1])
-    for wi, x in zip(w, queries[1:]):
-        acc += wi * x
-    out = ad.Variable(acc)
+    context, queries, probs = ham_v_levels(keys, q0, pc)
 
     def vjp(g):
-        gw = np.array([np.sum(g * x) for x in queries[1:]])
-        gc = kernels.softmax_rows_vjp(pc, gw.reshape(1, -1)).reshape(cv.shape)
-        d_enc = []  # combine_d, scores_d, ..., combine_1, scores_1
-        carry = None  # gradient reaching queries[i] through level i+1's scores
-        for i in reversed(range(d)):
-            g_level = w[i] * g
-            if carry is not None:
-                g_level += carry
-            p = probs[i]
-            d_enc.append(np.einsum("bt,bh->bth", p, g_level))
-            g_scores = kernels.softmax_rows_vjp(p, np.einsum("bh,bth->bt", g_level, keys)) * inv
-            d_enc.append(np.einsum("bt,bh->bth", g_scores, queries[i]))
-            carry = np.einsum("bt,bth->bh", g_scores, keys)
-        return (*d_enc, carry, gc)
+        d_keys, d_query, d_c = ham_v_levels_vjp(g, keys, queries, probs, pc)
+        return (*d_keys, d_query, d_c)
 
     # enc is listed once per contribution so that Tape.backward adds them to
     # enc's gradient one at a time, in the primitive chain's order
-    return ad._record((enc,) * (2 * d) + (query, c), out, vjp)
+    return ad._record((enc,) * (2 * cv.size) + (query, c), ad.Variable(context), vjp)
 
 
 # ---------------------------------------------------------------------------

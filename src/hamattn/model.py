@@ -5,9 +5,20 @@ bidirectional, directions combined by elementwise sum so the state width
 stays equal to the attention key width). Each decoder step queries the
 encoder states through the batched ham_v connector, consumes
 ``concat(token embedding, context)`` as GRU input and projects the new state
-to vocabulary logits. Everything is built from taped autodiff primitives, so
-a :class:`~hamattn.autodiff.Tape` around a loss gives exact gradients for
-every parameter.
+to vocabulary logits. A :class:`~hamattn.autodiff.Tape` around a loss gives
+exact gradients for every parameter.
+
+``sequence_loss`` records four tape entries at any length and depth: one
+gather of the source tokens, one op for the whole encoder (both directions
+stepped together), one for the whole teacher-forced decoder and the
+cross-entropy. Their hand-written vjps run BPTT with every product that does
+not feed the recurrence (input projections, the output projection, d_x
+where possible, weight gradients) moved out of the time loop, following
+Appleyard, Kocisky & Blunsom 2016 (arXiv:1604.01946). Each number is
+computed with the arithmetic of the per-step chain of ``gru_step``,
+``decode_step_batch`` and the primitives, which stay as the public per-step
+forms, and gradients that several steps feed are added in that chain's tape
+order, so the fused ops reproduce its loss and gradients bit for bit.
 
 Checkpoints are versioned JSON containers of named parameter tensors; see
 ``save_checkpoint``.
@@ -15,6 +26,7 @@ Checkpoints are versioned JSON containers of named parameter tensors; see
 
 import json
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,12 +35,19 @@ from . import kernels
 from .autodiff import Variable
 from .data import BOS, EOS, NUM_RESERVED, read_text
 from .errors import DimensionError, DomainError
-from .ham import ham_v_context
+from .ham import ham_v_context, ham_v_levels, ham_v_levels_vjp
 
 INIT_SCALE = 0.1
 
 CHECKPOINT_FORMAT = "hamattn-checkpoint"
 CHECKPOINT_VERSION = 1
+
+
+# Largest state width. The testbed trains widths of tens; at 512 the model
+# already holds about 21 * 512^2 parameters (44 MB, three times that with
+# adam's moments), and a mistyped width far beyond would make numpy refuse
+# a terabyte-sized array instead of failing with a message.
+MAX_HIDDEN = 512
 
 
 @dataclass
@@ -43,8 +62,8 @@ class ModelConfig:
             raise DomainError(
                 f"vocab size must exceed the {NUM_RESERVED} reserved ids, got {self.vocab_size}"
             )
-        if self.hidden < 1:
-            raise DomainError(f"hidden size must be >= 1, got {self.hidden}")
+        if not 1 <= self.hidden <= MAX_HIDDEN:
+            raise DomainError(f"hidden size must lie in [1, {MAX_HIDDEN}], got {self.hidden}")
         if self.ham_depth < 1:
             raise DomainError(f"attention depth must be >= 1, got {self.ham_depth}")
 
@@ -75,12 +94,95 @@ class GRUParams:
         return {name: getattr(self, name) for name in self.FIELDS}
 
 
+def _stack_gates(p: GRUParams):
+    """The cell's weights stacked per gate in z, r, h order: [3, d_in, H], [3, H, H], [3, H]."""
+    return (
+        np.array([p.wz.value, p.wr.value, p.wh.value]),
+        np.array([p.uz.value, p.ur.value, p.uh.value]),
+        np.array([p.bz.value, p.br.value, p.bh.value]),
+    )
+
+
+def _per_field(dw, du, db) -> tuple:
+    """Stacked-gate gradients in ``GRUParams.FIELDS`` order."""
+    return tuple(grad for g in range(3) for grad in (dw[g], du[g], db[g]))
+
+
+class _CellCache(NamedTuple):
+    hv: np.ndarray
+    z: np.ndarray
+    r: np.ndarray
+    s: np.ndarray  # r * hv, the input of the candidate's recurrent product
+    hc: np.ndarray
+
+
+# The four helpers below hold the GRU arithmetic once. Every array may carry
+# extra leading axes (directions, steps): ``xw`` is the input projection
+# x @ W as [..., 3, B, H], ``hv`` the state [..., B, H], ``U`` and ``b`` the
+# stacked weights [..., 3, H, H] and [..., 3, H]. numpy runs a stacked
+# matmul item by item with each item's own BLAS call, so every number equals
+# the one a per-gate, per-step product gives, provided each item is laid out
+# like the per-step array: C-contiguous [B, H] blocks. A strided operand can
+# reach a different BLAS kernel and move the last bit.
+
+
+def _gru_forward(xw, hv, U, b):
+    """h' = (1-z)*h + z*hc; returns (h', cache for ``_gru_backward``)."""
+    hu = np.matmul(hv[..., None, :, :], U[..., :2, :, :])
+    zr = kernels.sigmoid(xw[..., :2, :, :] + hu + b[..., :2, None, :])
+    z, r = zr[..., 0, :, :], zr[..., 1, :, :]
+    s = r * hv
+    hc = kernels.tanh(xw[..., 2, :, :] + s @ U[..., 2, :, :] + b[..., 2, None, :])
+    return (1.0 - z) * hv + z * hc, _CellCache(hv, z, r, s, hc)
+
+
+def _gru_backward(go, cache, U, d_a):
+    """Pull ``go`` back through one cell: fills the pre-activation gradients
+    ``d_a`` [..., 3, B, H] and returns d_h."""
+    hv, z, r, s, hc = cache
+    d_a[..., 2, :, :] = kernels.tanh_vjp(hc, go * z)
+    d_s = d_a[..., 2, :, :] @ U[..., 2, :, :].swapaxes(-1, -2)
+    d_a[..., 1, :, :] = kernels.sigmoid_vjp(r, d_s * hv)
+    d_a[..., 0, :, :] = kernels.sigmoid_vjp(z, go * (hc - hv))
+    d_u = d_a[..., :2, :, :] @ U[..., :2, :, :].swapaxes(-1, -2)
+    d_h = go * (1.0 - z)
+    d_h += d_s * r
+    d_h += d_u[..., 1, :, :]
+    d_h += d_u[..., 0, :, :]
+    return d_h
+
+
+def _gru_input_grad(d_a, W):
+    """d_x from the pre-activation gradients, summed over gates in h, r, z order."""
+    p = d_a @ W.swapaxes(-1, -2)
+    return p[..., 2, :, :] + p[..., 1, :, :] + p[..., 0, :, :]
+
+
+def _gru_param_grads(x, hv, s, d_a):
+    """Per-item weight gradients of the stacked gates: x.T @ d_a, [h, h, r*h].T @ d_a, batch sums."""
+    dw = np.matmul(x[..., None, :, :].swapaxes(-1, -2), d_a)
+    du = np.matmul(np.stack([hv, hv, s], axis=-3).swapaxes(-1, -2), d_a)
+    return dw, du, d_a.sum(axis=-2)
+
+
+def _sum_steps(parts):
+    """Sum per-step gradients over the leading step axis in tape order, last step first.
+
+    The loop adds one step at a time, as Tape.backward would; np.sum may
+    switch to pairwise summation and round differently.
+    """
+    total = parts[-1].copy()
+    for part in parts[-2::-1]:
+        total += part
+    return total
+
+
 def _gru_cell(x: Variable, h: Variable, p: GRUParams) -> Variable:
     """Fused GRU transition recorded as a single tape entry.
 
     Folding the whole cell into one op with a hand-written vjp keeps the tape
-    short on the hot training path; the gradcheck suite pins its correctness
-    against central differences like any other primitive.
+    short; the gradcheck suite pins its correctness against central
+    differences like any other primitive.
     """
     xv, hv = x.value, h.value
     if xv.shape[1] != p.wz.value.shape[0] or hv.shape[1] != p.uz.value.shape[0]:
@@ -88,39 +190,16 @@ def _gru_cell(x: Variable, h: Variable, p: GRUParams) -> Variable:
             f"gru_step shapes {xv.shape}, {hv.shape} do not match weights "
             f"{p.wz.value.shape}, {p.uz.value.shape}"
         )
-    z = kernels.sigmoid(xv @ p.wz.value + hv @ p.uz.value + p.bz.value)
-    r = kernels.sigmoid(xv @ p.wr.value + hv @ p.ur.value + p.br.value)
-    s = r * hv
-    hc = kernels.tanh(xv @ p.wh.value + s @ p.uh.value + p.bh.value)
-    out = Variable((1.0 - z) * hv + z * hc)
+    W, U, b = _stack_gates(p)
+    out, cache = _gru_forward(xv @ W, hv, U, b)
 
     def vjp(go):
-        d_z = go * (hc - hv)
-        d_h = go * (1.0 - z)
-        d_ac = kernels.tanh_vjp(hc, go * z)
-        d_x = d_ac @ p.wh.value.T
-        d_s = d_ac @ p.uh.value.T
-        d_wh = xv.T @ d_ac
-        d_uh = s.T @ d_ac
-        d_bh = d_ac.sum(axis=0)
-        d_h += d_s * r
-        d_ar = kernels.sigmoid_vjp(r, d_s * hv)
-        d_x += d_ar @ p.wr.value.T
-        d_h += d_ar @ p.ur.value.T
-        d_wr = xv.T @ d_ar
-        d_ur = hv.T @ d_ar
-        d_br = d_ar.sum(axis=0)
-        d_az = kernels.sigmoid_vjp(z, d_z)
-        d_x += d_az @ p.wz.value.T
-        d_h += d_az @ p.uz.value.T
-        d_wz = xv.T @ d_az
-        d_uz = hv.T @ d_az
-        d_bz = d_az.sum(axis=0)
-        return (d_x, d_h, d_wz, d_uz, d_bz, d_wr, d_ur, d_br, d_wh, d_uh, d_bh)
+        d_a = np.empty((3, *go.shape))
+        d_h = _gru_backward(go, cache, U, d_a)
+        grads = _gru_param_grads(xv, hv, cache.s, d_a)
+        return (_gru_input_grad(d_a, W), d_h, *_per_field(*grads))
 
-    return ad._record(
-        (x, h, p.wz, p.uz, p.bz, p.wr, p.ur, p.br, p.wh, p.uh, p.bh), out, vjp
-    )
+    return ad._record((x, h, *p.variables().values()), Variable(out), vjp)
 
 
 def gru_step(x, h_prev, params: GRUParams) -> Variable:
@@ -169,26 +248,76 @@ def _token_matrix(tokens, vocab_size: int) -> np.ndarray:
     return arr
 
 
+def _gather_steps(table: Variable, ids: np.ndarray) -> Variable:
+    """Rows of ``table`` for a [B, n] id matrix, step-major: out[t] = table[ids[:, t]].
+
+    One tape entry that lists ``table`` once per step and returns one
+    gradient table per step, last step first, so Tape.backward adds them in
+    the order n per-step gathers would.
+    """
+    n = ids.shape[1]
+
+    def vjp(g):
+        return tuple(_step_tables(table.value, ids, g)[::-1])
+
+    # C order, so that each step's rows are one block as a per-step gather's are
+    return ad._record((table,) * n, Variable(np.ascontiguousarray(table.value[ids.T])), vjp)
+
+
+def _step_tables(table: np.ndarray, ids: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Per-step gather gradients [n, V, H]: step t's rows g[t] added at ids[:, t]."""
+    out = np.zeros((ids.shape[1], *table.shape))
+    np.add.at(out, (np.arange(ids.shape[1])[:, None], ids.T), g)
+    return out
+
+
+def _encode(tokens, model: Seq2SeqModel) -> Variable:
+    """Per-token encoder states [B, n, H] as two tape entries: a gather and the encoder op.
+
+    Both directions step together as a [2, B, H] batch: direction j's k-th
+    step reads token k forward and token n-1-k backward, and the states of
+    one token are summed. The input projections of every step run before the
+    time loop; d_x and the weight gradients run after the BPTT loop.
+    """
+    tokens = _token_matrix(tokens, model.config.vocab_size)
+    cells = [cell for cell in (model.enc_fwd, model.enc_bwd) if cell is not None]
+    nd = len(cells)
+    embs = _gather_steps(model.embedding, tokens)
+    W, U, b = (np.array(parts) for parts in zip(*map(_stack_gates, cells)))
+    xs = np.stack([embs.value, embs.value[::-1]][:nd], axis=1)  # [n, nd, B, H]
+    xw = np.matmul(xs[:, :, None], W)
+    hs = [np.zeros(xs.shape[1:3] + U.shape[-1:])]
+    caches = []
+    for k in range(len(xs)):
+        h, cache = _gru_forward(xw[k], hs[-1], U, b)
+        hs.append(h)
+        caches.append(cache)
+    f = np.stack(hs[1:])
+    states = f[:, 0] if nd == 1 else f[:, 0] + f[::-1, 1]
+
+    def vjp(g):
+        gt = np.ascontiguousarray(g.transpose(1, 0, 2))
+        gs = np.stack([gt, gt[::-1]][:nd], axis=1)
+        d_a = np.empty(xw.shape)
+        carry = None
+        for k in reversed(range(len(xs))):
+            carry = _gru_backward(gs[k] if carry is None else gs[k] + carry, caches[k], U, d_a[k])
+        d_xs = _gru_input_grad(d_a, W)
+        s = np.stack([cache.s for cache in caches])
+        dw, du, db = map(_sum_steps, _gru_param_grads(xs, np.stack(hs[:-1]), s, d_a))
+        d_embs = d_xs[:, 0] if nd == 1 else d_xs[::-1, 1] + d_xs[:, 0]
+        return (d_embs, *(grad for j in range(nd) for grad in _per_field(dw[j], du[j], db[j])))
+
+    params = (var for cell in cells for var in cell.variables().values())
+    out = Variable(np.ascontiguousarray(states.transpose(1, 0, 2)))
+    return ad._record((embs, *params), out, vjp)
+
+
 def encode_batch(tokens, model: Seq2SeqModel):
     """Encode a [B, n] id matrix to per-token states [B, n, H] plus the last state."""
-    tokens = _token_matrix(tokens, model.config.vocab_size)
-    b, n = tokens.shape
-    h0 = Variable(np.zeros((b, model.config.hidden)))
-    embs = [ad.gather_rows(model.embedding, tokens[:, t]) for t in range(n)]
-
-    h = h0
-    states = []
-    for t in range(n):
-        h = gru_step(embs[t], h, model.enc_fwd)
-        states.append(h)
-    if model.enc_bwd is not None:
-        hb = h0
-        back = [None] * n
-        for t in reversed(range(n)):
-            hb = gru_step(embs[t], hb, model.enc_bwd)
-            back[t] = hb
-        states = [ad.add(f, bwd) for f, bwd in zip(states, back)]
-    return ad.stack(states, axis=1), states[-1]
+    enc = _encode(tokens, model)
+    b, n, h = enc.value.shape
+    return enc, ad.gather_rows(ad.reshape(enc, (b * n, h)), np.arange(n - 1, b * n, n))
 
 
 def decode_step_batch(h_dec, enc_states, prev_tokens, model: Seq2SeqModel):
@@ -202,26 +331,95 @@ def decode_step_batch(h_dec, enc_states, prev_tokens, model: Seq2SeqModel):
     return ad.matmul(h_new, model.w_out), h_new
 
 
+def _decoder_weights(model: Seq2SeqModel):
+    """The decoder cell's stacked gates plus the level-weight row softmax(c)."""
+    return (*_stack_gates(model.dec), kernels.softmax_rows(model.var_c.value.reshape(1, -1)))
+
+
+def _decoder_step(keys, h, emb, weights):
+    """One decoder transition in plain numpy: (new state, (input, connector levels, cell cache))."""
+    W, U, b, pc = weights
+    context, queries, probs = ham_v_levels(keys, h, pc)
+    x = np.concatenate([emb, context], axis=1)
+    h_new, cache = _gru_forward(x @ W, h, U, b)
+    return h_new, (x, (queries, probs), cache)
+
+
+def _decode(enc: Variable, inputs: np.ndarray, model: Seq2SeqModel) -> Variable:
+    """Teacher-forced decoder over a [B, T] input matrix as one tape entry: [T*B, V] logits.
+
+    Step t attends from h_t (h_0 is the last encoder state), feeds
+    concat(embedding of inputs[:, t], context) to the GRU and projects
+    h_{t+1}; rows are step-major. The context depends on h, so d_x stays in
+    the BPTT loop, while the output projection, its gradient and the weight
+    gradients run once over all steps. Gradients that several steps feed are
+    summed one step at a time, last step first, as Tape.backward adds them.
+    """
+    keys = enc.value
+    hidden = keys.shape[2]
+    weights = _decoder_weights(model)
+    W, U, _, pc = weights
+    w_out = model.w_out.value
+    embs = np.ascontiguousarray(model.embedding.value[inputs.T])
+    hs = [np.ascontiguousarray(keys[:, -1])]
+    records = []
+    for emb in embs:
+        h, record = _decoder_step(keys, hs[-1], emb, weights)
+        hs.append(h)
+        records.append(record)
+    h_new = np.stack(hs[1:])
+    logits = np.matmul(h_new, w_out)
+
+    def vjp(g):
+        g = g.reshape(logits.shape)
+        d_h_out = np.matmul(g, w_out.T)
+        d_a = np.empty((len(records), 3, *d_h_out.shape[1:]))
+        d_embs = np.empty_like(embs)
+        d_c = np.empty((len(records), pc.shape[1]))
+        d_keys = None
+        go = d_h_out[-1]
+        for t in reversed(range(len(records))):
+            _, levels, cache = records[t]
+            d_h = _gru_backward(go, cache, U, d_a[t])
+            d_x = _gru_input_grad(d_a[t], W)
+            d_embs[t] = d_x[:, :hidden]
+            parts, d_query, d_c[t] = ham_v_levels_vjp(d_x[:, hidden:], keys, *levels, pc)
+            for part in parts:
+                if d_keys is None:
+                    d_keys = part
+                else:
+                    d_keys += part
+            d_h += d_query
+            go = d_h + d_h_out[t - 1] if t else d_h
+        d_keys[:, -1] += go
+        xs = np.stack([x for x, _, _ in records])
+        s = np.stack([cache.s for _, _, cache in records])
+        grads = map(_sum_steps, _gru_param_grads(xs, np.stack(hs[:-1]), s, d_a))
+        d_table = _sum_steps(_step_tables(model.embedding.value, inputs, d_embs))
+        d_w_out = _sum_steps(np.matmul(h_new.swapaxes(-1, -2), g))
+        return (d_keys, d_table, *_per_field(*grads), d_w_out, _sum_steps(d_c))
+
+    params = (model.embedding, *model.dec.variables().values(), model.w_out, model.var_c)
+    return ad._record((enc, *params), Variable(logits.reshape(-1, logits.shape[2])), vjp)
+
+
 def sequence_loss(model: Seq2SeqModel, src_batch, tgt_batch) -> Variable:
     """Mean teacher-forced cross-entropy of a same-length batch of pairs.
 
     The decoder consumes BOS followed by the gold target tokens and is scored
-    against the target shifted left with EOS appended.
+    against the target shifted left with EOS appended. The tape holds four
+    entries whatever the lengths and depth: the encoder gather, the encoder,
+    the decoder and the cross-entropy.
     """
     src = _token_matrix(src_batch, model.config.vocab_size)
     tgt = _token_matrix(tgt_batch, model.config.vocab_size)
     if src.shape[0] != tgt.shape[0]:
         raise DimensionError(f"batch mismatch: {src.shape[0]} sources, {tgt.shape[0]} targets")
     b = tgt.shape[0]
-    enc, h = encode_batch(src, model)
     inputs = np.concatenate([np.full((b, 1), BOS, dtype=np.int64), tgt], axis=1)
     targets = np.concatenate([tgt, np.full((b, 1), EOS, dtype=np.int64)], axis=1)
-    step_logits = []
-    for t in range(inputs.shape[1]):
-        logits, h = decode_step_batch(h, enc, inputs[:, t], model)
-        step_logits.append(logits)
-    all_logits = ad.concat(step_logits, axis=0)
-    return ad.cross_entropy_logits(all_logits, targets.T.ravel())
+    logits = _decode(_encode(src, model), inputs, model)
+    return ad.cross_entropy_logits(logits, targets.T.ravel())
 
 
 def generate(src, model: Seq2SeqModel, max_len: int = 50) -> list:
@@ -233,12 +431,14 @@ def generate(src, model: Seq2SeqModel, max_len: int = 50) -> list:
     if max_len < 1:
         raise DomainError(f"max_len must be >= 1, got {max_len}")
     src = np.asarray(src, dtype=np.int64)
-    enc, h = encode_batch(src.reshape(1, -1), model)
+    keys = _encode(src.reshape(1, -1), model).value
+    h = np.ascontiguousarray(keys[:, -1])
+    weights = _decoder_weights(model)
     out = []
     prev = BOS
     for _ in range(max_len):
-        logits, h = decode_step_batch(h, enc, np.array([prev]), model)
-        tok = int(np.argmax(logits.value[0]))
+        h, _ = _decoder_step(keys, h, model.embedding.value[[prev]], weights)
+        tok = int(np.argmax((h @ model.w_out.value)[0]))
         if tok == EOS:
             break
         out.append(tok)

@@ -85,27 +85,28 @@ def sgd_step(params, grads, state, config: TrainConfig):
 
 
 def init_adam_state(params) -> dict:
-    return {
-        "t": 0,
-        "m": [np.zeros_like(p.value) for p in params],
-        "v": [np.zeros_like(p.value) for p in params],
-    }
+    """Adam moments as one flat buffer each, parameters laid end to end."""
+    size = sum(p.value.size for p in params)
+    return {"t": 0, "m": np.zeros(size), "v": np.zeros(size)}
 
 
 def adam_step(params, grads, state, config: TrainConfig):
     state["t"] += 1
     t = state["t"]
     b1, b2 = ADAM_BETAS
-    for i, (p, g) in enumerate(zip(params, grads)):
-        m = state["m"][i]
-        v = state["v"][i]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p.value -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    g = np.concatenate([np.ravel(g) for g in grads])
+    m, v = state["m"], state["v"]
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    update = config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    start = 0
+    for p in params:
+        p.value -= update[start : start + p.value.size].reshape(p.value.shape)
+        start += p.value.size
     return params, state
 
 
@@ -166,6 +167,7 @@ def train(model: Seq2SeqModel, corpus: Corpus, config: TrainConfig, frozen=()):
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
             tape.backward(loss)
+            tape.release()
             grads = [p.grad for p in params]
             clip_gradients(grads, MAX_GRAD_NORM)
             step(params, grads, state, config)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,38 @@ def test_two_backward_passes_are_bit_identical():
     tape.backward(loss)
     assert np.array_equal(first[0], x.grad)
     assert np.array_equal(first[1], w.grad)
+
+
+def test_release_frees_the_tape_without_the_cyclic_collector():
+    # each output links back to its tape, so only release() lets reference
+    # counting free a finished tape and the arrays its vjps saved
+    x = Variable(np.arange(4.0))
+    freed = []
+    gc.disable()
+    try:
+        for release in (False, True):
+            with Tape() as tape:
+                loss = ad.sum_all(ad.tanh(x))
+            tape.backward(loss)
+            if release:
+                tape.release()
+            ref = weakref.ref(tape)
+            del tape, loss
+            freed.append(ref() is None)
+    finally:
+        gc.enable()
+    assert freed == [False, True]
+    np.testing.assert_array_equal(x.grad, 1.0 - np.tanh(np.arange(4.0)) ** 2)
+
+
+def test_backward_after_release_raises():
+    x = Variable(np.ones(3))
+    with Tape() as tape:
+        loss = ad.sum_all(x)
+    tape.backward(loss)
+    tape.release()
+    with pytest.raises(DomainError, match="released"):
+        tape.backward(loss)
 
 
 def test_backward_rejects_non_scalar_and_untaped_losses():

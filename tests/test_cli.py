@@ -252,6 +252,7 @@ def test_train_rejects_bad_config_before_writing_outputs(tmp_path, capsys):
         ("epochs", {"epochs": "3"}),
         ("depth", {"depth": 2.0}),
         ("learning rate", {"learning_rate": float("nan")}),
+        ("hidden", {"hidden": 99999999999}),
     ):
         cfg.write_text(json.dumps(config))
         code = run(["train", "--corpus", str(corpus_path), "--out", str(out), "--config", str(cfg)])
@@ -306,6 +307,42 @@ def test_out_that_is_a_file_is_rejected_before_training(tmp_path, capsys, monkey
             assert run(argv) == 2, argv
             _one_line_error(capsys, out)
     assert taken.read_text() == "keep"
+
+
+@pytest.mark.parametrize("command", ["verify", "gendata", "eval"])
+def test_out_file_is_checked_before_any_work(command, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    corpus_path = tmp_path / "task.jsonl"
+    save_corpus(gen_task("copy", 2, 3, 5, seed=0), corpus_path)
+    work, argv = {
+        "verify": ("verify_report", ["verify", "--trials", "1", "--reduction-instances", "1"]),
+        "gendata": ("gen_task", ["gendata", "--task", "copy", "--pairs", "2"]),
+        "eval": ("load_corpus", ["eval", "--generated", str(corpus_path), "--gold", str(corpus_path)]),
+    }[command]
+    monkeypatch.setattr(cli, work, no_work)
+    for out in (tmp_path, tmp_path / "missing" / "out.json"):
+        assert run(argv + ["--out", str(out)]) == 2, out
+        _one_line_error(capsys, out)
+    assert not (tmp_path / "missing").exists()
+
+
+def test_oversized_hidden_exits_2_without_allocating(tmp_path, capsys, monkeypatch):
+    corpus_path = tmp_path / "task.jsonl"
+    save_corpus(gen_task("copy", 4, 3, 5, seed=0), corpus_path)
+    out = tmp_path / "run"
+    assert run(["train", "--corpus", str(corpus_path), "--out", str(out),
+                "--hidden", "99999999999"]) == 2
+    _one_line_error(capsys, "hidden")
+    assert not out.exists()
+
+    def refused(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(cli, "gen_task", refused)
+    assert run(["gendata", "--task", "copy", "--pairs", "2", "--out", str(tmp_path / "c")]) == 2
+    _one_line_error(capsys, "out of memory", "8.00 TiB")
 
 
 def _flag_override(key, default):

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 
 from hamattn import autodiff as ad
 from hamattn.autodiff import Variable, check_gradients
-from hamattn.data import BOS, EOS
+from hamattn.data import BOS, EOS, gen_task
 from hamattn.errors import DimensionError, DomainError
+from hamattn.kernels import sigmoid, sigmoid_vjp, tanh_vjp
 from hamattn.model import (
+    MAX_HIDDEN,
     GRUParams,
     ModelConfig,
     Seq2SeqModel,
@@ -19,6 +22,9 @@ from hamattn.model import (
     save_checkpoint,
     sequence_loss,
 )
+
+# the package re-exports the train() function under the module's name
+training = importlib.import_module("hamattn.train")
 
 
 def _zero_gru(d_in, hidden):
@@ -232,14 +238,152 @@ def test_generate_deterministic():
 
 @pytest.mark.parametrize("depth", [1, 5])
 def test_sequence_loss_tape_length_is_depth_independent(depth):
-    # 6 gathers, 12 GRU steps, 6 direction sums and a stack encode; each of the
-    # 7 decoder steps is connector, gather, concat, GRU step and output matmul;
-    # then one concat and one cross-entropy
+    # one gather of all 6 source tokens, one op for the bidirectional encoder,
+    # one op for all 7 decoder steps (connector, cell and output projection)
+    # and the cross-entropy
     model = _model(vocab=8, hidden=4, depth=depth, seed=14)
     batch = np.random.default_rng(14).integers(3, 8, (3, 6))
     with ad.Tape() as tape:
         sequence_loss(model, batch, batch)
-    assert len(tape.entries) == 62
+    assert len(tape.entries) == 4
+
+
+def _per_step_sequence_loss(model, src, tgt):
+    # the per-step chain sequence_loss recorded before its encoder and decoder
+    # became one tape entry each: gathers, gru_step, ad.add, ad.stack,
+    # decode_step_batch, ad.concat and the cross-entropy
+    b, n = src.shape
+    h0 = Variable(np.zeros((b, model.config.hidden)))
+    embs = [ad.gather_rows(model.embedding, src[:, t]) for t in range(n)]
+    h = h0
+    states = []
+    for t in range(n):
+        h = gru_step(embs[t], h, model.enc_fwd)
+        states.append(h)
+    if model.enc_bwd is not None:
+        hb = h0
+        back = [None] * n
+        for t in reversed(range(n)):
+            hb = gru_step(embs[t], hb, model.enc_bwd)
+            back[t] = hb
+        states = [ad.add(f, bwd) for f, bwd in zip(states, back)]
+    enc, h = ad.stack(states, axis=1), states[-1]
+    inputs = np.concatenate([np.full((b, 1), BOS), tgt], axis=1)
+    targets = np.concatenate([tgt, np.full((b, 1), EOS)], axis=1)
+    step_logits = []
+    for t in range(inputs.shape[1]):
+        logits, h = decode_step_batch(h, enc, inputs[:, t], model)
+        step_logits.append(logits)
+    return ad.cross_entropy_logits(ad.concat(step_logits, axis=0), targets.T.ravel())
+
+
+def _loss_and_grads(loss_fn, model, src, tgt):
+    with ad.Tape() as tape:
+        loss = loss_fn(model, src, tgt)
+    tape.backward(loss)
+    return loss.value, {name: var.grad.copy() for name, var in model.parameters().items()}
+
+
+@pytest.mark.parametrize(
+    "depth, bidirectional, batch, src_len, tgt_len, hidden",
+    [
+        (1, True, 1, 12, 12, 5),
+        (1, False, 32, 6, 6, 16),
+        (2, True, 3, 4, 7, 3),
+        (2, False, 1, 12, 2, 7),
+        (5, True, 7, 5, 12, 1),
+        (5, False, 64, 3, 5, 4),
+    ],
+)
+def test_sequence_loss_is_bit_identical_to_per_step_chain(
+    depth, bidirectional, batch, src_len, tgt_len, hidden
+):
+    vocab = 11
+    model = _model(vocab, hidden, depth, bidirectional, seed=20 + depth)
+    model.var_c.value[...] = np.linspace(-1.0, 1.0, depth)
+    rng = np.random.default_rng(batch)
+    src = rng.integers(0, vocab, (batch, src_len))
+    tgt = rng.integers(0, vocab, (batch, tgt_len))
+    loss, grads = _loss_and_grads(sequence_loss, model, src, tgt)
+    ref_loss, ref_grads = _loss_and_grads(_per_step_sequence_loss, model, src, tgt)
+    np.testing.assert_array_equal(loss, ref_loss)
+    for name, grad in ref_grads.items():
+        np.testing.assert_array_equal(grads[name], grad, err_msg=name)
+
+
+def _per_array_adam_state(params):
+    return {"t": 0, "m": [np.zeros_like(p.value) for p in params],
+            "v": [np.zeros_like(p.value) for p in params]}
+
+
+def _per_array_adam_step(params, grads, state, config):
+    # adam as it stood with one moment array per parameter
+    state["t"] += 1
+    t = state["t"]
+    b1, b2 = training.ADAM_BETAS
+    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        p.value -= config.learning_rate * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
+    return params, state
+
+
+@pytest.mark.parametrize("depth", [1, 5])
+def test_training_is_bit_identical_to_per_step_chain(depth, monkeypatch):
+    corpus = gen_task("copy", 24, 4, 5, seed=depth)
+    config = training.TrainConfig(learning_rate=0.05, epochs=2, batch_size=5, seed=depth)
+    fused = _model(corpus.vocab_size, 5, depth, seed=depth)
+    _, losses = training.train(fused, corpus, config)
+    monkeypatch.setattr(training, "sequence_loss", _per_step_sequence_loss)
+    monkeypatch.setattr(training, "init_adam_state", _per_array_adam_state)
+    monkeypatch.setattr(training, "adam_step", _per_array_adam_step)
+    chain = _model(corpus.vocab_size, 5, depth, seed=depth)
+    _, ref_losses = training.train(chain, corpus, config)
+    assert losses == ref_losses
+    for name, var in chain.parameters().items():
+        np.testing.assert_array_equal(fused.parameters()[name].value, var.value, err_msg=name)
+
+
+def test_gru_step_is_bit_identical_to_per_gate_cell():
+    # the cell as it stood with one product per gate
+    rng = np.random.default_rng(16)
+    cell = GRUParams(rng, 5, 3)
+    x = Variable(rng.uniform(-1, 1, (4, 5)))
+    h = Variable(rng.uniform(-1, 1, (4, 3)))
+    go = rng.uniform(-1, 1, (4, 3))
+    with ad.Tape() as tape:
+        out = gru_step(x, h, cell)
+        loss = ad.sum_all(ad.mul(out, Variable(go)))
+    tape.backward(loss)
+
+    p = {name: var.value for name, var in cell.variables().items()}
+    xv, hv = x.value, h.value
+    z = sigmoid(xv @ p["wz"] + hv @ p["uz"] + p["bz"])
+    r = sigmoid(xv @ p["wr"] + hv @ p["ur"] + p["br"])
+    s = r * hv
+    hc = np.tanh(xv @ p["wh"] + s @ p["uh"] + p["bh"])
+    np.testing.assert_array_equal(out.value, (1.0 - z) * hv + z * hc)
+    d_h = go * (1.0 - z)
+    d_ac = tanh_vjp(hc, go * z)
+    d_x = d_ac @ p["wh"].T
+    d_s = d_ac @ p["uh"].T
+    d_h += d_s * r
+    d_ar = sigmoid_vjp(r, d_s * hv)
+    d_x += d_ar @ p["wr"].T
+    d_h += d_ar @ p["ur"].T
+    d_az = sigmoid_vjp(z, go * (hc - hv))
+    d_x += d_az @ p["wz"].T
+    d_h += d_az @ p["uz"].T
+    np.testing.assert_array_equal(x.grad, d_x)
+    np.testing.assert_array_equal(h.grad, d_h)
+    for gate, d_a in (("z", d_az), ("r", d_ar), ("h", d_ac)):
+        np.testing.assert_array_equal(getattr(cell, "w" + gate).grad, xv.T @ d_a)
+        np.testing.assert_array_equal(getattr(cell, "u" + gate).grad, (s if gate == "h" else hv).T @ d_a)
+        np.testing.assert_array_equal(getattr(cell, "b" + gate).grad, d_a.sum(axis=0))
 
 
 def test_end_to_end_batch_gradient():
@@ -248,6 +392,13 @@ def test_end_to_end_batch_gradient():
     tgt = np.array([[4, 3], [5, 5]])
     res = check_gradients(lambda: sequence_loss(model, src, tgt), model.parameters().values())
     assert res.max_rel_error < 1e-4
+
+
+def test_config_caps_hidden_before_allocating():
+    ModelConfig(8, hidden=MAX_HIDDEN)
+    for hidden in (0, MAX_HIDDEN + 1, 99999999999):
+        with pytest.raises(DomainError, match="hidden"):
+            ModelConfig(8, hidden=hidden)
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,20 @@ def test_identical_seeds_give_bitwise_identical_trajectories():
     assert runs[0][0] == runs[1][0]
     for name in runs[0][1]:
         np.testing.assert_array_equal(runs[0][1][name], runs[1][1][name])
+
+
+def test_training_leaves_no_tape_to_the_cyclic_collector():
+    # a tape kept alive by its own reference cycle would hold a step's saved
+    # arrays until the collector runs, so peak memory would follow its timing
+    corpus, model = _tiny_setup()
+    gc.collect()
+    gc.disable()
+    try:
+        train(model, corpus, TrainConfig(epochs=2, batch_size=3, seed=2))
+        tapes = [obj for obj in gc.get_objects() if isinstance(obj, Tape)]
+    finally:
+        gc.enable()
+    assert tapes == []
 
 
 def test_losses_stay_positive():
