@@ -129,16 +129,32 @@ def vanilla_attention(q, K) -> np.ndarray:
 def attention_levels(q, K, depth: int) -> np.ndarray:
     """Iterated attention outputs q_1..q_depth, each the next level's query.
 
-    Returns a [depth, dk] array; row t-1 is the level-t output.
+    ``q`` is [..., dk] and ``K`` is [..., dk, n] with the same leading batch
+    axes (none for a single instance). Returns a [..., depth, dk] array; row
+    t-1 is the level-t output. Scores and combine are stacked ``np.matmul``
+    calls, one BLAS gemv per instance, and the softmax runs row by row, so
+    every instance of a batch gets the bits of its own unbatched call.
     """
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
-    K = _keys(K)
-    out = np.empty((depth, K.shape[0]))
-    cur = np.asarray(q, dtype=np.float64)
+    K = K.K if isinstance(K, KeySequence) else np.asarray(K, dtype=np.float64)
+    if K.ndim < 2:
+        raise DimensionError(f"keys must form a [..., dk, n] array, got shape {K.shape}")
+    if K.size == 0:
+        raise DomainError(f"empty key sequence, shape {K.shape}")
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != K.shape[:-1]:
+        raise DimensionError(f"query shape {q.shape} does not match keys {K.shape}")
+    dk, n = K.shape[-2:]
+    Kt = np.swapaxes(K, -1, -2)
+    scale = np.sqrt(dk)
+    out = np.empty((*q.shape[:-1], depth, dk))
+    cur = q
     for t in range(depth):
-        cur = vanilla_attention(cur, K)
-        out[t] = cur
+        scores = np.matmul(Kt, cur[..., None])[..., 0] / scale
+        p = kernels.softmax_rows(scores.reshape(-1, n)).reshape(scores.shape)
+        cur = np.matmul(K, p[..., None])[..., 0]
+        out[..., t, :] = cur
     return out
 
 

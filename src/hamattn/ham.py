@@ -227,46 +227,50 @@ def norm_bound_suite(
     ||output||_2 <= max_i ||k_i||_2 + 1e-9 at every level and for a random
     ham_v combination of the levels. Lower-bound failures are counted, not
     asserted: the suite also records the fixed cancellation counterexample.
+
+    Sampling is shape first: all ``trials`` key dimensions, then all key
+    counts; then, for each distinct (dk, n) in sorted order, that group's
+    keys [g, dk, n], queries [g, dk] and level logits [g, max_depth], each
+    drawn as one batch and run through one ``attention_levels`` call. Only
+    one group's instances are held at a time, and "first" violation means
+    first in this order.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
+    dks = rng.integers(dk_range[0], dk_range[1] + 1, size=trials)
+    ns = rng.integers(n_range[0], n_range[1] + 1, size=trials)
+    shapes, counts = np.unique(np.stack([dks, ns], axis=1), axis=0, return_counts=True)
     upper_violations = 0
     lower_violations = 0
-    levels_checked = 0
     first_upper = None
-    for _ in range(trials):
-        dk = int(rng.integers(dk_range[0], dk_range[1] + 1))
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
-        K = rng.uniform(-entry_bound, entry_bound, size=(dk, n))
-        q = rng.uniform(-entry_bound, entry_bound, size=dk)
-        key_norms = np.linalg.norm(K, axis=0)
-        hi, lo = key_norms.max(), key_norms.min()
-        levels = attention_levels(q, K, max_depth)
-        norms = np.linalg.norm(levels, axis=1)
+    for (dk, n), g in zip(shapes.tolist(), counts.tolist()):
+        K = rng.uniform(-entry_bound, entry_bound, size=(g, dk, n))
+        q = rng.uniform(-entry_bound, entry_bound, size=(g, dk))
         # random level weighting: a convex combination must obey the same bound
-        alpha = softmax_vec(rng.uniform(-2.0, 2.0, size=max_depth))
-        ham_norm = float(np.linalg.norm(levels.T @ alpha))
-        levels_checked += max_depth + 1
-        lower_violations += int(np.sum(norms < lo - BOUND_TOL))
-        bad = np.nonzero(norms > hi + BOUND_TOL)[0]
-        if ham_norm > hi + BOUND_TOL:
-            upper_violations += 1
-        if bad.size:
-            upper_violations += int(bad.size)
-            if first_upper is None:
-                first_upper = {
-                    "K_columns": K.T.tolist(),
-                    "q": q.tolist(),
-                    "level": int(bad[0] + 1),
-                    "output_norm": float(norms[bad[0]]),
-                    "max_key_norm": float(hi),
-                }
+        alpha = kernels.softmax_rows(rng.uniform(-2.0, 2.0, size=(g, max_depth)))
+        key_norms = np.linalg.norm(K, axis=1)
+        hi, lo = key_norms.max(axis=1), key_norms.min(axis=1)
+        levels = attention_levels(q, K, max_depth)
+        norms = np.linalg.norm(levels, axis=2)
+        ham_norms = np.linalg.norm(np.matmul(alpha[:, None, :], levels)[:, 0], axis=1)
+        lower_violations += int(np.sum(norms < lo[:, None] - BOUND_TOL))
+        bad = norms > hi[:, None] + BOUND_TOL
+        upper_violations += int(np.sum(bad)) + int(np.sum(ham_norms > hi + BOUND_TOL))
+        if first_upper is None and bad.any():
+            i, level = np.argwhere(bad)[0]
+            first_upper = {
+                "K_columns": K[i].T.tolist(),
+                "q": q[i].tolist(),
+                "level": int(level + 1),
+                "output_norm": float(norms[i, level]),
+                "max_key_norm": float(hi[i]),
+            }
     return NormBoundReport(
         trials=trials,
         max_depth=max_depth,
         seed=seed,
-        levels_checked=levels_checked,
+        levels_checked=trials * (max_depth + 1),
         upper_violations=upper_violations,
         lower_violations=lower_violations,
         first_upper_violation=first_upper,

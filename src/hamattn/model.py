@@ -25,6 +25,7 @@ Checkpoints are versioned JSON containers of named parameter tensors; see
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -466,15 +467,41 @@ def save_checkpoint(model: Seq2SeqModel, path) -> None:
         f.write("\n")
 
 
+def _stored_tensor(name: str, entry) -> np.ndarray:
+    """One checkpoint tensor as a finite array of its stored shape.
+
+    Anything else raises :class:`DomainError` (:class:`DimensionError` when
+    the data does not fill the shape) naming the tensor.
+    """
+    if not isinstance(entry, dict) or set(entry) != {"shape", "data"}:
+        raise DomainError(f"checkpoint tensor {name} must be an object with 'shape' and 'data'")
+    shape, data = entry["shape"], entry["data"]
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+        raise DomainError(f"checkpoint tensor {name} shape must be a list of sizes, got {shape!r}")
+    if not isinstance(data, list) or not all(type(x) in (int, float) for x in data):
+        raise DomainError(f"checkpoint tensor {name} data must be a flat list of numbers")
+    if len(data) != math.prod(shape):
+        raise DimensionError(f"checkpoint tensor {name} holds {len(data)} numbers for shape {shape}")
+    try:
+        arr = np.array(data, dtype=np.float64).reshape(shape)
+    except (OverflowError, ValueError) as e:
+        raise DomainError(f"checkpoint tensor {name} is not a float64 array of shape {shape}: {e}") from e
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"checkpoint tensor {name} holds non-finite values")
+    return arr
+
+
 def load_checkpoint(path) -> Seq2SeqModel:
     """Rebuild a model from ``save_checkpoint`` output.
 
-    Config keys and value types, tensor names and shapes, and finiteness are
-    checked; a bad file raises :class:`DomainError` (:class:`DimensionError`
-    for a shape) naming what is wrong.
+    Config keys and value types, each tensor's form (a shape list and a flat
+    list of numbers that fills it), tensor names and shapes, and finiteness
+    are checked, and the config's sizes are compared with the stored tensors
+    before the model is allocated; a bad file raises :class:`DomainError`
+    (:class:`DimensionError` for a shape) naming what is wrong.
     """
     payload = json.loads(read_text(path))
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DomainError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise DomainError(f"unsupported checkpoint version {payload.get('version')}")
@@ -488,20 +515,24 @@ def load_checkpoint(path) -> Seq2SeqModel:
     for name, kind in config_fields.items():
         if type(stored_config[name]) is not kind:
             raise DomainError(f"checkpoint config {name!r} must be {kind.__name__}")
-    model = Seq2SeqModel(ModelConfig(**stored_config), np.random.default_rng(0))
+    config = ModelConfig(**stored_config)
+    stored = payload.get("params")
+    if not isinstance(stored, dict):
+        raise DomainError(f"checkpoint params must be an object, got {type(stored).__name__}")
+    tensors = {name: _stored_tensor(name, entry) for name, entry in stored.items()}
+    # the config sets the model's size: pin it to stored data before allocating
+    for name, shape in (("embedding", (config.vocab_size, config.hidden)), ("ham_c", (config.ham_depth,))):
+        if name not in tensors or tensors[name].shape != shape:
+            raise DimensionError(f"checkpoint tensor {name} is missing or not of shape {list(shape)}")
+    model = Seq2SeqModel(config, np.random.default_rng(0))
     params = model.parameters()
-    stored = payload["params"]
-    if set(stored) != set(params):
-        missing = set(params) ^ set(stored)
+    if set(tensors) != set(params):
+        missing = set(params) ^ set(tensors)
         raise DomainError(f"checkpoint parameter names do not match the model: {sorted(missing)}")
     for name, var in params.items():
-        entry = stored[name]
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        if arr.shape != var.value.shape:
+        if tensors[name].shape != var.value.shape:
             raise DimensionError(
-                f"checkpoint tensor {name} has shape {arr.shape}, expected {var.value.shape}"
+                f"checkpoint tensor {name} has shape {tensors[name].shape}, expected {var.value.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise DomainError(f"checkpoint tensor {name} holds non-finite values")
-        var.value[...] = arr
+        var.value[...] = tensors[name]
     return model

@@ -175,6 +175,52 @@ def test_multi_level_fixed_point_and_depth_validation():
         multi_level_attention(v, K, 0)
 
 
+def _levels_loop(q, K, depth):
+    """The single-instance form: one vanilla attention call per level."""
+    out = np.empty((depth, K.shape[0]))
+    cur = q
+    for t in range(depth):
+        cur = K @ softmax_vec(K.T @ cur / np.sqrt(K.shape[0]))
+        out[t] = cur
+    return out
+
+
+def _random_levels_case(rng, batch, dk=None, n=None, depth=None):
+    dk = dk or int(rng.integers(1, 17))
+    n = n or int(rng.integers(1, 33))
+    depth = depth or int(rng.integers(1, 11))
+    K = rng.uniform(-3, 3, (*batch, dk, n))
+    q = rng.uniform(-3, 3, (*batch, dk))
+    return q, K, depth
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (3, 4)])
+def test_attention_levels_batch_matches_single_instance_loop_bitwise(batch):
+    rng = np.random.default_rng(len(batch))
+    cases = [_random_levels_case(rng, batch) for _ in range(40)]
+    cases += [_random_levels_case(rng, batch, **edge) for edge in ({"dk": 1}, {"n": 1}, {"depth": 1})]
+    for q, K, depth in cases:
+        got = attention_levels(q, K, depth)
+        assert got.shape == (*batch, depth, K.shape[-2])
+        for idx in np.ndindex(*batch):
+            np.testing.assert_array_equal(got[idx], _levels_loop(q[idx], K[idx], depth))
+
+
+def test_attention_levels_shape_errors():
+    K = np.ones((4, 3, 5))
+    with pytest.raises(DimensionError):
+        attention_levels(np.ones((4, 2)), K, 2)
+    with pytest.raises(DimensionError):
+        attention_levels(np.ones((3, 3)), K, 2)
+    with pytest.raises(DimensionError):
+        attention_levels(np.ones(3), np.ones(3), 2)
+    for empty in (np.ones((3, 0)), np.ones((0, 3, 5))):
+        with pytest.raises(DomainError):
+            attention_levels(np.ones(empty.shape[:-1]), empty, 2)
+    with pytest.raises(DomainError):
+        attention_levels(np.ones((4, 3)), K, 0)
+
+
 def test_self_attention_singleton_and_identical_rows():
     x = np.array([[1.0, 2.0, 3.0]])
     np.testing.assert_allclose(self_attention_layer(x), x, atol=1e-15)

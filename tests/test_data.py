@@ -1,6 +1,9 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamattn.data import (
     BOS,
@@ -129,3 +132,45 @@ def test_corpus_validation():
         Corpus(vocab_size=8, pairs=[([3], [9])])
     with pytest.raises(DomainError):
         Corpus(vocab_size=8, pairs=[([1], [3])])
+
+
+_FUZZ_CORPUS = (
+    b'{"task": "sort", "vocab": 9}\n{"src": [5, 3, 8], "tgt": [3, 5, 8]}\n'
+    b'{"src": [4], "tgt": [4]}\n{"src": [7, 6], "tgt": [6, 7]}\n'
+)
+_FUZZ_BYTES = st.one_of(
+    st.sampled_from(
+        [b"[", b"]", b"{", b"}", b'"', b",", b":", b"-", b"0", b"9", b"e", b".", b"\n", b" ",
+         b"\xff", b"\x00", b"NaN", b"true", b"null", b"1e999", b"99999999999999999999"]
+    ),
+    st.binary(min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, len(_FUZZ_CORPUS)), st.sampled_from(["put", "insert", "delete"]), _FUZZ_BYTES),
+        min_size=1,
+        max_size=4,
+    ),
+    strict=st.booleans(),
+)
+def test_fuzzed_corpus_bytes_raise_only_corpus_errors(edits, strict):
+    """Any byte edit of a corpus file loads, or raises CorpusError or DomainError."""
+    data = bytearray(_FUZZ_CORPUS)
+    for pos, action, chunk in edits:
+        pos = min(pos, len(data))
+        if action == "put":
+            data[pos:pos + len(chunk)] = chunk
+        elif action == "insert":
+            data[pos:pos] = chunk
+        else:
+            del data[pos:pos + len(chunk)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        path.write_bytes(bytes(data))
+        try:
+            load_corpus(path, strict=strict)
+        except (CorpusError, DomainError):
+            pass

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamattn import autodiff as ad
+from hamattn import ham as ham_module
 from hamattn.attention import attention_levels, self_attention_layer, vanilla_attention
 from hamattn.autodiff import Tape, Variable, check_gradients
 from hamattn.errors import DimensionError, DomainError
 from hamattn.ham import (
     HamWeights,
+    NormBoundReport,
     ham_s,
     ham_s_vars,
     ham_v,
@@ -16,6 +18,7 @@ from hamattn.ham import (
     reduction_report,
     norm_bound_suite,
 )
+from hamattn.tensor import softmax_vec
 
 
 def test_ham_weights_validation_and_uniform_init():
@@ -228,6 +231,61 @@ def test_norm_bound_suite_small_run():
     K = np.tile(v[:, None], (1, 3))
     out_norm = np.linalg.norm(vanilla_attention(np.array([0.5, 0.5]), K))
     assert abs(out_norm - np.linalg.norm(v)) < 1e-12
+
+
+def _suite_reference(trials, seed, max_depth=10, dk_range=(2, 16), n_range=(1, 32), bound=3.0):
+    """norm_bound_suite's shape-first draws, checked one instance at a time."""
+    rng = np.random.default_rng(seed)
+    dks = rng.integers(dk_range[0], dk_range[1] + 1, size=trials)
+    ns = rng.integers(n_range[0], n_range[1] + 1, size=trials)
+    upper = lower = checked = 0
+    first = None
+    for dk, n in sorted(set(zip(dks.tolist(), ns.tolist()))):
+        g = int(np.sum((dks == dk) & (ns == n)))
+        Ks = rng.uniform(-bound, bound, size=(g, dk, n))
+        qs = rng.uniform(-bound, bound, size=(g, dk))
+        logits = rng.uniform(-2.0, 2.0, size=(g, max_depth))
+        for K, q, c in zip(Ks, qs, logits):
+            key_norms = np.linalg.norm(K, axis=0)
+            hi, lo = key_norms.max(), key_norms.min()
+            levels = attention_levels(q, K, max_depth)
+            norms = np.linalg.norm(levels, axis=1)
+            checked += max_depth + 1
+            ham_norm = np.linalg.norm(levels.T @ softmax_vec(c))
+            lower += int(np.sum(norms < lo - ham_module.BOUND_TOL))
+            bad = np.nonzero(norms > hi + ham_module.BOUND_TOL)[0]
+            upper += int(bad.size) + int(ham_norm > hi + ham_module.BOUND_TOL)
+            if bad.size and first is None:
+                first = {
+                    "K_columns": K.T.tolist(),
+                    "q": q.tolist(),
+                    "level": int(bad[0] + 1),
+                    "output_norm": float(norms[bad[0]]),
+                    "max_key_norm": float(hi),
+                }
+    return NormBoundReport(
+        trials, max_depth, seed, checked, upper, lower, first, ham_module._counterexample_record()
+    ).to_dict()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_norm_bound_suite_matches_per_instance_reference(seed):
+    report = norm_bound_suite(600, seed=seed, max_depth=6).to_dict()
+    assert report == _suite_reference(600, seed, max_depth=6)
+    assert report["upper_violations"] == 0 and report["first_upper_violation"] is None
+
+
+def test_norm_bound_suite_records_first_upper_violation(monkeypatch):
+    # a negative tolerance makes every level count as an upper-bound violation
+    monkeypatch.setattr(ham_module, "BOUND_TOL", -1e3)
+    report = norm_bound_suite(300, seed=3, max_depth=4).to_dict()
+    assert report == _suite_reference(300, 3, max_depth=4)
+    assert report["upper_violations"] == 300 * 5
+    recorded = report["first_upper_violation"]
+    K = np.array(recorded["K_columns"]).T
+    levels = attention_levels(np.array(recorded["q"]), K, recorded["level"])
+    assert np.linalg.norm(levels, axis=1)[-1] == recorded["output_norm"]
+    assert np.linalg.norm(K, axis=0).max() == recorded["max_key_norm"]
 
 
 def test_norm_bound_suite_deterministic_and_validated():

@@ -1,8 +1,12 @@
+import functools
 import importlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamattn import autodiff as ad
 from hamattn.autodiff import Variable, check_gradients
@@ -442,3 +446,109 @@ def test_checkpoint_rejects_bad_config_and_nonfinite_tensors(tmp_path):
         corrupt(edit)
         with pytest.raises(DomainError, match=name):
             load_checkpoint(path)
+
+
+def test_checkpoint_rejects_malformed_params(tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(_model(seed=16), path)
+    good = json.loads(path.read_text())
+
+    def write(edit):
+        payload = json.loads(json.dumps(good))
+        edit(payload)
+        path.write_text(json.dumps(payload))
+
+    cases = [
+        (DomainError, "params", lambda p: p.pop("params")),
+        (DomainError, "w_out", lambda p: p["params"]["w_out"].pop("data")),
+        (DomainError, "dec.bz", lambda p: p["params"].update({"dec.bz": [0.0] * 4})),
+        (DimensionError, "embedding", lambda p: p["params"]["embedding"].update(shape=[8, 5])),
+        (DimensionError, "enc_fwd.uz", lambda p: p["params"]["enc_fwd.uz"]["data"].pop()),
+        (DomainError, "ham_c", lambda p: p["params"]["ham_c"].update(data="0.0 0.0")),
+        (DomainError, "enc_bwd.wr", lambda p: p["params"]["enc_bwd.wr"].update(data=[[0.0] * 4] * 4)),
+        (DomainError, "dec.uh", lambda p: p["params"]["dec.uh"]["data"].__setitem__(1, "0.5")),
+        (DomainError, "dec.bh", lambda p: p["params"]["dec.bh"]["data"].__setitem__(0, 10**400)),
+    ]
+    for error, name, edit in cases:
+        write(edit)
+        with pytest.raises(error, match=name):
+            load_checkpoint(path)
+    path.write_text(json.dumps([good]))
+    with pytest.raises(DomainError, match="hamattn-checkpoint"):
+        load_checkpoint(path)
+
+
+def _mutations():
+    """One edit of a checkpoint's JSON tree: a path into it, then an action there."""
+    values = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-2, 40),
+        st.sampled_from([10**400, -(10**400), 2**63]),
+        st.floats(),
+        st.text(max_size=3),
+        st.lists(st.floats(-1, 1), max_size=4),
+        st.dictionaries(st.sampled_from(["shape", "data", "x"]), st.integers(0, 4), max_size=2),
+    )
+    # most edits land under params, where the tensors are
+    start = st.sampled_from([[], ["config"], ["params"], ["params"], ["params"]])
+    steps = st.lists(st.integers(0, 2**16), min_size=1, max_size=3)
+    return st.tuples(
+        st.tuples(start, steps).map(lambda t: t[0] + t[1]),
+        st.sampled_from(["replace", "delete", "add", "truncate", "append"]),
+        values,
+    )
+
+
+def _mutate(node, path, action, value):
+    """Walk ``path`` from the payload object and apply the edit there.
+
+    Integer steps pick an entry modulo the container's size, string steps a
+    dict key that is still there; the first step always finds a top-level key.
+    """
+    parent, key = None, None
+    for step in path:
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        if isinstance(step, str):
+            if not isinstance(node, dict) or step not in node:
+                continue
+            parent, key = node, step
+        else:
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, keys[step % len(keys)]
+        node = node[key]
+    if action == "delete" and isinstance(parent, dict):
+        del parent[key]
+    elif action == "add" and isinstance(parent, dict):
+        parent[f"extra_{len(path)}"] = value
+    elif action == "truncate" and isinstance(node, list):
+        del node[len(node) // 2:]
+    elif action == "append" and isinstance(node, list):
+        node.append(value)
+    else:
+        parent[key] = value
+
+
+@functools.cache
+def _fuzz_checkpoint() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_checkpoint(_model(vocab=5, hidden=2, depth=2, seed=17), path)
+        return path.read_text()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(edits=st.lists(_mutations(), min_size=1, max_size=3))
+def test_fuzzed_checkpoint_raises_only_domain_errors(edits):
+    """Any edit of a checkpoint's keys, types, shapes or data loads or names the fault."""
+    payload = json.loads(_fuzz_checkpoint())
+    for path, action, value in edits:
+        _mutate(payload, path, action, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(payload))
+        try:
+            load_checkpoint(path)
+        except (DomainError, DimensionError):
+            pass
