@@ -8,8 +8,11 @@ per row. Values coincide with keys except in ``sdp_attention``, which keeps
 a separate V so multi-head projections can use it. The compatibility
 function is the scaled dot product <k,q>/sqrt(dk) throughout.
 
-All functions are pure and operate on plain float64 arrays; the
-differentiable counterparts used in training live in :mod:`hamattn.ham`.
+``level_forward`` is the one level recursion. The training connector
+(``ham.ham_v_levels``) runs it, and so do ``attention_levels``,
+``vanilla_attention`` and ``attention_distribution`` once ``_rows`` has
+checked their shapes and copied the keys to its row layout.
+``self_attention_levels`` is the one self-attention recursion.
 """
 
 from dataclasses import dataclass
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .tensor import softmax_vec
 from . import kernels
 
 
@@ -42,17 +44,6 @@ class KeySequence:
     @property
     def n(self) -> int:
         return self.K.shape[1]
-
-
-def _keys(K) -> np.ndarray:
-    if isinstance(K, KeySequence):
-        return K.K
-    K = np.asarray(K, dtype=np.float64)
-    if K.ndim != 2:
-        raise DimensionError(f"keys must form a dk x n matrix, got shape {K.shape}")
-    if K.size == 0:
-        raise DomainError("empty key sequence")
-    return K
 
 
 @dataclass(frozen=True)
@@ -111,32 +102,23 @@ def scaled_dot_score(k, q, dk: int | None = None) -> float:
     return float(k @ q / np.sqrt(dk))
 
 
-def attention_distribution(K, q) -> np.ndarray:
-    """Softmax over the n scaled-dot scores of q against the key columns."""
-    K = _keys(K)
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (K.shape[0],):
-        raise DimensionError(f"query shape {q.shape} does not match keys {K.shape}")
-    return softmax_vec(K.T @ q / np.sqrt(K.shape[0]))
+def level_forward(keys, q0, depth: int):
+    """The level recursion of every ham_v path: ``keys`` [B, n, dk] (C-contiguous), ``q0`` [B, dk].
+
+    Returns ``(queries, probs)``; ``queries[1:]`` are the level outputs and ``probs[t]`` level
+    t+1's weights. Each instance of a batch gets the bits of its own call."""
+    inv = float(1.0 / np.sqrt(keys.shape[2]))
+    queries, probs = [q0], []
+    for _ in range(depth):
+        p = kernels.softmax_rows(np.einsum("bth,bh->bt", keys, queries[-1]) * inv)
+        probs.append(p)
+        queries.append(np.einsum("bth,bt->bh", keys, p))
+    return queries, probs
 
 
-def vanilla_attention(q, K) -> np.ndarray:
-    """Convex combination of key columns weighted by the attention distribution."""
-    K = _keys(K)
-    return K @ attention_distribution(K, q)
-
-
-def attention_levels(q, K, depth: int) -> np.ndarray:
-    """Iterated attention outputs q_1..q_depth, each the next level's query.
-
-    ``q`` is [..., dk] and ``K`` is [..., dk, n] with the same leading batch
-    axes (none for a single instance). Returns a [..., depth, dk] array; row
-    t-1 is the level-t output. Scores and combine are stacked ``np.matmul``
-    calls, one BLAS gemv per instance, and the softmax runs row by row, so
-    every instance of a batch gets the bits of its own unbatched call.
-    """
-    if depth < 1:
-        raise DomainError(f"depth must be >= 1, got {depth}")
+def _rows(q, K):
+    """Check q [..., dk] against K [..., dk, n]; return ``level_forward``'s ``(keys, q0)``,
+    the keys copied to C-contiguous rows (a strided view would round differently)."""
     K = K.K if isinstance(K, KeySequence) else np.asarray(K, dtype=np.float64)
     if K.ndim < 2:
         raise DimensionError(f"keys must form a [..., dk, n] array, got shape {K.shape}")
@@ -146,21 +128,37 @@ def attention_levels(q, K, depth: int) -> np.ndarray:
     if q.shape != K.shape[:-1]:
         raise DimensionError(f"query shape {q.shape} does not match keys {K.shape}")
     dk, n = K.shape[-2:]
-    Kt = np.swapaxes(K, -1, -2)
-    scale = np.sqrt(dk)
-    out = np.empty((*q.shape[:-1], depth, dk))
-    cur = q
-    for t in range(depth):
-        scores = np.matmul(Kt, cur[..., None])[..., 0] / scale
-        p = kernels.softmax_rows(scores.reshape(-1, n)).reshape(scores.shape)
-        cur = np.matmul(K, p[..., None])[..., 0]
-        out[..., t, :] = cur
-    return out
+    return np.ascontiguousarray(np.swapaxes(K, -1, -2)).reshape(-1, n, dk), q.reshape(-1, dk)
+
+
+def attention_distribution(K, q) -> np.ndarray:
+    """Softmax over the n scaled-dot scores of q [..., dk] against the key columns of K."""
+    keys, q0 = _rows(q, K)
+    return level_forward(keys, q0, 1)[1][0].reshape(*np.shape(q)[:-1], keys.shape[1])
+
+
+def vanilla_attention(q, K) -> np.ndarray:
+    """Convex combination of key columns weighted by the attention distribution."""
+    keys, q0 = _rows(q, K)
+    return level_forward(keys, q0, 1)[0][1].reshape(np.shape(q))
+
+
+def attention_levels(q, K, depth: int) -> np.ndarray:
+    """Iterated attention outputs q_1..q_depth, each the next level's query.
+
+    ``q`` is [..., dk] and ``K`` [..., dk, n], with or without batch axes;
+    returns [..., depth, dk], row t-1 being the level-t output.
+    """
+    if depth < 1:
+        raise DomainError(f"depth must be >= 1, got {depth}")
+    keys, q0 = _rows(q, K)
+    levels = np.stack(level_forward(keys, q0, depth)[0][1:], axis=1)
+    return levels.reshape(*np.shape(q)[:-1], depth, keys.shape[2])
 
 
 def multi_level_attention(q, K, depth: int) -> np.ndarray:
     """Feed each attention output back as the next query; return level ``depth``."""
-    return attention_levels(q, K, depth)[-1]
+    return attention_levels(q, K, depth)[..., -1, :]
 
 
 def sdp_attention(Q, K, V) -> np.ndarray:
@@ -200,9 +198,12 @@ def multi_head(Q, K, V, params: MultiHeadParams) -> np.ndarray:
 
 def self_attention_layer(X) -> np.ndarray:
     """Every token attends over the whole sequence: sdp_attention(X, X, X)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionError(f"self attention expects a [n, dk] matrix, got {X.shape}")
-    if X.shape[0] == 0:
-        raise DomainError("empty input sequence")
     return sdp_attention(X, X, X)
+
+
+def self_attention_levels(X, depth: int) -> list:
+    """The ``depth`` consecutive self-attention results of the sequence X."""
+    levels = [X]
+    for _ in range(depth):
+        levels.append(self_attention_layer(levels[-1]))
+    return levels[1:]

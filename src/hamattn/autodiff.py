@@ -21,6 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionError, DomainError
+from .tensor import level_sum
 
 
 class Variable:
@@ -391,10 +392,7 @@ def weighted_sum(xs: Sequence, w) -> Variable:
         raise DomainError("weighted_sum of an empty sequence")
     for x in xs[1:]:
         _same_shape(xs[0], x, "weighted_sum")
-    acc = np.zeros_like(xs[0].value)
-    for wi, x in zip(w.value, xs):
-        acc += wi * x.value
-    out = Variable(acc)
+    out = Variable(level_sum([x.value for x in xs], w.value))
 
     def vjp(g):
         gw = np.array([np.sum(g * x.value) for x in xs])

@@ -18,6 +18,12 @@ NUM_RESERVED = 3
 
 TASKS = ("copy", "reverse", "sort")
 
+# Largest vocabulary and sequence length a user may give (corpus header,
+# gendata, sweep). The model's two vocab x hidden matrices take 512 MiB at
+# MAX_VOCAB and MAX_HIDDEN; far beyond, numpy would refuse with a traceback.
+MAX_VOCAB = 65_536
+MAX_SEQ_LEN = 4_096
+
 
 def read_text(path) -> str:
     """The UTF-8 text of a file a user named.
@@ -85,10 +91,10 @@ def gen_task(task: str, n_pairs: int, seq_len: int, payload_vocab: int, seed: in
     """
     if task not in TASKS:
         raise DomainError(f"unknown task {task!r}, expected one of {TASKS}")
-    if payload_vocab < 2:
-        raise DomainError(f"payload_vocab must be >= 2, got {payload_vocab}")
-    if seq_len < 1:
-        raise DomainError(f"sequence length must be >= 1, got {seq_len}")
+    if not 2 <= payload_vocab <= MAX_VOCAB - NUM_RESERVED:
+        raise DomainError(f"payload_vocab must lie in [2, {MAX_VOCAB - NUM_RESERVED}], got {payload_vocab}")
+    if not 1 <= seq_len <= MAX_SEQ_LEN:
+        raise DomainError(f"seq_len must lie in [1, {MAX_SEQ_LEN}], got {seq_len}")
     if n_pairs < 1:
         raise DomainError(f"pair count must be >= 1, got {n_pairs}")
     rng = np.random.default_rng(seed)
@@ -136,8 +142,10 @@ def load_corpus(path, strict: bool = True) -> Corpus:
     if not isinstance(header, dict) or "vocab" not in header:
         raise CorpusError("line 1: header must be an object with a 'vocab' key")
     vocab = header["vocab"]
-    if not isinstance(vocab, int) or vocab < NUM_RESERVED:
-        raise CorpusError(f"line 1: vocab must be an integer >= {NUM_RESERVED}, got {vocab!r}")
+    if not isinstance(vocab, int) or not NUM_RESERVED <= vocab <= MAX_VOCAB:
+        raise CorpusError(
+            f"line 1: vocab must be an integer in [{NUM_RESERVED}, {MAX_VOCAB}], got {vocab!r}"
+        )
     task = header.get("task", "file")
     pairs = []
     for line_no, raw in enumerate(lines[1:], start=2):

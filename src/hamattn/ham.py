@@ -7,18 +7,18 @@ The level weights are the softmax of d trainable scalars, so the one-hot
 limits recover plain vanilla attention (weight on level 1) and plain
 multi-level attention (weight on level d).
 
-Each operation has a plain-numpy forward (fast path for the randomized bound
-suites) and one taped form. ``ham_s_vars`` takes one [n, dk] sequence and is
-built from autodiff primitives. The seq2seq connector, batched over
-examples, is written once as a plain-numpy pair: ``ham_v_levels`` keeps each
-level's query and attention weights, and ``ham_v_levels_vjp`` replays the
-levels in reverse with the primitives' exact arithmetic. ``ham_v_context``
-wraps the pair as one tape op, and the model's fused decoder calls the pair
-once per step. The vjp returns the 2d contributions to the keys' gradient
-separately, in the unfused chain's order: ``ham_v_context`` lists ``enc`` 2d
-times among its inputs so that Tape.backward adds them one at a time, which
-gives the same bits as the chain of 4d+2 entries; summing them into one array
-first would round differently. Tests cover the equivalence of the paths.
+The levels come from ``attention.level_forward`` (ham_v) and
+``attention.self_attention_levels`` (ham_s); every weighted sum of them is
+``tensor.level_sum``, so training, generate and the verify suites share one
+arithmetic. The batched seq2seq connector is the pair ``ham_v_levels`` and
+``ham_v_levels_vjp``, which replays the levels in reverse with the
+primitives' exact arithmetic; ``ham_v_context`` wraps it as one tape op and
+the model's fused decoder calls it once per step. The vjp returns the 2d
+contributions to the keys' gradient separately, in the unfused chain's
+order: ``ham_v_context`` lists ``enc`` 2d times among its inputs so that
+Tape.backward adds them one at a time, which gives the same bits as the
+chain of 4d+2 entries. ``ham_s_vars`` is a taped ham_s built from autodiff
+primitives, for the gradient checks.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -27,11 +27,15 @@ import numpy as np
 
 from . import autodiff as ad
 from . import kernels
-from .attention import attention_levels, self_attention_layer, vanilla_attention
+from .attention import attention_levels, level_forward, self_attention_levels, vanilla_attention
 from .errors import DimensionError, DomainError
-from .tensor import l2_norm, softmax_vec
+from .tensor import l2_norm, level_sum, softmax_vec
 
 BOUND_TOL = 1e-9
+# Largest depth (a model's, verify --max-depth) and trial count a user may ask for;
+# defaults use depth 5 and 10 x 10,000, and far beyond numpy would refuse the arrays.
+MAX_DEPTH = 64
+MAX_TRIALS = 1_000_000
 
 
 @dataclass
@@ -59,19 +63,12 @@ class HamWeights:
 def ham_v(q, K, w: HamWeights) -> np.ndarray:
     """Weighted sum of the d iterated vanilla-attention outputs of q against K."""
     levels = attention_levels(q, K, w.d)
-    return levels.T @ w.level_weights()
+    return level_sum(np.moveaxis(levels, -2, 0), w.level_weights())
 
 
 def ham_s(X, w: HamWeights) -> np.ndarray:
     """Weighted sum of d consecutive self-attention results of the sequence X."""
-    X = np.asarray(X, dtype=np.float64)
-    alpha = w.level_weights()
-    acc = np.zeros_like(X)
-    cur = X
-    for t in range(w.d):
-        cur = self_attention_layer(cur)
-        acc += alpha[t] * cur
-    return acc
+    return level_sum(self_attention_levels(X, w.d), w.level_weights())
 
 
 # ---------------------------------------------------------------------------
@@ -94,25 +91,14 @@ def ham_s_vars(X, c) -> ad.Variable:
 
 
 def ham_v_levels(keys, q0, pc):
-    """Plain-numpy forward of the batched ham_v connector.
+    """Plain-numpy forward of the batched ham_v connector: ``keys`` [B,T,H]
+    (C-contiguous), ``q0`` [B,H] and the [1, d] level-weight row ``pc``.
 
-    ``keys`` is [B,T,H] (C-contiguous), ``q0`` is [B,H] and ``pc`` is the
-    [1, d] level-weight row softmax(c). Returns ``(context, queries, probs)``:
-    ``queries[i]`` feeds level i+1, so ``queries[1:]`` are the level outputs,
-    and ``probs[i]`` are level i+1's attention weights. The arithmetic is that
-    of the primitive chain attend_scores -> scale -> softmax -> attend_combine
-    per level, then weighted_sum.
+    Returns ``(context, queries, probs)`` with the arithmetic of the primitive
+    chain attend_scores -> scale -> softmax -> attend_combine, then weighted_sum.
     """
-    inv = float(1.0 / np.sqrt(keys.shape[2]))
-    queries, probs = [q0], []
-    for _ in range(pc.shape[1]):
-        p = kernels.softmax_rows(np.einsum("bth,bh->bt", keys, queries[-1]) * inv)
-        probs.append(p)
-        queries.append(np.einsum("bth,bt->bh", keys, p))
-    context = np.zeros_like(queries[1])
-    for wi, x in zip(pc[0], queries[1:]):
-        context += wi * x
-    return context, queries, probs
+    queries, probs = level_forward(keys, q0, pc.shape[1])
+    return level_sum(queries[1:], pc[0]), queries, probs
 
 
 def ham_v_levels_vjp(g, keys, queries, probs, pc):
@@ -235,8 +221,10 @@ def norm_bound_suite(
     one group's instances are held at a time, and "first" violation means
     first in this order.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise DomainError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
+    if not 1 <= max_depth <= MAX_DEPTH:
+        raise DomainError(f"max_depth must lie in [1, {MAX_DEPTH}], got {max_depth}")
     rng = np.random.default_rng(seed)
     dks = rng.integers(dk_range[0], dk_range[1] + 1, size=trials)
     ns = rng.integers(n_range[0], n_range[1] + 1, size=trials)
@@ -253,7 +241,7 @@ def norm_bound_suite(
         hi, lo = key_norms.max(axis=1), key_norms.min(axis=1)
         levels = attention_levels(q, K, max_depth)
         norms = np.linalg.norm(levels, axis=2)
-        ham_norms = np.linalg.norm(np.matmul(alpha[:, None, :], levels)[:, 0], axis=1)
+        ham_norms = np.linalg.norm(level_sum(np.moveaxis(levels, 1, 0), alpha.T[..., None]), axis=1)
         lower_violations += int(np.sum(norms < lo[:, None] - BOUND_TOL))
         bad = norms > hi[:, None] + BOUND_TOL
         upper_violations += int(np.sum(bad)) + int(np.sum(ham_norms > hi + BOUND_TOL))
@@ -284,12 +272,14 @@ def reduction_report(instances: int, seed: int = 0, hot: float = 20.0) -> dict:
     With the level-t scalar at ``hot`` and the rest at zero the output must
     match the plain level-t attention result; with d=1 the match is exact up
     to float rounding. Depths are capped at 6 and entries at 2 so the softmax
-    tail (d-1)*e^-hot stays well under the 1e-7 check threshold.
+    tail (d-1)*e^-hot stays well under the 1e-7 check threshold. Each
+    recursion runs once per instance; ham_v and ham_s are level_sum of it.
     """
     if instances < 1:
         raise DomainError(f"instances must be >= 1, got {instances}")
     rng = np.random.default_rng(seed)
-    v_onehot = v_d1 = s_onehot = s_d1 = 0.0
+    one = HamWeights(1).level_weights()
+    worst = {}
     for _ in range(instances):
         dk = int(rng.integers(2, 9))
         n = int(rng.integers(1, 9))
@@ -301,23 +291,14 @@ def reduction_report(instances: int, seed: int = 0, hot: float = 20.0) -> dict:
 
         c = np.zeros(d)
         c[t] = hot
-        levels = attention_levels(q, K, d)
-        v_onehot = max(v_onehot, float(np.max(np.abs(ham_v(q, K, HamWeights(d, c)) - levels[t]))))
-        v_d1 = max(v_d1, float(np.max(np.abs(ham_v(q, K, HamWeights(1)) - levels[0]))))
-
-        cur = X
-        s_levels = []
-        for _ in range(d):
-            cur = self_attention_layer(cur)
-            s_levels.append(cur)
-        s_onehot = max(s_onehot, float(np.max(np.abs(ham_s(X, HamWeights(d, c)) - s_levels[t]))))
-        s_d1 = max(s_d1, float(np.max(np.abs(ham_s(X, HamWeights(1)) - s_levels[0]))))
-    return {
-        "instances": instances,
-        "seed": seed,
-        "hot": hot,
-        "ham_v_onehot_max_err": v_onehot,
-        "ham_v_d1_max_err": v_d1,
-        "ham_s_onehot_max_err": s_onehot,
-        "ham_s_d1_max_err": s_d1,
-    }
+        alpha = HamWeights(d, c).level_weights()
+        v_levels = attention_levels(q, K, d)
+        s_levels = self_attention_levels(X, d)
+        for key, out, want in (
+            ("ham_v_onehot_max_err", level_sum(v_levels, alpha), v_levels[t]),
+            ("ham_v_d1_max_err", level_sum(v_levels[:1], one), v_levels[0]),
+            ("ham_s_onehot_max_err", level_sum(s_levels, alpha), s_levels[t]),
+            ("ham_s_d1_max_err", level_sum(s_levels[:1], one), s_levels[0]),
+        ):
+            worst[key] = max(worst.get(key, 0.0), float(np.max(np.abs(out - want))))
+    return {"instances": instances, "seed": seed, "hot": hot, **worst}

@@ -34,9 +34,9 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import Variable
-from .data import BOS, EOS, NUM_RESERVED, read_text
+from .data import BOS, EOS, MAX_VOCAB, NUM_RESERVED, read_text
 from .errors import DimensionError, DomainError
-from .ham import ham_v_context, ham_v_levels, ham_v_levels_vjp
+from .ham import MAX_DEPTH, ham_v_context, ham_v_levels, ham_v_levels_vjp
 
 INIT_SCALE = 0.1
 
@@ -59,14 +59,14 @@ class ModelConfig:
     bidirectional: bool = True
 
     def __post_init__(self):
-        if self.vocab_size <= NUM_RESERVED:
+        if not NUM_RESERVED < self.vocab_size <= MAX_VOCAB:
             raise DomainError(
-                f"vocab size must exceed the {NUM_RESERVED} reserved ids, got {self.vocab_size}"
+                f"vocab size must lie in [{NUM_RESERVED + 1}, {MAX_VOCAB}], got {self.vocab_size}"
             )
         if not 1 <= self.hidden <= MAX_HIDDEN:
             raise DomainError(f"hidden size must lie in [1, {MAX_HIDDEN}], got {self.hidden}")
-        if self.ham_depth < 1:
-            raise DomainError(f"attention depth must be >= 1, got {self.ham_depth}")
+        if not 1 <= self.ham_depth <= MAX_DEPTH:
+            raise DomainError(f"attention depth must lie in [1, {MAX_DEPTH}], got {self.ham_depth}")
 
 
 class GRUParams:

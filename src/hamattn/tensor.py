@@ -33,3 +33,12 @@ def l2_norm(x) -> float:
     """Euclidean norm sqrt(sum x_i^2) of a tensor of any shape."""
     x = np.asarray(x, dtype=np.float64)
     return float(np.sqrt(np.sum(x * x)))
+
+
+def level_sum(levels, weights) -> np.ndarray:
+    """sum_i weights[i] * levels[i], added one level at a time in level order; every
+    weighted level sum in the package is this loop, so they all round alike."""
+    acc = np.zeros_like(levels[0])
+    for wi, x in zip(weights, levels):
+        acc += wi * x
+    return acc

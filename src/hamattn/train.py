@@ -27,6 +27,7 @@ from .autodiff import Tape
 from .data import Corpus
 from .errors import DomainError, TrainingDiverged
 from .evaluate import exact_match_rate
+from .ham import MAX_DEPTH
 from .model import ModelConfig, Seq2SeqModel, generate, sequence_loss
 
 SWEEP_CSV_HEADER = "depth,seed,final_loss,metric,wall_time_s"
@@ -219,10 +220,12 @@ def depth_sweep(
     if (
         not isinstance(depths, (list, tuple))
         or not depths
-        or any(type(d) is not int or d < 1 for d in depths)
+        or any(type(d) is not int or not 1 <= d <= MAX_DEPTH for d in depths)
         or list(depths) != sorted(depths)
     ):
-        raise DomainError(f"depths must be a non-empty ascending list of positive integers, got {depths!r}")
+        raise DomainError(
+            f"depths must be a non-empty ascending list of integers in [1, {MAX_DEPTH}], got {depths!r}"
+        )
     depths = list(depths)
     if null and depths[0] != 1:
         raise DomainError(f"a null sweep starts at depth 1, got {depths}")

@@ -166,6 +166,31 @@ def test_multi_level_base_and_composition():
     )
 
 
+def test_multi_level_batched_matches_per_instance():
+    rng = np.random.default_rng(8)
+    q = rng.uniform(-2, 2, (4, 3))
+    K = rng.uniform(-2, 2, (4, 3, 5))
+    got = multi_level_attention(q, K, 2)
+    assert got.shape == (4, 3)
+    for i in range(4):
+        np.testing.assert_array_equal(got[i], multi_level_attention(q[i], K[i], 2))
+
+
+def test_vanilla_and_distribution_batched_shapes_match_per_instance():
+    rng = np.random.default_rng(9)
+    q = rng.uniform(-3, 3, (3, 4, 5))
+    K = rng.uniform(-3, 3, (3, 4, 5, 7))
+    out, p = vanilla_attention(q, K), attention_distribution(K, q)
+    assert out.shape == (3, 4, 5) and p.shape == (3, 4, 7)
+    for idx in np.ndindex(3, 4):
+        np.testing.assert_array_equal(out[idx], vanilla_attention(q[idx], K[idx]))
+        np.testing.assert_array_equal(p[idx], attention_distribution(K[idx], q[idx]))
+    with pytest.raises(DimensionError):
+        vanilla_attention(q[0], K)
+    with pytest.raises(DimensionError):
+        attention_distribution(K, q[..., :4])
+
+
 def test_multi_level_fixed_point_and_depth_validation():
     v = np.array([0.5, -1.0])
     K = np.tile(v[:, None], (1, 3))
@@ -176,7 +201,20 @@ def test_multi_level_fixed_point_and_depth_validation():
 
 
 def _levels_loop(q, K, depth):
-    """The single-instance form: one vanilla attention call per level."""
+    """One instance with the connector's arithmetic: the keys as C-contiguous
+    rows, einsum scores times 1/sqrt(dk), softmax, einsum combine."""
+    keys = np.ascontiguousarray(K.T)
+    inv = float(1.0 / np.sqrt(K.shape[0]))
+    out = np.empty((depth, K.shape[0]))
+    cur = q
+    for t in range(depth):
+        cur = np.einsum("th,t->h", keys, softmax_vec(np.einsum("th,h->t", keys, cur) * inv))
+        out[t] = cur
+    return out
+
+
+def _levels_matmul(q, K, depth):
+    """The textbook form: one K @ softmax(K^T q / sqrt(dk)) per level."""
     out = np.empty((depth, K.shape[0]))
     cur = q
     for t in range(depth):
@@ -204,6 +242,7 @@ def test_attention_levels_batch_matches_single_instance_loop_bitwise(batch):
         assert got.shape == (*batch, depth, K.shape[-2])
         for idx in np.ndindex(*batch):
             np.testing.assert_array_equal(got[idx], _levels_loop(q[idx], K[idx], depth))
+            np.testing.assert_allclose(got[idx], _levels_matmul(q[idx], K[idx], depth), atol=1e-12)
 
 
 def test_attention_levels_shape_errors():

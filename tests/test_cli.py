@@ -291,6 +291,37 @@ def test_unreadable_inputs_exit_cleanly(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_oversized_sizes_exit_2_naming_the_field(tmp_path, capsys):
+    """Sizes far past their caps exit 2 before numpy sees them."""
+    out = tmp_path / "out"
+    corpus_path = tmp_path / "task.jsonl"
+    save_corpus(gen_task("copy", 4, 3, 5, seed=0), corpus_path)
+    big_vocab = tmp_path / "big_vocab.jsonl"
+    lines = corpus_path.read_text().splitlines(keepends=True)
+    big_vocab.write_text(json.dumps({"vocab": 10**30, "task": "copy"}) + "\n" + "".join(lines[1:]))
+    gendata = ["gendata", "--task", "copy", "--pairs", "2", "--out", str(out)]
+    for argv, name in (
+        (["train", "--corpus", str(big_vocab), "--out", str(out)], "vocab"),
+        (["train", "--corpus", str(corpus_path), "--out", str(out), "--depth", str(10**30)], "depth"),
+        ([*gendata, "--seq-len", str(10**30)], "seq_len"),
+        ([*gendata, "--payload-vocab", str(10**29)], "payload_vocab"),
+        (["verify", "--max-depth", str(10**30)], "max_depth"),
+        (["verify", "--trials", str(10**30)], "trials"),
+    ):
+        assert run(argv) == 2, argv
+        _one_line_error(capsys, name)
+        assert not out.exists()
+
+
+def test_verify_report_matches_committed_golden(tmp_path, capsys):
+    """A small verify report, byte for byte: it moves with any change to the
+    attention arithmetic. Regenerate it with the command this test runs and
+    record the move in CHANGES.md."""
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--trials", "500", "--reduction-instances", "100", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "verify_small.json").read_bytes()
+
+
 def test_out_that_is_a_file_is_rejected_before_training(tmp_path, capsys, monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("training started")

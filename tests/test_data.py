@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hamattn.data import (
     BOS,
     EOS,
+    MAX_SEQ_LEN,
+    MAX_VOCAB,
     NUM_RESERVED,
     PAD,
     Corpus,
@@ -56,6 +58,22 @@ def test_gen_task_validation():
         gen_task("copy", 10, 5, 1, 0)
     with pytest.raises(DomainError):
         gen_task("copy", 0, 5, 8, 0)
+
+
+def test_sizes_capped_before_allocating(tmp_path):
+    corpus = gen_task("copy", 1, MAX_SEQ_LEN, MAX_VOCAB - NUM_RESERVED, 0)
+    assert corpus.vocab_size == MAX_VOCAB and len(corpus.pairs[0][0]) == MAX_SEQ_LEN
+    for seq_len in (MAX_SEQ_LEN + 1, 10**30):
+        with pytest.raises(DomainError, match="seq_len"):
+            gen_task("copy", 2, seq_len, 8, 0)
+    for payload_vocab in (MAX_VOCAB - NUM_RESERVED + 1, 10**29):
+        with pytest.raises(DomainError, match="payload_vocab"):
+            gen_task("copy", 2, 6, payload_vocab, 0)
+    path = tmp_path / "big.jsonl"
+    for vocab in (MAX_VOCAB + 1, 10**30):
+        path.write_text(json.dumps({"vocab": vocab}) + '\n{"src": [3], "tgt": [3]}\n')
+        with pytest.raises(CorpusError, match="vocab"):
+            load_corpus(path)
 
 
 def test_roundtrip_identity(tmp_path):

@@ -14,7 +14,10 @@ from hamattn.ham import (
     ham_s,
     ham_s_vars,
     ham_v,
+    MAX_DEPTH,
+    MAX_TRIALS,
     ham_v_context,
+    ham_v_levels,
     reduction_report,
     norm_bound_suite,
 )
@@ -302,3 +305,58 @@ def test_reduction_report_thresholds():
     assert rep["ham_s_onehot_max_err"] < 1e-7
     assert rep["ham_v_d1_max_err"] <= 1e-12
     assert rep["ham_s_d1_max_err"] <= 1e-12
+
+
+@pytest.mark.parametrize("batch", [(), (6,), (2, 3)])
+def test_attention_levels_is_the_connector_forward_bitwise(batch):
+    rng = np.random.default_rng(11 + len(batch))
+    for dk, n, d in ((1, 4, 3), (5, 1, 2), (7, 9, 6), (16, 6, 1)):
+        K = rng.uniform(-3, 3, (*batch, dk, n))
+        q = rng.uniform(-3, 3, (*batch, dk))
+        pc = softmax_vec(rng.uniform(-1, 1, d)).reshape(1, -1)
+        keys = np.ascontiguousarray(np.swapaxes(K, -1, -2)).reshape(-1, n, dk)
+        _, queries, _ = ham_v_levels(keys, q.reshape(-1, dk), pc)
+        want = np.stack(queries[1:], axis=1).reshape(*batch, d, dk)
+        np.testing.assert_array_equal(attention_levels(q, K, d), want)
+
+
+def _reduction_reference(instances, seed, hot=20.0):
+    """reduction_report's draws, checked through the public ham_v and ham_s."""
+    rng = np.random.default_rng(seed)
+    worst = {}
+    for _ in range(instances):
+        dk, n = int(rng.integers(2, 9)), int(rng.integers(1, 9))
+        d = int(rng.integers(2, 7))
+        t = int(rng.integers(0, d))
+        K = rng.uniform(-2.0, 2.0, size=(dk, n))
+        q = rng.uniform(-2.0, 2.0, size=dk)
+        X = rng.uniform(-2.0, 2.0, size=(n, dk))
+        c = np.zeros(d)
+        c[t] = hot
+        levels = attention_levels(q, K, d)
+        s_levels = [X]
+        for _ in range(d):
+            s_levels.append(self_attention_layer(s_levels[-1]))
+        for key, got, want in (
+            ("ham_v_onehot_max_err", ham_v(q, K, HamWeights(d, c)), levels[t]),
+            ("ham_v_d1_max_err", ham_v(q, K, HamWeights(1)), levels[0]),
+            ("ham_s_onehot_max_err", ham_s(X, HamWeights(d, c)), s_levels[t + 1]),
+            ("ham_s_d1_max_err", ham_s(X, HamWeights(1)), s_levels[1]),
+        ):
+            worst[key] = max(worst.get(key, 0.0), float(np.max(np.abs(got - want))))
+    return {"instances": instances, "seed": seed, "hot": hot, **worst}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reduction_report_matches_per_instance_ham_v_and_ham_s(seed):
+    assert reduction_report(150, seed=seed) == _reduction_reference(150, seed)
+
+
+def test_norm_bound_suite_caps_sizes_before_allocating():
+    assert norm_bound_suite(2, max_depth=MAX_DEPTH).max_depth == MAX_DEPTH
+    for max_depth in (0, MAX_DEPTH + 1, 10**30):
+        with pytest.raises(DomainError, match="max_depth"):
+            norm_bound_suite(2, max_depth=max_depth)
+    for trials in (MAX_TRIALS + 1, 10**30):
+        with pytest.raises(DomainError, match="trials"):
+            norm_bound_suite(trials)

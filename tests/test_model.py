@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from hamattn import autodiff as ad
 from hamattn.autodiff import Variable, check_gradients
-from hamattn.data import BOS, EOS, gen_task
+from hamattn.data import BOS, EOS, MAX_VOCAB, gen_task
+from hamattn.ham import MAX_DEPTH
 from hamattn.errors import DimensionError, DomainError
 from hamattn.kernels import sigmoid, sigmoid_vjp, tanh_vjp
 from hamattn.model import (
@@ -403,6 +404,16 @@ def test_config_caps_hidden_before_allocating():
     for hidden in (0, MAX_HIDDEN + 1, 99999999999):
         with pytest.raises(DomainError, match="hidden"):
             ModelConfig(8, hidden=hidden)
+
+
+def test_config_caps_vocab_and_depth_before_allocating():
+    ModelConfig(MAX_VOCAB, hidden=4, ham_depth=MAX_DEPTH)
+    for vocab in (3, MAX_VOCAB + 1, 10**30):
+        with pytest.raises(DomainError, match="vocab"):
+            ModelConfig(vocab)
+    for depth in (0, MAX_DEPTH + 1, 10**30):
+        with pytest.raises(DomainError, match="depth"):
+            ModelConfig(8, ham_depth=depth)
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
 import gc
+import importlib
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ from hamattn.train import (
     train,
     write_sweep_csv,
 )
+
+# the package re-exports the train() function under the module's name
+training_module = importlib.import_module("hamattn.train")
 
 
 def test_config_validation():
@@ -209,6 +213,16 @@ def test_depth_sweep_rejects_unsorted_depths():
         depth_sweep(corpus, corpus, [5, 1], cfg)
     with pytest.raises(DomainError):
         depth_sweep(corpus, corpus, [], cfg)
+
+
+def test_depth_sweep_caps_depths_before_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(training_module, "train", no_training)
+    corpus = gen_task("copy", 4, 3, 5, seed=0)
+    with pytest.raises(DomainError, match="depths"):
+        depth_sweep(corpus, corpus, [1, 10**30], TrainConfig(epochs=1, restarts=1))
 
 
 def test_cell_seed_fanout_rule():
