@@ -19,7 +19,7 @@ from .attention import (
     self_attention_layer,
     vanilla_attention,
 )
-from .autodiff import Tape, Variable, backward, check_gradients
+from .autodiff import Tape, Variable, check_gradients
 from .data import BOS, EOS, PAD, Corpus, gen_task, load_corpus, save_corpus
 from .errors import CorpusError, DimensionError, DomainError, TrainingDiverged
 from .evaluate import EvalReport, averaged_bleu, bleu2, exact_match_rate
@@ -59,7 +59,6 @@ __all__ = [
     "adam_step",
     "attention_distribution",
     "averaged_bleu",
-    "backward",
     "bleu2",
     "check_gradients",
     "depth_sweep",

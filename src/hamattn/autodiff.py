@@ -4,15 +4,15 @@ A :class:`Variable` wraps a float64 array together with an accumulated
 gradient of the same shape. While a :class:`Tape` is active (as a context
 manager), every primitive op appends one entry -- ``(inputs, output, vjp)``
 -- in execution order, so the entry list is already topologically sorted.
-``backward`` zeroes every touched gradient, seeds the scalar loss with 1 and
+``Tape.backward`` zeroes every touched gradient, seeds the scalar loss with 1 and
 replays the tape in reverse, accumulating input gradients additively (fan-out
 sums). With no tape active the same ops just compute values, which is how
 inference-mode code runs at full speed.
 
 A tape lives for one forward/backward pass and is then discarded; it must
-stay on a single thread. Every recorded output links back to its tape, so a
-tape and its outputs form a reference cycle that only Python's cyclic
-collector frees; ``Tape.release`` breaks it once the gradients are read.
+stay on a single thread. The tape points at its entries and nothing points
+back at the tape, so reference counting frees a finished tape, and the arrays
+its vjps saved, as soon as its last name goes.
 """
 
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -31,22 +31,17 @@ class Variable:
     until backward accumulates into it or someone reads ``.grad``.
     """
 
-    __slots__ = ("value", "_grad", "_tape")
+    __slots__ = ("value", "_grad")
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
         self._grad: Optional[np.ndarray] = None
-        self._tape: Optional["Tape"] = None
 
     @property
     def grad(self) -> np.ndarray:
         if self._grad is None:
             self._grad = np.zeros_like(self.value)
         return self._grad
-
-    @grad.setter
-    def grad(self, value) -> None:
-        self._grad = value
 
     @property
     def shape(self):
@@ -71,7 +66,6 @@ class Tape:
 
     def __init__(self):
         self.entries: list[TapeEntry] = []
-        self._released = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -83,15 +77,16 @@ class Tape:
         return False
 
     def backward(self, loss: Variable) -> None:
-        """Propagate d(loss)/d(node) to every variable this tape touched."""
+        """Propagate d(loss)/d(node) to every variable this tape touched.
+
+        ``loss`` must be a scalar that one of this tape's entries output.
+        """
         if loss.value.shape != ():
             raise DomainError(
                 f"backward needs a scalar loss, got shape {loss.value.shape}"
             )
-        if loss._tape is not self:
+        if not any(entry.output is loss for entry in reversed(self.entries)):
             raise DomainError("loss was not produced through this tape's ops")
-        if self._released:
-            raise DomainError("backward on a released tape; record a new one")
         # zero-init: None stands for an all-zero gradient
         for entry in self.entries:
             for v in (*entry.inputs, entry.output):
@@ -110,17 +105,6 @@ class Tape:
                 else:
                     v._grad += dv
 
-    def release(self) -> None:
-        """Drop the record, and with it the arrays the vjps saved.
-
-        The entries are freed at once instead of whenever the cyclic
-        collector next runs, so memory stays at one pass's worth however
-        many passes a loop makes. Gradients already accumulated stay; the
-        tape cannot run backward again.
-        """
-        self.entries.clear()
-        self._released = True
-
 
 _TAPE_STACK: list[Tape] = []
 
@@ -129,20 +113,10 @@ def _current_tape() -> Optional[Tape]:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def backward(loss: Variable) -> None:
-    """Run reverse accumulation from a scalar loss through the tape that made it."""
-    if not isinstance(loss, Variable):
-        raise DomainError("backward expects a Variable loss")
-    if loss._tape is None:
-        raise DomainError("loss was not produced through taped ops")
-    loss._tape.backward(loss)
-
-
 def _record(inputs: tuple, out: Variable, vjp) -> Variable:
     tape = _current_tape()
     if tape is not None:
         tape.entries.append(TapeEntry(inputs, out, vjp))
-        out._tape = tape
     return out
 
 
@@ -432,14 +406,19 @@ def cross_entropy_logits(logits, targets) -> Variable:
 # finite-difference checking
 
 
+# central-difference step: truncation error ~h^2 and float64 rounding ~1e-16/h
+# both stay near 1e-10
+FD_STEP = 1e-5
+
+
 class GradCheckResult(NamedTuple):
     max_rel_error: float
     worst_variable: int
     worst_coord: tuple
 
 
-def check_gradients(build_loss, variables, h: float = 1e-5) -> GradCheckResult:
-    """Compare reverse-mode against central finite differences.
+def check_gradients(build_loss, variables) -> GradCheckResult:
+    """Compare reverse-mode against central finite differences of step ``FD_STEP``.
 
     ``build_loss`` recomputes the scalar loss from the current values of
     ``variables`` (leaf Variables perturbed in place), so one call checks the
@@ -447,8 +426,6 @@ def check_gradients(build_loss, variables, h: float = 1e-5) -> GradCheckResult:
     the max over coordinates of |analytic - numeric| / max(1, |analytic|),
     plus which variable/coordinate attained it.
     """
-    if not 1e-7 <= h <= 1e-3:
-        raise DomainError(f"step size h must lie in [1e-7, 1e-3], got {h}")
     variables = list(variables)
     with Tape() as tape:
         loss = build_loss()
@@ -461,12 +438,12 @@ def check_gradients(build_loss, variables, h: float = 1e-5) -> GradCheckResult:
         for i in range(v.value.size):
             idx = np.unravel_index(i, v.value.shape)
             orig = v.value[idx]
-            v.value[idx] = orig + h
+            v.value[idx] = orig + FD_STEP
             fp = float(build_loss().value)
-            v.value[idx] = orig - h
+            v.value[idx] = orig - FD_STEP
             fm = float(build_loss().value)
             v.value[idx] = orig
-            numeric = (fp - fm) / (2.0 * h)
+            numeric = (fp - fm) / (2.0 * FD_STEP)
             rel = abs(a[idx] - numeric) / max(1.0, abs(a[idx]))
             if rel > max_rel:
                 max_rel = rel

@@ -2,7 +2,7 @@
 
 Everything here is deterministic given its seed, so reports can be diffed
 byte for byte. Gradient checks compare reverse-mode results against central
-finite differences (h = 1e-5) through a random linear functional of each
+finite differences (step ``FD_STEP``) through a random linear functional of each
 op's output, which exercises the full Jacobian rather than just its row sums.
 """
 
@@ -18,7 +18,7 @@ from .attention import (
 )
 from .autodiff import Variable, check_gradients
 from .errors import DomainError
-from .ham import ham_s_vars, ham_v_context, reduction_report, norm_bound_suite
+from .ham import MAX_REDUCTION_INSTANCES, ham_s_vars, ham_v_context, reduction_report, norm_bound_suite
 from .model import GRUParams, ModelConfig, Seq2SeqModel, gru_step, sequence_loss
 from .tensor import softmax_vec
 
@@ -27,13 +27,17 @@ END_TO_END_TOL = 1e-4
 REDUCTION_ONEHOT_TOL = 1e-7
 REDUCTION_D1_TOL = 1e-12
 PROPERTY_TOL = 1e-12
+PROPERTY_SAMPLES = 200  # random instances per property_report check
+# Largest gradcheck --instances: an instance takes about 0.35 s at scale "tiny"
+# and 0.75 s at "small", so the cap is 6-13 minutes; the default is 30.
+MAX_GRADCHECK_INSTANCES = 1_000
 
 
 # ---------------------------------------------------------------------------
 # verify: distribution / equivalence properties
 
 
-def property_report(samples: int = 200, seed: int = 0) -> dict:
+def property_report(seed: int = 0) -> dict:
     """Randomized softmax, distribution and degeneracy checks.
 
     Each entry records the worst deviation observed and the first failing
@@ -45,7 +49,7 @@ def property_report(samples: int = 200, seed: int = 0) -> dict:
     def run(name, tol, sampler):
         worst = 0.0
         failing = None
-        for _ in range(samples):
+        for _ in range(PROPERTY_SAMPLES):
             err, instance = sampler()
             if err > worst:
                 worst = err
@@ -125,12 +129,14 @@ def verify_report(
     seed: int = 0,
     max_depth: int = 10,
     reduction_instances: int = 1_000,
-    property_samples: int = 200,
 ) -> tuple[dict, bool]:
     """Assemble the full verification report; second value is overall pass."""
+    cap = MAX_REDUCTION_INSTANCES  # checked before any suite runs
+    if not 1 <= reduction_instances <= cap:
+        raise DomainError(f"reduction_instances must lie in [1, {cap}], got {reduction_instances}")
     bounds = norm_bound_suite(trials, seed=seed, max_depth=max_depth)
     red = reduction_report(reduction_instances, seed=seed + 1)
-    props = property_report(samples=property_samples, seed=seed + 2)
+    props = property_report(seed=seed + 2)
 
     reductions_pass = (
         red["ham_v_onehot_max_err"] < REDUCTION_ONEHOT_TOL
@@ -179,8 +185,8 @@ def gradcheck_table(scale: str = "tiny", seed: int = 0, instances: int = 30) -> 
     primitive, the hierarchical attention forms, a chained GRU and the full
     seq2seq loss (checked against all model parameters at once).
     """
-    if instances < 1:
-        raise DomainError(f"instances must be >= 1, got {instances}")
+    if not 1 <= instances <= MAX_GRADCHECK_INSTANCES:
+        raise DomainError(f"instances must lie in [1, {MAX_GRADCHECK_INSTANCES}], got {instances}")
     d = _dims(scale)
     rng = np.random.default_rng(seed)
 

@@ -23,6 +23,9 @@ TASKS = ("copy", "reverse", "sort")
 # MAX_VOCAB and MAX_HIDDEN; far beyond, numpy would refuse with a traceback.
 MAX_VOCAB = 65_536
 MAX_SEQ_LEN = 4_096
+# Largest gendata --pairs, and a sweep's pairs and eval_pairs: about 15 s and
+# 0.3 GB at the default seq_len 6.
+MAX_PAIRS = 1_000_000
 
 
 def read_text(path) -> str:
@@ -95,8 +98,8 @@ def gen_task(task: str, n_pairs: int, seq_len: int, payload_vocab: int, seed: in
         raise DomainError(f"payload_vocab must lie in [2, {MAX_VOCAB - NUM_RESERVED}], got {payload_vocab}")
     if not 1 <= seq_len <= MAX_SEQ_LEN:
         raise DomainError(f"seq_len must lie in [1, {MAX_SEQ_LEN}], got {seq_len}")
-    if n_pairs < 1:
-        raise DomainError(f"pair count must be >= 1, got {n_pairs}")
+    if not 1 <= n_pairs <= MAX_PAIRS:
+        raise DomainError(f"pairs must lie in [1, {MAX_PAIRS}], got {n_pairs}")
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(n_pairs):

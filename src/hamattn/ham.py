@@ -36,6 +36,11 @@ BOUND_TOL = 1e-9
 # defaults use depth 5 and 10 x 10,000, and far beyond numpy would refuse the arrays.
 MAX_DEPTH = 64
 MAX_TRIALS = 1_000_000
+# Largest verify --reduction-instances: about 25 s at 0.25 ms an instance.
+MAX_REDUCTION_INSTANCES = 100_000
+# norm_bound_suite's inclusive ranges of key dimension and key count, and of K and q entries
+NORM_BOUND_DK, NORM_BOUND_N, NORM_BOUND_ENTRY = (2, 16), (1, 32), 3.0
+REDUCTION_HOT = 20.0  # reduction_report's scalar on the hot level; the rest are zero
 
 
 @dataclass
@@ -199,19 +204,12 @@ def _counterexample_record() -> dict:
     }
 
 
-def norm_bound_suite(
-    trials: int,
-    seed: int = 0,
-    max_depth: int = 10,
-    dk_range: tuple[int, int] = (2, 16),
-    n_range: tuple[int, int] = (1, 32),
-    entry_bound: float = 3.0,
-) -> NormBoundReport:
+def norm_bound_suite(trials: int, seed: int = 0, max_depth: int = 10) -> NormBoundReport:
     """Randomized check that every attention level keeps the norm upper bound.
 
-    Samples (q, K) instances, iterates attention to ``max_depth`` and asserts
-    ||output||_2 <= max_i ||k_i||_2 + 1e-9 at every level and for a random
-    ham_v combination of the levels. Lower-bound failures are counted, not
+    Samples (q, K) instances as the ``NORM_BOUND_*`` constants say, iterates
+    attention to ``max_depth`` and asserts ||output||_2 <= max_i ||k_i||_2 +
+    1e-9 at every level and for a random ham_v combination of the levels. Lower-bound failures are counted, not
     asserted: the suite also records the fixed cancellation counterexample.
 
     Sampling is shape first: all ``trials`` key dimensions, then all key
@@ -226,15 +224,15 @@ def norm_bound_suite(
     if not 1 <= max_depth <= MAX_DEPTH:
         raise DomainError(f"max_depth must lie in [1, {MAX_DEPTH}], got {max_depth}")
     rng = np.random.default_rng(seed)
-    dks = rng.integers(dk_range[0], dk_range[1] + 1, size=trials)
-    ns = rng.integers(n_range[0], n_range[1] + 1, size=trials)
+    dks = rng.integers(NORM_BOUND_DK[0], NORM_BOUND_DK[1] + 1, size=trials)
+    ns = rng.integers(NORM_BOUND_N[0], NORM_BOUND_N[1] + 1, size=trials)
     shapes, counts = np.unique(np.stack([dks, ns], axis=1), axis=0, return_counts=True)
     upper_violations = 0
     lower_violations = 0
     first_upper = None
     for (dk, n), g in zip(shapes.tolist(), counts.tolist()):
-        K = rng.uniform(-entry_bound, entry_bound, size=(g, dk, n))
-        q = rng.uniform(-entry_bound, entry_bound, size=(g, dk))
+        K = rng.uniform(-NORM_BOUND_ENTRY, NORM_BOUND_ENTRY, size=(g, dk, n))
+        q = rng.uniform(-NORM_BOUND_ENTRY, NORM_BOUND_ENTRY, size=(g, dk))
         # random level weighting: a convex combination must obey the same bound
         alpha = kernels.softmax_rows(rng.uniform(-2.0, 2.0, size=(g, max_depth)))
         key_norms = np.linalg.norm(K, axis=1)
@@ -266,17 +264,17 @@ def norm_bound_suite(
     )
 
 
-def reduction_report(instances: int, seed: int = 0, hot: float = 20.0) -> dict:
+def reduction_report(instances: int, seed: int = 0) -> dict:
     """Numerically verify the two one-hot reductions of ham_v and ham_s.
 
-    With the level-t scalar at ``hot`` and the rest at zero the output must
-    match the plain level-t attention result; with d=1 the match is exact up
-    to float rounding. Depths are capped at 6 and entries at 2 so the softmax
-    tail (d-1)*e^-hot stays well under the 1e-7 check threshold. Each
-    recursion runs once per instance; ham_v and ham_s are level_sum of it.
+    With the level-t scalar at ``REDUCTION_HOT`` and the rest at zero the
+    output must match the plain level-t attention result; with d=1 the match
+    is exact up to float rounding. Depths are capped at 6 and entries at 2 so
+    the softmax tail (d-1)*e^-20 stays well under the 1e-7 check threshold.
+    Each recursion runs once per instance; ham_v and ham_s are level_sum of it.
     """
-    if instances < 1:
-        raise DomainError(f"instances must be >= 1, got {instances}")
+    if not 1 <= instances <= MAX_REDUCTION_INSTANCES:
+        raise DomainError(f"instances must lie in [1, {MAX_REDUCTION_INSTANCES}], got {instances}")
     rng = np.random.default_rng(seed)
     one = HamWeights(1).level_weights()
     worst = {}
@@ -290,7 +288,7 @@ def reduction_report(instances: int, seed: int = 0, hot: float = 20.0) -> dict:
         X = rng.uniform(-2.0, 2.0, size=(n, dk))
 
         c = np.zeros(d)
-        c[t] = hot
+        c[t] = REDUCTION_HOT
         alpha = HamWeights(d, c).level_weights()
         v_levels = attention_levels(q, K, d)
         s_levels = self_attention_levels(X, d)
@@ -301,4 +299,4 @@ def reduction_report(instances: int, seed: int = 0, hot: float = 20.0) -> dict:
             ("ham_s_d1_max_err", level_sum(s_levels[:1], one), s_levels[0]),
         ):
             worst[key] = max(worst.get(key, 0.0), float(np.max(np.abs(out - want))))
-    return {"instances": instances, "seed": seed, "hot": hot, **worst}
+    return {"instances": instances, "seed": seed, "hot": REDUCTION_HOT, **worst}

@@ -168,7 +168,6 @@ def train(model: Seq2SeqModel, corpus: Corpus, config: TrainConfig, frozen=()):
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
             tape.backward(loss)
-            tape.release()
             grads = [p.grad for p in params]
             clip_gradients(grads, MAX_GRAD_NORM)
             step(params, grads, state, config)

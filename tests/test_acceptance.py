@@ -15,6 +15,7 @@ from hamattn.attention import MultiHeadParams, multi_head, sdp_attention, vanill
 from hamattn.checks import gradcheck_table
 from hamattn.cli import SWEEP_DEFAULTS, main as cli_main, run_sweep
 from hamattn.evaluate import averaged_bleu, bleu2
+from hamattn import ham
 from hamattn.ham import reduction_report, norm_bound_suite
 from hamattn.tensor import l2_norm
 from hamattn.train import SWEEP_TOLERANCE
@@ -27,10 +28,9 @@ def _report(criterion: str, passed: bool, detail: str) -> None:
 
 
 def test_criterion_1_norm_upper_bound_randomized():
+    assert (ham.NORM_BOUND_DK, ham.NORM_BOUND_N, ham.NORM_BOUND_ENTRY) == ((2, 16), (1, 32), 3.0)
     start = time.perf_counter()
-    report = norm_bound_suite(
-        10_000, seed=0, max_depth=10, dk_range=(2, 16), n_range=(1, 32), entry_bound=3.0
-    )
+    report = norm_bound_suite(10_000, seed=0, max_depth=10)
     elapsed = time.perf_counter() - start
     ok = report.upper_violations == 0 and elapsed < 30.0
     _report(
@@ -60,7 +60,8 @@ def test_criterion_2_lower_bound_counterexample_recorded():
 
 
 def test_criterion_3_reduction_identities():
-    rep = reduction_report(1_000, seed=0, hot=20.0)
+    assert ham.REDUCTION_HOT == 20.0
+    rep = reduction_report(1_000, seed=0)
     ok = (
         rep["ham_v_onehot_max_err"] < 1e-7
         and rep["ham_s_onehot_max_err"] < 1e-7

@@ -8,12 +8,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamattn import cli
+from hamattn.checks import MAX_GRADCHECK_INSTANCES
 from hamattn.cli import SWEEP_DEFAULTS, TRAIN_DEFAULTS, _merge_config, build_parser, main
-from hamattn.data import TASKS, gen_task, load_corpus, save_corpus
+from hamattn.data import MAX_PAIRS, TASKS, gen_task, load_corpus, save_corpus
+from hamattn.ham import MAX_REDUCTION_INSTANCES
 from hamattn.train import OPTIMIZERS
 
 
@@ -291,8 +294,13 @@ def test_unreadable_inputs_exit_cleanly(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_oversized_sizes_exit_2_naming_the_field(tmp_path, capsys):
-    """Sizes far past their caps exit 2 before numpy sees them."""
+def test_oversized_sizes_exit_2_naming_the_field(tmp_path, capsys, monkeypatch):
+    """Sizes and loop counts past their caps exit 2 before numpy sees them: no
+    random draw, so no loop, starts."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
     out = tmp_path / "out"
     corpus_path = tmp_path / "task.jsonl"
     save_corpus(gen_task("copy", 4, 3, 5, seed=0), corpus_path)
@@ -300,6 +308,7 @@ def test_oversized_sizes_exit_2_naming_the_field(tmp_path, capsys):
     lines = corpus_path.read_text().splitlines(keepends=True)
     big_vocab.write_text(json.dumps({"vocab": 10**30, "task": "copy"}) + "\n" + "".join(lines[1:]))
     gendata = ["gendata", "--task", "copy", "--pairs", "2", "--out", str(out)]
+    monkeypatch.setattr(np.random, "default_rng", no_work)
     for argv, name in (
         (["train", "--corpus", str(big_vocab), "--out", str(out)], "vocab"),
         (["train", "--corpus", str(corpus_path), "--out", str(out), "--depth", str(10**30)], "depth"),
@@ -307,6 +316,12 @@ def test_oversized_sizes_exit_2_naming_the_field(tmp_path, capsys):
         ([*gendata, "--payload-vocab", str(10**29)], "payload_vocab"),
         (["verify", "--max-depth", str(10**30)], "max_depth"),
         (["verify", "--trials", str(10**30)], "trials"),
+        (["verify", "--reduction-instances", str(MAX_REDUCTION_INSTANCES + 1)],
+         "reduction_instances"),
+        (["gradcheck", "--instances", str(MAX_GRADCHECK_INSTANCES + 1)], "instances"),
+        ([*gendata, "--pairs", str(MAX_PAIRS + 1)], "error: pairs"),
+        (["sweep", "--pairs", str(MAX_PAIRS + 1), "--out", str(out)], "error: pairs"),
+        (["sweep", "--eval-pairs", str(MAX_PAIRS + 1), "--out", str(out)], "error: eval_pairs"),
     ):
         assert run(argv) == 2, argv
         _one_line_error(capsys, name)

@@ -15,6 +15,7 @@ from hamattn.ham import (
     ham_s_vars,
     ham_v,
     MAX_DEPTH,
+    MAX_REDUCTION_INSTANCES,
     MAX_TRIALS,
     ham_v_context,
     ham_v_levels,
@@ -350,6 +351,16 @@ def _reduction_reference(instances, seed, hot=20.0):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_reduction_report_matches_per_instance_ham_v_and_ham_s(seed):
     assert reduction_report(150, seed=seed) == _reduction_reference(150, seed)
+
+
+def test_reduction_report_caps_instances_before_its_loop(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(ham_module, "attention_levels", no_work)
+    for instances in (0, MAX_REDUCTION_INSTANCES + 1, 10**30):
+        with pytest.raises(DomainError, match="instances"):
+            reduction_report(instances)
 
 
 def test_norm_bound_suite_caps_sizes_before_allocating():
