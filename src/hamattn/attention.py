@@ -91,15 +91,15 @@ class MultiHeadParams:
         return cls(wq=(eye,) * h, wk=(eye,) * h, wv=(eye,) * h, wo=wo)
 
 
-def scaled_dot_score(k, q, dk: int | None = None) -> float:
-    """Compatibility score <k,q>/sqrt(dk) between one key and one query."""
+def scaled_dot_score(k, q) -> float:
+    """Compatibility score <k,q>/sqrt(dk) between one key and one query of length dk >= 1."""
     k = np.asarray(k, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if k.shape != q.shape or k.ndim != 1:
         raise DimensionError(f"key and query must be same-length vectors: {k.shape} vs {q.shape}")
-    if dk is None:
-        dk = k.shape[0]
-    return float(k @ q / np.sqrt(dk))
+    if k.size == 0:
+        raise DomainError("key and query must be non-empty vectors")
+    return float(k @ q / np.sqrt(k.size))
 
 
 def level_forward(keys, q0, depth: int):

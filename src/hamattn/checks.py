@@ -37,6 +37,11 @@ MAX_GRADCHECK_INSTANCES = 1_000
 # verify: distribution / equivalence properties
 
 
+def _probability_error(p) -> float:
+    """Distance of p from a probability vector: |sum - 1|, or its most negative entry."""
+    return max(abs(float(p.sum()) - 1.0), float(-p.min()) if p.min() <= 0 else 0.0)
+
+
 def property_report(seed: int = 0) -> dict:
     """Randomized softmax, distribution and degeneracy checks.
 
@@ -62,11 +67,17 @@ def property_report(seed: int = 0) -> dict:
             "failing_instance": failing,
         }
 
+    def keys_and_query(n_min=1):
+        """Keys [dk, n] and a query [dk] with entries in [-3, 3], and their replay record."""
+        dk = int(rng.integers(1, 9))
+        n = int(rng.integers(n_min, 17))
+        K = rng.uniform(-3.0, 3.0, size=(dk, n))
+        q = rng.uniform(-3.0, 3.0, size=dk)
+        return K, q, {"K_columns": K.T.tolist(), "q": q.tolist()}
+
     def softmax_probability():
         x = rng.uniform(-50.0, 50.0, size=int(rng.integers(1, 20)))
-        p = softmax_vec(x)
-        err = max(abs(float(p.sum()) - 1.0), float(-p.min()) if p.min() <= 0 else 0.0)
-        return err, {"x": x.tolist()}
+        return _probability_error(softmax_vec(x)), {"x": x.tolist()}
 
     def softmax_shift_invariance():
         x = rng.uniform(-5.0, 5.0, size=int(rng.integers(1, 20)))
@@ -75,22 +86,13 @@ def property_report(seed: int = 0) -> dict:
         return err, {"x": x.tolist(), "shift": c}
 
     def distribution_is_probability():
-        dk = int(rng.integers(1, 9))
-        n = int(rng.integers(1, 17))
-        K = rng.uniform(-3.0, 3.0, size=(dk, n))
-        q = rng.uniform(-3.0, 3.0, size=dk)
-        p = attention_distribution(K, q)
-        err = max(abs(float(p.sum()) - 1.0), float(-p.min()) if p.min() <= 0 else 0.0)
-        return err, {"K_columns": K.T.tolist(), "q": q.tolist()}
+        K, q, instance = keys_and_query()
+        return _probability_error(attention_distribution(K, q)), instance
 
     def sdp_single_query_matches_vanilla():
-        dk = int(rng.integers(1, 9))
-        n = int(rng.integers(1, 17))
-        K = rng.uniform(-3.0, 3.0, size=(dk, n))
-        q = rng.uniform(-3.0, 3.0, size=dk)
+        K, q, instance = keys_and_query()
         row_form = sdp_attention(q.reshape(1, -1), K.T, K.T)[0]
-        err = float(np.max(np.abs(row_form - vanilla_attention(q, K))))
-        return err, {"K_columns": K.T.tolist(), "q": q.tolist()}
+        return float(np.max(np.abs(row_form - vanilla_attention(q, K)))), instance
 
     def multi_head_identity_degenerates():
         d = int(rng.integers(1, 7))
@@ -104,16 +106,13 @@ def property_report(seed: int = 0) -> dict:
         return err, {"Q": Q.tolist(), "K": K.tolist(), "V": V.tolist()}
 
     def permutation_equivariance():
-        dk = int(rng.integers(1, 9))
-        n = int(rng.integers(2, 17))
-        K = rng.uniform(-3.0, 3.0, size=(dk, n))
-        q = rng.uniform(-3.0, 3.0, size=dk)
-        perm = rng.permutation(n)
+        K, q, instance = keys_and_query(n_min=2)
+        perm = rng.permutation(K.shape[1])
         p = attention_distribution(K, q)
         p_perm = attention_distribution(K[:, perm], q)
         err = float(np.max(np.abs(p[perm] - p_perm)))
         err = max(err, float(np.max(np.abs(vanilla_attention(q, K) - vanilla_attention(q, K[:, perm])))))
-        return err, {"K_columns": K.T.tolist(), "q": q.tolist(), "perm": perm.tolist()}
+        return err, {**instance, "perm": perm.tolist()}
 
     run("softmax_probability_vector", PROPERTY_TOL, softmax_probability)
     run("softmax_shift_invariance", PROPERTY_TOL, softmax_shift_invariance)
@@ -145,9 +144,9 @@ def verify_report(
         and red["ham_s_d1_max_err"] <= REDUCTION_D1_TOL
     )
     props_pass = all(entry["passed"] for entry in props.values())
-    passed = bounds.passed() and reductions_pass and props_pass
+    passed = bounds["upper_violations"] == 0 and reductions_pass and props_pass
     report = {
-        "norm_bounds": bounds.to_dict(),
+        "norm_bounds": bounds,
         "reductions": {
             **red,
             "onehot_tolerance": REDUCTION_ONEHOT_TOL,
@@ -164,12 +163,6 @@ def verify_report(
 # gradcheck table
 
 
-def _proj(out: Variable, rng: np.random.Generator):
-    """Random linear functional of an op output, fixed per instance."""
-    r = rng.uniform(-1.0, 1.0, size=out.value.shape)
-    return lambda o: ad.sum_all(ad.mul(o, Variable(r)))
-
-
 def _dims(scale: str) -> dict:
     if scale == "tiny":
         return {"vec": 5, "rows": 3, "cols": 4, "inner": 3, "batch": 2, "steps": 2, "hidden": 3}
@@ -179,79 +172,50 @@ def _dims(scale: str) -> dict:
 
 
 def gradcheck_table(scale: str = "tiny", seed: int = 0, instances: int = 30) -> list:
-    """Max relative finite-difference error per differentiable op.
+    """Max relative finite-difference error per differentiable op the library calls.
 
-    Returns rows ``{name, max_err, threshold, passed, worst}`` covering every
-    primitive, the hierarchical attention forms, a chained GRU and the full
-    seq2seq loss (checked against all model parameters at once).
+    Returns rows ``{name, max_err, threshold, passed, worst}`` of plain Python
+    values: one per primitive, the hierarchical attention forms, a chained GRU
+    and the full seq2seq loss (checked against all model parameters at once).
+    ``sum_all`` and ``mul`` are in every projected row; ``affine``,
+    ``mean_all``, ``slice_1d`` and ``stack`` have no row, as nothing calls them.
+
+    Each case draws its leaves and returns ``(leaves, build)``. Rows marked
+    projected then draw a random linear functional ``w`` of the output, fixed
+    per instance, and check ``sum(w * build())``; the others build a scalar loss.
     """
     if not 1 <= instances <= MAX_GRADCHECK_INSTANCES:
         raise DomainError(f"instances must lie in [1, {MAX_GRADCHECK_INSTANCES}], got {instances}")
     d = _dims(scale)
     rng = np.random.default_rng(seed)
+    v, r, c, k, b, h = (d[key] for key in ("vec", "rows", "cols", "inner", "batch", "hidden"))
 
     def u(*shape):
         return Variable(rng.uniform(-2.0, 2.0, size=shape))
 
-    def binary(op, sa, sb):
-        def one():
-            a, b = u(*sa), u(*sb)
-            loss = _proj(op(a, b), rng)
-            return check_gradients(lambda: loss(op(a, b)), [a, b])
-
-        return one
-
-    def unary(op, shape):
-        def one():
-            a = u(*shape)
-            loss = _proj(op(a), rng)
-            return check_gradients(lambda: loss(op(a)), [a])
-
-        return one
-
-    v, r, c, k = d["vec"], d["rows"], d["cols"], d["inner"]
-
-    def concat_case():
-        xs = [u(r, c), u(r, c + 1)]
-        loss = _proj(ad.concat(xs, axis=1), rng)
-        return check_gradients(lambda: loss(ad.concat(xs, axis=1)), xs)
+    def on(op, *shapes):  # the case applying op to one uniform leaf per shape
+        def case():
+            leaves = [u(*shape) for shape in shapes]
+            return leaves, lambda: op(*leaves)
+        return case
 
     def scale_case():
-        a = u(r, c)
-        f = float(rng.uniform(-2.0, 2.0))
-        loss = _proj(ad.scale(a, f), rng)
-        return check_gradients(lambda: loss(ad.scale(a, f)), [a])
+        a, f = u(r, c), float(rng.uniform(-2.0, 2.0))
+        return [a], lambda: ad.scale(a, f)
 
     def gather_case():
-        table = u(v, c)
-        ids = rng.integers(0, v, size=r)
-        loss = _proj(ad.gather_rows(table, ids), rng)
-        return check_gradients(lambda: loss(ad.gather_rows(table, ids)), [table])
+        table, ids = u(v, c), rng.integers(0, v, size=r)
+        return [table], lambda: ad.gather_rows(table, ids)
 
     def weighted_sum_case():
-        xs = [u(r, c) for _ in range(3)]
-        w = u(3)
-        loss = _proj(ad.weighted_sum(xs, w), rng)
-        return check_gradients(lambda: loss(ad.weighted_sum(xs, w)), [*xs, w])
+        xs, w = [u(r, c) for _ in range(3)], u(3)
+        return [*xs, w], lambda: ad.weighted_sum(xs, w)
 
     def cross_entropy_case():
-        logits = u(r, v)
-        targets = rng.integers(0, v, size=r)
-        return check_gradients(lambda: ad.cross_entropy_logits(logits, targets), [logits])
-
-    def ham_v_case():
-        # one example through the batched connector: [1, k] query, [1, r, k] keys
-        q, K, cc = u(1, k), u(1, r, k), u(3)
-        loss = _proj(ham_v_context(K, q, cc), rng)
-        return check_gradients(lambda: loss(ham_v_context(K, q, cc)), [q, K, cc])
-
-    def ham_s_case():
-        X, cc = u(r, k), u(3)
-        loss = _proj(ham_s_vars(X, cc), rng)
-        return check_gradients(lambda: loss(ham_s_vars(X, cc)), [X, cc])
+        logits, targets = u(r, v), rng.integers(0, v, size=r)
+        return [logits], lambda: ad.cross_entropy_logits(logits, targets)
 
     def gru_chain_case():
-        h = d["hidden"]
         cell = GRUParams(rng, h, h)
         xs = [u(1, h) for _ in range(3)]
         h0 = u(1, h)
@@ -262,61 +226,58 @@ def gradcheck_table(scale: str = "tiny", seed: int = 0, instances: int = 30) -> 
                 state = gru_step(x, state, cell)
             return state
 
-        loss = _proj(forward(), rng)
-        leaves = [*cell.variables().values(), *xs, h0]
-        return check_gradients(lambda: loss(forward()), leaves)
+        return [*cell.variables().values(), *xs, h0], forward
 
     def seq2seq_case():
-        h = d["hidden"]
         vocab = 4 + 3
         model = Seq2SeqModel(ModelConfig(vocab, h, ham_depth=2), rng)
-        b, n = d["batch"], d["steps"]
-        src = rng.integers(3, vocab, size=(b, n))
-        tgt = rng.integers(3, vocab, size=(b, n))
-        return check_gradients(
-            lambda: sequence_loss(model, src, tgt), model.parameters().values()
-        )
+        src = rng.integers(3, vocab, size=(b, d["steps"]))
+        tgt = rng.integers(3, vocab, size=(b, d["steps"]))
+        return list(model.parameters().values()), lambda: sequence_loss(model, src, tgt)
 
+    P = PRIMITIVE_TOL
+    # (name, case, threshold, projected); the two unprojected rows build scalar losses
     cases = [
-        ("add", PRIMITIVE_TOL, binary(ad.add, (r, c), (r, c))),
-        ("sub", PRIMITIVE_TOL, binary(ad.sub, (r, c), (r, c))),
-        ("mul", PRIMITIVE_TOL, binary(ad.mul, (r, c), (r, c))),
-        ("scale", PRIMITIVE_TOL, scale_case),
-        ("add_bias", PRIMITIVE_TOL, binary(ad.add_bias, (r, c), (c,))),
-        ("matmul", PRIMITIVE_TOL, binary(ad.matmul, (r, k), (k, c))),
-        ("dot", PRIMITIVE_TOL, binary(ad.dot, (v,), (v,))),
-        ("concat", PRIMITIVE_TOL, concat_case),
-        ("softmax_vec", PRIMITIVE_TOL, unary(ad.softmax, (v,))),
-        ("softmax_rows", PRIMITIVE_TOL, unary(ad.softmax, (r, c))),
-        ("tanh", PRIMITIVE_TOL, unary(ad.tanh, (r, c))),
-        ("sigmoid", PRIMITIVE_TOL, unary(ad.sigmoid, (r, c))),
-        ("gather_rows", PRIMITIVE_TOL, gather_case),
-        ("attend_scores", PRIMITIVE_TOL, binary(ad.attend_scores, (d["batch"], r, c), (d["batch"], c))),
-        ("attend_combine", PRIMITIVE_TOL, binary(ad.attend_combine, (d["batch"], r, c), (d["batch"], r))),
-        ("weighted_sum", PRIMITIVE_TOL, weighted_sum_case),
-        ("cross_entropy", PRIMITIVE_TOL, cross_entropy_case),
-        ("ham_v", PRIMITIVE_TOL, ham_v_case),
-        ("ham_s", PRIMITIVE_TOL, ham_s_case),
-        ("gru_chain", PRIMITIVE_TOL, gru_chain_case),
-        ("seq2seq_loss", END_TO_END_TOL, seq2seq_case),
+        ("add", on(ad.add, (r, c), (r, c)), P, True),
+        ("sub", on(ad.sub, (r, c), (r, c)), P, True),
+        ("mul", on(ad.mul, (r, c), (r, c)), P, True),
+        ("scale", scale_case, P, True),
+        ("add_bias", on(ad.add_bias, (r, c), (c,)), P, True),
+        ("matmul", on(ad.matmul, (r, k), (k, c)), P, True),
+        ("dot", on(ad.dot, (v,), (v,)), P, True),
+        ("concat", on(lambda x, y: ad.concat([x, y], axis=1), (r, c), (r, c + 1)), P, True),
+        ("softmax_vec", on(ad.softmax, (v,)), P, True),
+        ("softmax_rows", on(ad.softmax, (r, c)), P, True),
+        ("tanh", on(ad.tanh, (r, c)), P, True),
+        ("sigmoid", on(ad.sigmoid, (r, c)), P, True),
+        ("gather_rows", gather_case, P, True),
+        ("attend_scores", on(ad.attend_scores, (b, r, c), (b, c)), P, True),
+        ("attend_combine", on(ad.attend_combine, (b, r, c), (b, r)), P, True),
+        ("weighted_sum", weighted_sum_case, P, True),
+        ("cross_entropy", cross_entropy_case, P, False),
+        # one example through the batched connector: [1, k] query, [1, r, k] keys
+        ("ham_v", on(lambda q, K, cc: ham_v_context(K, q, cc), (1, k), (1, r, k), (3,)), P, True),
+        ("ham_s", on(ham_s_vars, (r, k), (3,)), P, True),
+        ("gru_chain", gru_chain_case, P, True),
+        ("seq2seq_loss", seq2seq_case, END_TO_END_TOL, False),
+        ("reshape", on(lambda x: ad.reshape(x, (b * r, c)), (b, r, c)), P, True),
+        ("transpose", on(ad.transpose, (r, c)), P, True),
     ]
 
     rows = []
-    for name, tol, case in cases:
-        worst_err = 0.0
-        worst_at = None
+    for name, case, tol, projected in cases:
+        worst_err, worst_at = 0.0, None
         for _ in range(instances):
-            result = case()
+            leaves, build = case()
+            loss = build
+            if projected:
+                w = rng.uniform(-1.0, 1.0, size=build().value.shape)
+                loss = lambda: ad.sum_all(ad.mul(build(), Variable(w)))
+            result = check_gradients(loss, leaves)
             if result.max_rel_error > worst_err:
-                worst_err = result.max_rel_error
-                worst_at = (result.worst_variable, list(result.worst_coord))
+                worst_err = float(result.max_rel_error)
+                worst_at = [int(result.worst_variable), [int(i) for i in result.worst_coord]]
         rows.append(
-            {
-                "name": name,
-                "max_err": worst_err,
-                "threshold": tol,
-                "passed": worst_err < tol,
-                "worst": worst_at,
-            }
+            {"name": name, "max_err": worst_err, "threshold": tol, "passed": worst_err < tol, "worst": worst_at}
         )
     return rows

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import gradcheck_table, verify_report
-from .data import MAX_PAIRS, Corpus, TASKS, gen_task, load_corpus, read_text, save_corpus
+from .data import Corpus, TASKS, check_corpus_size, gen_task, load_corpus, read_text, save_corpus
 from .errors import CorpusError, DomainError, TrainingDiverged
 from .evaluate import evaluate_pairs, evaluate_quatrains
 from .model import ModelConfig, Seq2SeqModel, generate, save_checkpoint
@@ -267,8 +267,7 @@ def run_sweep(cfg: dict, null: bool = False):
     sweep``, the null sweep and acceptance criterion 5 all go through here, so
     the band and the criterion are measured on one protocol.
     """
-    if cfg["eval_pairs"] > MAX_PAIRS:  # checked before the train corpus is made
-        raise DomainError(f"eval_pairs must lie in [1, {MAX_PAIRS}], got {cfg['eval_pairs']}")
+    check_corpus_size(cfg["eval_pairs"], cfg["seq_len"], "eval_pairs")  # before the train corpus
     train_config = _train_config(cfg)
     train_corpus = gen_task(
         cfg["task"], cfg["pairs"], cfg["seq_len"], cfg["payload_vocab"], cfg["seed"]
@@ -341,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the full JSON report to this file")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of every differentiable op")
+    p = sub.add_parser("gradcheck", help="finite-difference check of every op the library differentiates")
     p.add_argument("--scale", choices=("tiny", "small"), default="tiny")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--instances", type=_positive_int, default=30)

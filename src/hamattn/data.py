@@ -26,6 +26,9 @@ MAX_SEQ_LEN = 4_096
 # Largest gendata --pairs, and a sweep's pairs and eval_pairs: about 15 s and
 # 0.3 GB at the default seq_len 6.
 MAX_PAIRS = 1_000_000
+# Largest pairs x seq_len of one corpus: about 3 s and 150 MB. It admits
+# MAX_PAIRS at seq_len 6, not MAX_PAIRS at MAX_SEQ_LEN (about 61 GB).
+MAX_TOKENS = 10_000_000
 
 
 def read_text(path) -> str:
@@ -86,6 +89,17 @@ class Corpus:
         return len(self.pairs)
 
 
+def check_corpus_size(n_pairs: int, seq_len: int, name: str = "pairs") -> None:
+    """Reject a corpus of ``n_pairs`` pairs of length ``seq_len`` past the caps
+    before any of it is made; ``name`` names the pair count in the message."""
+    if not 1 <= seq_len <= MAX_SEQ_LEN:
+        raise DomainError(f"seq_len must lie in [1, {MAX_SEQ_LEN}], got {seq_len}")
+    if not 1 <= n_pairs <= MAX_PAIRS:
+        raise DomainError(f"{name} must lie in [1, {MAX_PAIRS}], got {n_pairs}")
+    if n_pairs * seq_len > MAX_TOKENS:
+        raise DomainError(f"{name} x seq_len must be at most {MAX_TOKENS} tokens, got {n_pairs} x {seq_len}")
+
+
 def gen_task(task: str, n_pairs: int, seq_len: int, payload_vocab: int, seed: int) -> Corpus:
     """Generate a deterministic copy / reverse / sort corpus.
 
@@ -96,10 +110,7 @@ def gen_task(task: str, n_pairs: int, seq_len: int, payload_vocab: int, seed: in
         raise DomainError(f"unknown task {task!r}, expected one of {TASKS}")
     if not 2 <= payload_vocab <= MAX_VOCAB - NUM_RESERVED:
         raise DomainError(f"payload_vocab must lie in [2, {MAX_VOCAB - NUM_RESERVED}], got {payload_vocab}")
-    if not 1 <= seq_len <= MAX_SEQ_LEN:
-        raise DomainError(f"seq_len must lie in [1, {MAX_SEQ_LEN}], got {seq_len}")
-    if not 1 <= n_pairs <= MAX_PAIRS:
-        raise DomainError(f"pairs must lie in [1, {MAX_PAIRS}], got {n_pairs}")
+    check_corpus_size(n_pairs, seq_len)
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(n_pairs):

@@ -21,7 +21,7 @@ chain of 4d+2 entries. ``ham_s_vars`` is a taped ham_s built from autodiff
 primitives, for the gradient checks.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -170,41 +170,21 @@ LOWER_BOUND_COUNTEREXAMPLE = {
 }
 
 
-@dataclass
-class NormBoundReport:
-    """Outcome of the randomized attention-norm bound suite."""
-
-    trials: int
-    max_depth: int
-    seed: int
-    levels_checked: int
-    upper_violations: int
-    lower_violations: int
-    first_upper_violation: dict | None
-    lower_bound_counterexample: dict
-
-    def passed(self) -> bool:
-        return self.upper_violations == 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def _counterexample_record() -> dict:
     K = np.array(LOWER_BOUND_COUNTEREXAMPLE["K_columns"]).T
     q = np.array(LOWER_BOUND_COUNTEREXAMPLE["q"])
     out = vanilla_attention(q, K)
     key_norms = np.linalg.norm(K, axis=0)
     return {
-        "K_columns": LOWER_BOUND_COUNTEREXAMPLE["K_columns"],
-        "q": LOWER_BOUND_COUNTEREXAMPLE["q"],
+        "K_columns": K.T.tolist(),
+        "q": q.tolist(),
         "output_norm": l2_norm(out),
         "min_key_norm": float(key_norms.min()),
         "lower_bound_violated": bool(l2_norm(out) < key_norms.min() - BOUND_TOL),
     }
 
 
-def norm_bound_suite(trials: int, seed: int = 0, max_depth: int = 10) -> NormBoundReport:
+def norm_bound_suite(trials: int, seed: int = 0, max_depth: int = 10) -> dict:
     """Randomized check that every attention level keeps the norm upper bound.
 
     Samples (q, K) instances as the ``NORM_BOUND_*`` constants say, iterates
@@ -217,7 +197,8 @@ def norm_bound_suite(trials: int, seed: int = 0, max_depth: int = 10) -> NormBou
     keys [g, dk, n], queries [g, dk] and level logits [g, max_depth], each
     drawn as one batch and run through one ``attention_levels`` call. Only
     one group's instances are held at a time, and "first" violation means
-    first in this order.
+    first in this order. Returns a plain dict, ``verify --out``'s
+    ``norm_bounds``; the suite passes when its ``upper_violations`` is 0.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise DomainError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
@@ -252,16 +233,16 @@ def norm_bound_suite(trials: int, seed: int = 0, max_depth: int = 10) -> NormBou
                 "output_norm": float(norms[i, level]),
                 "max_key_norm": float(hi[i]),
             }
-    return NormBoundReport(
-        trials=trials,
-        max_depth=max_depth,
-        seed=seed,
-        levels_checked=trials * (max_depth + 1),
-        upper_violations=upper_violations,
-        lower_violations=lower_violations,
-        first_upper_violation=first_upper,
-        lower_bound_counterexample=_counterexample_record(),
-    )
+    return {
+        "trials": trials,
+        "max_depth": max_depth,
+        "seed": seed,
+        "levels_checked": trials * (max_depth + 1),
+        "upper_violations": upper_violations,
+        "lower_violations": lower_violations,
+        "first_upper_violation": first_upper,
+        "lower_bound_counterexample": _counterexample_record(),
+    }
 
 
 def reduction_report(instances: int, seed: int = 0) -> dict:

@@ -32,13 +32,13 @@ def test_criterion_1_norm_upper_bound_randomized():
     start = time.perf_counter()
     report = norm_bound_suite(10_000, seed=0, max_depth=10)
     elapsed = time.perf_counter() - start
-    ok = report.upper_violations == 0 and elapsed < 30.0
+    ok = report["upper_violations"] == 0 and elapsed < 30.0
     _report(
         "1 norm upper bound",
         ok,
-        f"{report.upper_violations} violations over {report.levels_checked} level checks, {elapsed:.1f}s",
+        f"{report['upper_violations']} violations over {report['levels_checked']} level checks, {elapsed:.1f}s",
     )
-    assert report.upper_violations == 0
+    assert report["upper_violations"] == 0
     assert elapsed < 30.0
 
 
@@ -47,7 +47,7 @@ def test_criterion_2_lower_bound_counterexample_recorded():
     q = np.array([0.0, 1.0])
     out = vanilla_attention(q, K)
     norms = np.linalg.norm(K, axis=0)
-    report = norm_bound_suite(1, seed=0).to_dict()
+    report = norm_bound_suite(1, seed=0)
     recorded = report["lower_bound_counterexample"]
     ok = (
         l2_norm(out) == 0.0

@@ -23,9 +23,14 @@ def test_scaled_dot_score_examples():
     e1 = np.eye(4)[0]
     assert scaled_dot_score(e1, e1) == 0.5
     assert scaled_dot_score(np.eye(3)[0], np.eye(3)[1]) == 0.0
-    assert scaled_dot_score(np.array([1.0, 1.0]), np.array([2.0, 0.0]), dk=2) == pytest.approx(
+    assert scaled_dot_score(np.array([1.0, 1.0]), np.array([2.0, 0.0])) == pytest.approx(
         np.sqrt(2.0), abs=1e-15
     )
+
+
+def test_scaled_dot_score_rejects_empty_vectors():
+    with pytest.raises(DomainError):
+        scaled_dot_score([], [])
 
 
 def test_scaled_dot_score_dimension_mismatch():

@@ -1,5 +1,7 @@
 import gc
+import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,11 +166,32 @@ def tiny_gradcheck_rows():
         "attend_combine",
         "weighted_sum",
         "cross_entropy",
+        "reshape",
+        "transpose",
     ],
 )
 def test_primitive_gradients_smoke(name, tiny_gradcheck_rows):
     row = tiny_gradcheck_rows[name]
     assert row["max_err"] < row["threshold"]
+
+
+def test_gradcheck_rows_are_plain_json_values(tiny_gradcheck_rows):
+    rows = list(tiny_gradcheck_rows.values())
+    assert json.loads(json.dumps(rows)) == rows
+    for row in rows:
+        assert type(row["max_err"]) is float and type(row["passed"]) is bool
+        assert all(type(i) is int for i in [row["worst"][0], *row["worst"][1]])
+
+
+def test_gradcheck_table_matches_committed_golden():
+    """The tiny table's rows, byte for byte: they move with any change to an
+    op's arithmetic or to the table's draws. Regenerate the file with the call
+    this test makes and record the move in CHANGES.md."""
+    from hamattn.checks import gradcheck_table
+
+    rows = gradcheck_table("tiny", seed=0, instances=2)
+    golden = Path(__file__).parent / "golden" / "gradcheck_tiny.json"
+    assert (json.dumps(rows, indent=2) + "\n").encode() == golden.read_bytes()
 
 
 def test_shape_errors():

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from hamattn import cli
 from hamattn.checks import MAX_GRADCHECK_INSTANCES
 from hamattn.cli import SWEEP_DEFAULTS, TRAIN_DEFAULTS, _merge_config, build_parser, main
-from hamattn.data import MAX_PAIRS, TASKS, gen_task, load_corpus, save_corpus
+from hamattn.data import MAX_PAIRS, MAX_SEQ_LEN, TASKS, gen_task, load_corpus, save_corpus
 from hamattn.ham import MAX_REDUCTION_INSTANCES
 from hamattn.train import OPTIMIZERS
 
@@ -322,6 +322,11 @@ def test_oversized_sizes_exit_2_naming_the_field(tmp_path, capsys, monkeypatch):
         ([*gendata, "--pairs", str(MAX_PAIRS + 1)], "error: pairs"),
         (["sweep", "--pairs", str(MAX_PAIRS + 1), "--out", str(out)], "error: pairs"),
         (["sweep", "--eval-pairs", str(MAX_PAIRS + 1), "--out", str(out)], "error: eval_pairs"),
+        # each size is under its own cap, their product is not; the eval corpus is refused
+        # before the train corpus is made
+        ([*gendata, "--pairs", str(MAX_PAIRS), "--seq-len", str(MAX_SEQ_LEN)], "error: pairs x seq_len"),
+        (["sweep", "--pairs", "2", "--eval-pairs", str(MAX_PAIRS), "--seq-len", str(MAX_SEQ_LEN),
+          "--out", str(out)], "error: eval_pairs x seq_len"),
     ):
         assert run(argv) == 2, argv
         _one_line_error(capsys, name)

@@ -2,17 +2,21 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamattn.data import (
     BOS,
     EOS,
+    MAX_PAIRS,
     MAX_SEQ_LEN,
+    MAX_TOKENS,
     MAX_VOCAB,
     NUM_RESERVED,
     PAD,
     Corpus,
+    check_corpus_size,
     gen_task,
     load_corpus,
     save_corpus,
@@ -74,6 +78,22 @@ def test_sizes_capped_before_allocating(tmp_path):
         path.write_text(json.dumps({"vocab": vocab}) + '\n{"src": [3], "tgt": [3]}\n')
         with pytest.raises(CorpusError, match="vocab"):
             load_corpus(path)
+
+
+def test_token_count_capped_before_generating(monkeypatch):
+    """pairs x seq_len is capped as a product, checked before any draw."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    assert MAX_PAIRS * 6 <= MAX_TOKENS  # the default seq_len still admits MAX_PAIRS
+    check_corpus_size(MAX_TOKENS // MAX_SEQ_LEN, MAX_SEQ_LEN)
+    monkeypatch.setattr(np.random, "default_rng", no_work)
+    for pairs, seq_len in ((MAX_PAIRS, MAX_SEQ_LEN), (MAX_TOKENS // 16 + 1, 16)):
+        with pytest.raises(DomainError, match=r"^pairs x seq_len must be at most"):
+            gen_task("copy", pairs, seq_len, 8, 0)
+    with pytest.raises(DomainError, match=r"^eval_pairs x seq_len"):
+        check_corpus_size(MAX_TOKENS // MAX_SEQ_LEN + 1, MAX_SEQ_LEN, "eval_pairs")
 
 
 def test_roundtrip_identity(tmp_path):

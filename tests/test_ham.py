@@ -10,7 +10,6 @@ from hamattn.autodiff import Tape, Variable, check_gradients
 from hamattn.errors import DimensionError, DomainError
 from hamattn.ham import (
     HamWeights,
-    NormBoundReport,
     ham_s,
     ham_s_vars,
     ham_v,
@@ -225,11 +224,11 @@ def test_ham_v_norm_bound(seed):
 
 def test_norm_bound_suite_small_run():
     report = norm_bound_suite(2_000, seed=0, max_depth=10)
-    assert report.upper_violations == 0
-    assert report.lower_violations > 0
-    assert report.lower_bound_counterexample["lower_bound_violated"]
-    assert report.lower_bound_counterexample["output_norm"] == 0.0
-    assert report.lower_bound_counterexample["min_key_norm"] == 1.0
+    assert report["upper_violations"] == 0
+    assert report["lower_violations"] > 0
+    assert report["lower_bound_counterexample"]["lower_bound_violated"]
+    assert report["lower_bound_counterexample"]["output_norm"] == 0.0
+    assert report["lower_bound_counterexample"]["min_key_norm"] == 1.0
     # all-equal-keys instance: both bounds tight
     v = np.array([1.0, 2.0])
     K = np.tile(v[:, None], (1, 3))
@@ -267,14 +266,21 @@ def _suite_reference(trials, seed, max_depth=10, dk_range=(2, 16), n_range=(1, 3
                     "output_norm": float(norms[bad[0]]),
                     "max_key_norm": float(hi),
                 }
-    return NormBoundReport(
-        trials, max_depth, seed, checked, upper, lower, first, ham_module._counterexample_record()
-    ).to_dict()
+    return {
+        "trials": trials,
+        "max_depth": max_depth,
+        "seed": seed,
+        "levels_checked": checked,
+        "upper_violations": upper,
+        "lower_violations": lower,
+        "first_upper_violation": first,
+        "lower_bound_counterexample": ham_module._counterexample_record(),
+    }
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_norm_bound_suite_matches_per_instance_reference(seed):
-    report = norm_bound_suite(600, seed=seed, max_depth=6).to_dict()
+    report = norm_bound_suite(600, seed=seed, max_depth=6)
     assert report == _suite_reference(600, seed, max_depth=6)
     assert report["upper_violations"] == 0 and report["first_upper_violation"] is None
 
@@ -282,7 +288,7 @@ def test_norm_bound_suite_matches_per_instance_reference(seed):
 def test_norm_bound_suite_records_first_upper_violation(monkeypatch):
     # a negative tolerance makes every level count as an upper-bound violation
     monkeypatch.setattr(ham_module, "BOUND_TOL", -1e3)
-    report = norm_bound_suite(300, seed=3, max_depth=4).to_dict()
+    report = norm_bound_suite(300, seed=3, max_depth=4)
     assert report == _suite_reference(300, 3, max_depth=4)
     assert report["upper_violations"] == 300 * 5
     recorded = report["first_upper_violation"]
@@ -293,8 +299,8 @@ def test_norm_bound_suite_records_first_upper_violation(monkeypatch):
 
 
 def test_norm_bound_suite_deterministic_and_validated():
-    a = norm_bound_suite(200, seed=42).to_dict()
-    b = norm_bound_suite(200, seed=42).to_dict()
+    a = norm_bound_suite(200, seed=42)
+    b = norm_bound_suite(200, seed=42)
     assert a == b
     with pytest.raises(DomainError):
         norm_bound_suite(0)
@@ -364,7 +370,7 @@ def test_reduction_report_caps_instances_before_its_loop(monkeypatch):
 
 
 def test_norm_bound_suite_caps_sizes_before_allocating():
-    assert norm_bound_suite(2, max_depth=MAX_DEPTH).max_depth == MAX_DEPTH
+    assert norm_bound_suite(2, max_depth=MAX_DEPTH)["max_depth"] == MAX_DEPTH
     for max_depth in (0, MAX_DEPTH + 1, 10**30):
         with pytest.raises(DomainError, match="max_depth"):
             norm_bound_suite(2, max_depth=max_depth)
