@@ -9,7 +9,6 @@ tooling behind the ``hamattn`` CLI.
 """
 
 from .attention import (
-    KeySequence,
     MultiHeadParams,
     attention_distribution,
     multi_head,
@@ -23,7 +22,7 @@ from .autodiff import Tape, Variable, check_gradients
 from .data import BOS, EOS, PAD, Corpus, gen_task, load_corpus, save_corpus
 from .errors import CorpusError, DimensionError, DomainError, TrainingDiverged
 from .evaluate import EvalReport, averaged_bleu, bleu2, exact_match_rate
-from .ham import HamWeights, ham_s, ham_v, norm_bound_suite
+from .ham import ham_s, ham_v, norm_bound_suite
 from .model import (
     ModelConfig,
     Seq2SeqModel,
@@ -32,7 +31,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .tensor import Tensor, l2_norm, softmax_vec
+from .tensor import l2_norm, softmax_vec
 from .train import TrainConfig, adam_step, depth_sweep, sgd_step, train
 
 __version__ = "0.1.0"
@@ -45,14 +44,11 @@ __all__ = [
     "DomainError",
     "EOS",
     "EvalReport",
-    "HamWeights",
-    "KeySequence",
     "ModelConfig",
     "MultiHeadParams",
     "PAD",
     "Seq2SeqModel",
     "Tape",
-    "Tensor",
     "TrainConfig",
     "TrainingDiverged",
     "Variable",

@@ -24,29 +24,6 @@ from . import kernels
 
 
 @dataclass(frozen=True)
-class KeySequence:
-    """n key vectors of dimension dk, stored as the columns of K."""
-
-    K: np.ndarray
-
-    def __post_init__(self):
-        K = np.asarray(self.K, dtype=np.float64)
-        if K.ndim != 2:
-            raise DimensionError(f"KeySequence expects a dk x n matrix, got shape {K.shape}")
-        if K.shape[0] < 1 or K.shape[1] < 1:
-            raise DomainError(f"KeySequence needs dk >= 1 and n >= 1, got {K.shape}")
-        object.__setattr__(self, "K", K)
-
-    @property
-    def dk(self) -> int:
-        return self.K.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.K.shape[1]
-
-
-@dataclass(frozen=True)
 class MultiHeadParams:
     """Per-head projections plus the output projection.
 
@@ -119,7 +96,7 @@ def level_forward(keys, q0, depth: int):
 def _rows(q, K):
     """Check q [..., dk] against K [..., dk, n]; return ``level_forward``'s ``(keys, q0)``,
     the keys copied to C-contiguous rows (a strided view would round differently)."""
-    K = K.K if isinstance(K, KeySequence) else np.asarray(K, dtype=np.float64)
+    K = np.asarray(K, dtype=np.float64)
     if K.ndim < 2:
         raise DimensionError(f"keys must form a [..., dk, n] array, got shape {K.shape}")
     if K.size == 0:

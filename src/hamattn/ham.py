@@ -3,9 +3,11 @@
 ``ham_v`` iterates vanilla attention d times from a query vector and returns
 the weighted sum of the d level outputs (the raw query at level 0 is not a
 summand); ``ham_s`` does the same with self-attention over a whole sequence.
-The level weights are the softmax of d trainable scalars, so the one-hot
-limits recover plain vanilla attention (weight on level 1) and plain
-multi-level attention (weight on level d).
+Both take the d trainable level logits ``c`` as a plain length-d array, as
+the model holds them in ``var_c``, and weight the levels by softmax(c)
+(``softmax_vec`` checks c), so the one-hot limits recover plain vanilla
+attention (weight on level 1) and plain multi-level attention (weight on
+level d).
 
 The levels come from ``attention.level_forward`` (ham_v) and
 ``attention.self_attention_levels`` (ham_s); every weighted sum of them is
@@ -20,8 +22,6 @@ Tape.backward adds them one at a time, which gives the same bits as the
 chain of 4d+2 entries. ``ham_s_vars`` is a taped ham_s built from autodiff
 primitives, for the gradient checks.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,37 +43,17 @@ NORM_BOUND_DK, NORM_BOUND_N, NORM_BOUND_ENTRY = (2, 16), (1, 32), 3.0
 REDUCTION_HOT = 20.0  # reduction_report's scalar on the hot level; the rest are zero
 
 
-@dataclass
-class HamWeights:
-    """d trainable scalars whose softmax gives the level weights."""
-
-    d: int
-    c: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise DomainError(f"attention depth must be >= 1, got {self.d}")
-        if self.c is None:
-            # all-zero init: uniform level weights 1/d
-            self.c = np.zeros(self.d)
-        self.c = np.asarray(self.c, dtype=np.float64)
-        if self.c.shape != (self.d,):
-            raise DimensionError(f"expected {self.d} level scalars, got shape {self.c.shape}")
-
-    def level_weights(self) -> np.ndarray:
-        """Probability vector alpha = softmax(c), recomputed from c on the fly."""
-        return softmax_vec(self.c)
+def ham_v(q, K, c) -> np.ndarray:
+    """Weighted sum of the d iterated vanilla-attention outputs of q against K, d = len(c)."""
+    alpha = softmax_vec(c)
+    levels = attention_levels(q, K, len(alpha))
+    return level_sum(np.moveaxis(levels, -2, 0), alpha)
 
 
-def ham_v(q, K, w: HamWeights) -> np.ndarray:
-    """Weighted sum of the d iterated vanilla-attention outputs of q against K."""
-    levels = attention_levels(q, K, w.d)
-    return level_sum(np.moveaxis(levels, -2, 0), w.level_weights())
-
-
-def ham_s(X, w: HamWeights) -> np.ndarray:
-    """Weighted sum of d consecutive self-attention results of the sequence X."""
-    return level_sum(self_attention_levels(X, w.d), w.level_weights())
+def ham_s(X, c) -> np.ndarray:
+    """Weighted sum of the d consecutive self-attention results of the sequence X, d = len(c)."""
+    alpha = softmax_vec(c)
+    return level_sum(self_attention_levels(X, len(alpha)), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +237,7 @@ def reduction_report(instances: int, seed: int = 0) -> dict:
     if not 1 <= instances <= MAX_REDUCTION_INSTANCES:
         raise DomainError(f"instances must lie in [1, {MAX_REDUCTION_INSTANCES}], got {instances}")
     rng = np.random.default_rng(seed)
-    one = HamWeights(1).level_weights()
+    one = softmax_vec(np.zeros(1))
     worst = {}
     for _ in range(instances):
         dk = int(rng.integers(2, 9))
@@ -270,7 +250,7 @@ def reduction_report(instances: int, seed: int = 0) -> dict:
 
         c = np.zeros(d)
         c[t] = REDUCTION_HOT
-        alpha = HamWeights(d, c).level_weights()
+        alpha = softmax_vec(c)
         v_levels = attention_levels(q, K, d)
         s_levels = self_attention_levels(X, d)
         for key, out, want in (

@@ -8,8 +8,8 @@ encoder states through the batched ham_v connector, consumes
 to vocabulary logits. A :class:`~hamattn.autodiff.Tape` around a loss gives
 exact gradients for every parameter.
 
-``sequence_loss`` records four tape entries at any length and depth: one
-gather of the source tokens, one op for the whole encoder (both directions
+``sequence_loss`` records three tape entries at any length and depth: one op
+for the whole encoder (the source embeddings gathered and both directions
 stepped together), one for the whole teacher-forced decoder and the
 cross-entropy. Their hand-written vjps run BPTT with every product that does
 not feed the recurrence (input projections, the output projection, d_x
@@ -59,6 +59,10 @@ class ModelConfig:
     bidirectional: bool = True
 
     def __post_init__(self):
+        # exact types: a bool would otherwise pass as an int, and a float reach numpy
+        for f in fields(self):
+            if type(getattr(self, f.name)) is not f.type:
+                raise DomainError(f"model config {f.name!r} must be {f.type.__name__}")
         if not NUM_RESERVED < self.vocab_size <= MAX_VOCAB:
             raise DomainError(
                 f"vocab size must lie in [{NUM_RESERVED + 1}, {MAX_VOCAB}], got {self.vocab_size}"
@@ -186,6 +190,8 @@ def _gru_cell(x: Variable, h: Variable, p: GRUParams) -> Variable:
     differences like any other primitive.
     """
     xv, hv = x.value, h.value
+    if xv.ndim != 2 or hv.ndim != 2 or xv.shape[0] != hv.shape[0]:
+        raise DimensionError(f"gru_step expects matching batches, got x {xv.shape}, h {hv.shape}")
     if xv.shape[1] != p.wz.value.shape[0] or hv.shape[1] != p.uz.value.shape[0]:
         raise DimensionError(
             f"gru_step shapes {xv.shape}, {hv.shape} do not match weights "
@@ -205,13 +211,7 @@ def _gru_cell(x: Variable, h: Variable, p: GRUParams) -> Variable:
 
 def gru_step(x, h_prev, params: GRUParams) -> Variable:
     """One GRU transition of a [batch, d_in] input and a [batch, hidden] state."""
-    x = ad.as_variable(x)
-    h = ad.as_variable(h_prev)
-    if x.value.ndim != 2 or h.value.ndim != 2 or x.value.shape[0] != h.value.shape[0]:
-        raise DimensionError(
-            f"gru_step expects matching batches, got x {x.value.shape}, h {h.value.shape}"
-        )
-    return _gru_cell(x, h, params)
+    return _gru_cell(ad.as_variable(x), ad.as_variable(h_prev), params)
 
 
 class Seq2SeqModel:
@@ -241,51 +241,44 @@ class Seq2SeqModel:
 
 
 def _token_matrix(tokens, vocab_size: int) -> np.ndarray:
-    arr = np.asarray(tokens, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] == 0:
+    """The one check of a [batch, steps] id matrix: non-empty, integer-typed, in the vocab."""
+    arr = np.asarray(tokens)
+    if arr.ndim != 2 or arr.size == 0:
         raise DomainError(f"expected a non-empty [batch, steps] id matrix, got shape {arr.shape}")
+    # never cast a float id to an int: 3.7 would silently train as 3
+    if arr.dtype.kind not in "iu":
+        raise DomainError(f"token ids must be integers, got dtype {arr.dtype}")
     if arr.min() < 0 or arr.max() >= vocab_size:
         raise DomainError(f"token id outside vocab [0, {vocab_size})")
-    return arr
-
-
-def _gather_steps(table: Variable, ids: np.ndarray) -> Variable:
-    """Rows of ``table`` for a [B, n] id matrix, step-major: out[t] = table[ids[:, t]].
-
-    One tape entry that lists ``table`` once per step and returns one
-    gradient table per step, last step first, so Tape.backward adds them in
-    the order n per-step gathers would.
-    """
-    n = ids.shape[1]
-
-    def vjp(g):
-        return tuple(_step_tables(table.value, ids, g)[::-1])
-
-    # C order, so that each step's rows are one block as a per-step gather's are
-    return ad._record((table,) * n, Variable(np.ascontiguousarray(table.value[ids.T])), vjp)
+    return arr.astype(np.int64, copy=False)
 
 
 def _step_tables(table: np.ndarray, ids: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Per-step gather gradients [n, V, H]: step t's rows g[t] added at ids[:, t]."""
+    """Per-step gather gradients [n, V, H]: step t's rows g[t] added at ids[:, t].
+
+    The fused encoder and decoder list the table once per step and return
+    these last step first, so Tape.backward adds them as n gathers would.
+    """
     out = np.zeros((ids.shape[1], *table.shape))
     np.add.at(out, (np.arange(ids.shape[1])[:, None], ids.T), g)
     return out
 
 
-def _encode(tokens, model: Seq2SeqModel) -> Variable:
-    """Per-token encoder states [B, n, H] as two tape entries: a gather and the encoder op.
+def _encode(tokens: np.ndarray, model: Seq2SeqModel) -> Variable:
+    """Per-token encoder states [B, n, H] of a checked id matrix as one tape entry.
 
-    Both directions step together as a [2, B, H] batch: direction j's k-th
-    step reads token k forward and token n-1-k backward, and the states of
-    one token are summed. The input projections of every step run before the
-    time loop; d_x and the weight gradients run after the BPTT loop.
+    The embedding rows are gathered step-major in C order, as per-step
+    gathers lay them out. Both directions step together as a [2, B, H]
+    batch: direction j's k-th step reads token k forward and token n-1-k
+    backward, and the states of one token are summed. The input projections
+    of every step run before the time loop; d_x, the weight gradients and
+    the embedding tables run after the BPTT loop.
     """
-    tokens = _token_matrix(tokens, model.config.vocab_size)
     cells = [cell for cell in (model.enc_fwd, model.enc_bwd) if cell is not None]
     nd = len(cells)
-    embs = _gather_steps(model.embedding, tokens)
+    embs = np.ascontiguousarray(model.embedding.value[tokens.T])
     W, U, b = (np.array(parts) for parts in zip(*map(_stack_gates, cells)))
-    xs = np.stack([embs.value, embs.value[::-1]][:nd], axis=1)  # [n, nd, B, H]
+    xs = np.stack([embs, embs[::-1]][:nd], axis=1)  # [n, nd, B, H]
     xw = np.matmul(xs[:, :, None], W)
     hs = [np.zeros(xs.shape[1:3] + U.shape[-1:])]
     caches = []
@@ -307,16 +300,17 @@ def _encode(tokens, model: Seq2SeqModel) -> Variable:
         s = np.stack([cache.s for cache in caches])
         dw, du, db = map(_sum_steps, _gru_param_grads(xs, np.stack(hs[:-1]), s, d_a))
         d_embs = d_xs[:, 0] if nd == 1 else d_xs[::-1, 1] + d_xs[:, 0]
-        return (d_embs, *(grad for j in range(nd) for grad in _per_field(dw[j], du[j], db[j])))
+        d_tables = _step_tables(model.embedding.value, tokens, d_embs)[::-1]
+        return (*d_tables, *(grad for j in range(nd) for grad in _per_field(dw[j], du[j], db[j])))
 
     params = (var for cell in cells for var in cell.variables().values())
     out = Variable(np.ascontiguousarray(states.transpose(1, 0, 2)))
-    return ad._record((embs, *params), out, vjp)
+    return ad._record((*[model.embedding] * len(embs), *params), out, vjp)
 
 
 def encode_batch(tokens, model: Seq2SeqModel):
     """Encode a [B, n] id matrix to per-token states [B, n, H] plus the last state."""
-    enc = _encode(tokens, model)
+    enc = _encode(_token_matrix(tokens, model.config.vocab_size), model)
     b, n, h = enc.value.shape
     return enc, ad.gather_rows(ad.reshape(enc, (b * n, h)), np.arange(n - 1, b * n, n))
 
@@ -396,21 +390,22 @@ def _decode(enc: Variable, inputs: np.ndarray, model: Seq2SeqModel) -> Variable:
         xs = np.stack([x for x, _, _ in records])
         s = np.stack([cache.s for _, _, cache in records])
         grads = map(_sum_steps, _gru_param_grads(xs, np.stack(hs[:-1]), s, d_a))
-        d_table = _sum_steps(_step_tables(model.embedding.value, inputs, d_embs))
+        d_tables = _step_tables(model.embedding.value, inputs, d_embs)[::-1]
         d_w_out = _sum_steps(np.matmul(h_new.swapaxes(-1, -2), g))
-        return (d_keys, d_table, *_per_field(*grads), d_w_out, _sum_steps(d_c))
+        return (d_keys, *d_tables, *_per_field(*grads), d_w_out, _sum_steps(d_c))
 
-    params = (model.embedding, *model.dec.variables().values(), model.w_out, model.var_c)
-    return ad._record((enc, *params), Variable(logits.reshape(-1, logits.shape[2])), vjp)
+    params = (*model.dec.variables().values(), model.w_out, model.var_c)
+    out = Variable(logits.reshape(-1, logits.shape[2]))
+    return ad._record((enc, *[model.embedding] * len(embs), *params), out, vjp)
 
 
 def sequence_loss(model: Seq2SeqModel, src_batch, tgt_batch) -> Variable:
     """Mean teacher-forced cross-entropy of a same-length batch of pairs.
 
     The decoder consumes BOS followed by the gold target tokens and is scored
-    against the target shifted left with EOS appended. The tape holds four
-    entries whatever the lengths and depth: the encoder gather, the encoder,
-    the decoder and the cross-entropy.
+    against the target shifted left with EOS appended. The tape holds three
+    entries whatever the lengths and depth: the encoder (with its embedding
+    gather), the decoder (with its own) and the cross-entropy.
     """
     src = _token_matrix(src_batch, model.config.vocab_size)
     tgt = _token_matrix(tgt_batch, model.config.vocab_size)
@@ -431,8 +426,9 @@ def generate(src, model: Seq2SeqModel, max_len: int = 50) -> list:
     """
     if max_len < 1:
         raise DomainError(f"max_len must be >= 1, got {max_len}")
-    src = np.asarray(src, dtype=np.int64)
-    keys = _encode(src.reshape(1, -1), model).value
+    # a batch of one: a source that is not 1-D fails the matrix check
+    src = _token_matrix(np.asarray(src)[None], model.config.vocab_size)
+    keys = _encode(src, model).value
     h = np.ascontiguousarray(keys[:, -1])
     weights = _decoder_weights(model)
     out = []
@@ -494,11 +490,12 @@ def _stored_tensor(name: str, entry) -> np.ndarray:
 def load_checkpoint(path) -> Seq2SeqModel:
     """Rebuild a model from ``save_checkpoint`` output.
 
-    Config keys and value types, each tensor's form (a shape list and a flat
-    list of numbers that fills it), tensor names and shapes, and finiteness
-    are checked, and the config's sizes are compared with the stored tensors
-    before the model is allocated; a bad file raises :class:`DomainError`
-    (:class:`DimensionError` for a shape) naming what is wrong.
+    Config keys (``ModelConfig`` checks their values), each tensor's form (a
+    shape list and a flat list of numbers that fills it), tensor names and
+    shapes, and finiteness are checked, and the config's sizes are compared
+    with the stored tensors before the model is allocated; a bad file raises
+    :class:`DomainError` (:class:`DimensionError` for a shape) naming what is
+    wrong.
     """
     payload = json.loads(read_text(path))
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
@@ -508,13 +505,9 @@ def load_checkpoint(path) -> Seq2SeqModel:
     stored_config = payload.get("config")
     if not isinstance(stored_config, dict):
         raise DomainError(f"checkpoint config must be an object, got {stored_config!r}")
-    config_fields = {f.name: f.type for f in fields(ModelConfig)}
-    odd = sorted(set(stored_config) ^ set(config_fields))
+    odd = sorted(set(stored_config) ^ {f.name for f in fields(ModelConfig)})
     if odd:
         raise DomainError(f"checkpoint config keys do not match the model config: {odd}")
-    for name, kind in config_fields.items():
-        if type(stored_config[name]) is not kind:
-            raise DomainError(f"checkpoint config {name!r} must be {kind.__name__}")
     config = ModelConfig(**stored_config)
     stored = payload.get("params")
     if not isinstance(stored, dict):

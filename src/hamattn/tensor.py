@@ -12,8 +12,6 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from . import kernels
 
-Tensor = np.ndarray
-
 
 def softmax_vec(x) -> np.ndarray:
     """Softmax of a 1-D tensor, stabilized by max subtraction.

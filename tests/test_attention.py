@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamattn.attention import (
-    KeySequence,
     MultiHeadParams,
     attention_distribution,
     attention_levels,
@@ -320,13 +319,10 @@ def test_norm_upper_bound_at_every_level(seed):
         assert np.linalg.norm(level) <= hi + 1e-9
 
 
-def test_key_sequence_validation():
-    ks = KeySequence(np.ones((3, 2)))
-    assert (ks.dk, ks.n) == (3, 2)
+def test_vanilla_attention_key_validation():
+    # keys must be a non-empty dk x n matrix
+    np.testing.assert_array_equal(vanilla_attention(np.ones(3), np.ones((3, 2))), np.ones(3))
     with pytest.raises(DimensionError):
-        KeySequence(np.ones(3))
+        vanilla_attention(np.ones(3), np.ones(3))
     with pytest.raises(DomainError):
-        KeySequence(np.ones((3, 0)))
-    np.testing.assert_array_equal(
-        vanilla_attention(np.ones(3), ks), vanilla_attention(np.ones(3), np.ones((3, 2)))
-    )
+        vanilla_attention(np.ones(3), np.ones((3, 0)))

@@ -9,7 +9,6 @@ from hamattn.attention import attention_levels, self_attention_layer, vanilla_at
 from hamattn.autodiff import Tape, Variable, check_gradients
 from hamattn.errors import DimensionError, DomainError
 from hamattn.ham import (
-    HamWeights,
     ham_s,
     ham_s_vars,
     ham_v,
@@ -24,14 +23,20 @@ from hamattn.ham import (
 from hamattn.tensor import softmax_vec
 
 
-def test_ham_weights_validation_and_uniform_init():
-    w = HamWeights(4)
-    np.testing.assert_array_equal(w.c, np.zeros(4))
-    np.testing.assert_allclose(w.level_weights(), np.full(4, 0.25), atol=1e-15)
-    with pytest.raises(DomainError):
-        HamWeights(0)
-    with pytest.raises(DimensionError):
-        HamWeights(3, np.zeros(2))
+def test_level_logits_validation_and_uniform_weights():
+    rng = np.random.default_rng(9)
+    K = rng.uniform(-2, 2, (3, 5))
+    q = rng.uniform(-2, 2, 3)
+    X = K.T
+    # zero logits weight the levels uniformly
+    np.testing.assert_allclose(
+        ham_v(q, K, np.zeros(4)), attention_levels(q, K, 4).mean(axis=0), atol=1e-15
+    )
+    for bad, error in ((np.zeros(0), DomainError), (np.zeros((3, 2)), DimensionError)):
+        with pytest.raises(error):
+            ham_v(q, K, bad)
+        with pytest.raises(error):
+            ham_s(X, bad)
 
 
 def test_ham_v_depth_one_equals_vanilla_exactly():
@@ -40,7 +45,7 @@ def test_ham_v_depth_one_equals_vanilla_exactly():
     q = rng.uniform(-2, 2, 3)
     for c1 in (-7.0, 0.0, 4.2):
         np.testing.assert_array_equal(
-            ham_v(q, K, HamWeights(1, np.array([c1]))), vanilla_attention(q, K)
+            ham_v(q, K, np.array([c1])), vanilla_attention(q, K)
         )
 
 
@@ -49,8 +54,8 @@ def test_ham_v_identical_keys_fixed_point():
     K = np.tile(v[:, None], (1, 6))
     rng = np.random.default_rng(1)
     for d in (1, 3, 8):
-        w = HamWeights(d, rng.uniform(-3, 3, d))
-        np.testing.assert_allclose(ham_v(np.array([0.1, 0.9]), K, w), v, atol=1e-12)
+        c = rng.uniform(-3, 3, d)
+        np.testing.assert_allclose(ham_v(np.array([0.1, 0.9]), K, c), v, atol=1e-12)
 
 
 def test_ham_v_one_hot_reduction_to_each_level():
@@ -63,17 +68,17 @@ def test_ham_v_one_hot_reduction_to_each_level():
         c = np.zeros(d)
         c[t] = 20.0
         levels = attention_levels(q, K, d)
-        assert np.max(np.abs(ham_v(q, K, HamWeights(d, c)) - levels[t])) < 1e-7
+        assert np.max(np.abs(ham_v(q, K, c) - levels[t])) < 1e-7
 
 
 def test_ham_s_depth_one_and_fixed_point():
     rng = np.random.default_rng(3)
     X = rng.uniform(-2, 2, (4, 3))
-    np.testing.assert_array_equal(ham_s(X, HamWeights(1)), self_attention_layer(X))
+    np.testing.assert_array_equal(ham_s(X, np.zeros(1)), self_attention_layer(X))
     rows = np.tile(np.array([1.0, 2.0, 3.0]), (5, 1))
     for d in (1, 2, 4):
-        w = HamWeights(d, rng.uniform(-2, 2, d))
-        np.testing.assert_allclose(ham_s(rows, w), rows, atol=1e-12)
+        c = rng.uniform(-2, 2, d)
+        np.testing.assert_allclose(ham_s(rows, c), rows, atol=1e-12)
 
 
 def test_ham_s_one_hot_reduction_to_composed_self_attention():
@@ -86,7 +91,7 @@ def test_ham_s_one_hot_reduction_to_composed_self_attention():
         composed = X
         for _ in range(d):
             composed = self_attention_layer(composed)
-        assert np.max(np.abs(ham_s(X, HamWeights(d, c)) - composed)) < 1e-7
+        assert np.max(np.abs(ham_s(X, c) - composed)) < 1e-7
 
 
 def test_level_weight_shift_invariance():
@@ -98,16 +103,16 @@ def test_level_weight_shift_invariance():
     c = np.array([0.25, -1.5, 2.0])
     for s in (1.0, -3.0, 256.0):
         np.testing.assert_array_equal(
-            ham_v(q, K, HamWeights(3, c)), ham_v(q, K, HamWeights(3, c + s))
+            ham_v(q, K, c), ham_v(q, K, c + s)
         )
         np.testing.assert_array_equal(
-            ham_s(X, HamWeights(3, c)), ham_s(X, HamWeights(3, c + s))
+            ham_s(X, c), ham_s(X, c + s)
         )
     # arbitrary float shifts agree to rounding
     c = rng.uniform(-2, 2, 3)
     s = float(rng.uniform(-10, 10))
     np.testing.assert_allclose(
-        ham_v(q, K, HamWeights(3, c)), ham_v(q, K, HamWeights(3, c + s)), atol=1e-12
+        ham_v(q, K, c), ham_v(q, K, c + s), atol=1e-12
     )
 
 
@@ -115,11 +120,11 @@ def test_ham_v_permutation_invariance_and_ham_s_equivariance():
     rng = np.random.default_rng(6)
     K = rng.uniform(-2, 2, (3, 6))
     q = rng.uniform(-2, 2, 3)
-    w = HamWeights(3, rng.uniform(-1, 1, 3))
+    c = rng.uniform(-1, 1, 3)
     perm = rng.permutation(6)
-    np.testing.assert_allclose(ham_v(q, K, w), ham_v(q, K[:, perm], w), atol=1e-12)
+    np.testing.assert_allclose(ham_v(q, K, c), ham_v(q, K[:, perm], c), atol=1e-12)
     X = rng.uniform(-2, 2, (6, 3))
-    np.testing.assert_allclose(ham_s(X, w)[perm], ham_s(X[perm], w), atol=1e-12)
+    np.testing.assert_allclose(ham_s(X, c)[perm], ham_s(X[perm], c), atol=1e-12)
 
 
 def test_taped_forms_match_numpy_forms():
@@ -128,9 +133,8 @@ def test_taped_forms_match_numpy_forms():
         # ham_v's taped form is pinned by test_batched_context_matches_per_example_ham_v
         dk, n, d = int(rng.integers(2, 6)), int(rng.integers(1, 7)), int(rng.integers(1, 5))
         c = rng.uniform(-2, 2, d)
-        w = HamWeights(d, c)
         X = rng.uniform(-2, 2, (n, dk))
-        np.testing.assert_allclose(ham_s_vars(X, c).value, ham_s(X, w), atol=1e-14)
+        np.testing.assert_allclose(ham_s_vars(X, c).value, ham_s(X, c), atol=1e-14)
 
 
 def test_batched_context_matches_per_example_ham_v():
@@ -140,9 +144,8 @@ def test_batched_context_matches_per_example_ham_v():
     q = rng.uniform(-2, 2, (b, h))
     c = rng.uniform(-1, 1, d)
     out = ham_v_context(Variable(enc), Variable(q), Variable(c)).value
-    w = HamWeights(d, c)
     for i in range(b):
-        np.testing.assert_allclose(out[i], ham_v(q[i], enc[i].T, w), atol=1e-13)
+        np.testing.assert_allclose(out[i], ham_v(q[i], enc[i].T, c), atol=1e-13)
 
 
 def _primitive_ham_v_context(enc, query, c):
@@ -218,8 +221,8 @@ def test_ham_v_norm_bound(seed):
     d = int(rng.integers(1, 7))
     K = rng.uniform(-3, 3, (dk, n))
     q = rng.uniform(-3, 3, dk)
-    w = HamWeights(d, rng.uniform(-3, 3, d))
-    assert np.linalg.norm(ham_v(q, K, w)) <= np.linalg.norm(K, axis=0).max() + 1e-9
+    c = rng.uniform(-3, 3, d)
+    assert np.linalg.norm(ham_v(q, K, c)) <= np.linalg.norm(K, axis=0).max() + 1e-9
 
 
 def test_norm_bound_suite_small_run():
@@ -345,10 +348,10 @@ def _reduction_reference(instances, seed, hot=20.0):
         for _ in range(d):
             s_levels.append(self_attention_layer(s_levels[-1]))
         for key, got, want in (
-            ("ham_v_onehot_max_err", ham_v(q, K, HamWeights(d, c)), levels[t]),
-            ("ham_v_d1_max_err", ham_v(q, K, HamWeights(1)), levels[0]),
-            ("ham_s_onehot_max_err", ham_s(X, HamWeights(d, c)), s_levels[t + 1]),
-            ("ham_s_d1_max_err", ham_s(X, HamWeights(1)), s_levels[1]),
+            ("ham_v_onehot_max_err", ham_v(q, K, c), levels[t]),
+            ("ham_v_d1_max_err", ham_v(q, K, np.zeros(1)), levels[0]),
+            ("ham_s_onehot_max_err", ham_s(X, c), s_levels[t + 1]),
+            ("ham_s_d1_max_err", ham_s(X, np.zeros(1)), s_levels[1]),
         ):
             worst[key] = max(worst.get(key, 0.0), float(np.max(np.abs(got - want))))
     return {"instances": instances, "seed": seed, "hot": hot, **worst}

@@ -243,14 +243,43 @@ def test_generate_deterministic():
 
 @pytest.mark.parametrize("depth", [1, 5])
 def test_sequence_loss_tape_length_is_depth_independent(depth):
-    # one gather of all 6 source tokens, one op for the bidirectional encoder,
-    # one op for all 7 decoder steps (connector, cell and output projection)
-    # and the cross-entropy
+    # one op for the bidirectional encoder (with its gather of all 6 source
+    # tokens), one op for all 7 decoder steps (gather, connector, cell and
+    # output projection) and the cross-entropy
     model = _model(vocab=8, hidden=4, depth=depth, seed=14)
     batch = np.random.default_rng(14).integers(3, 8, (3, 6))
     with ad.Tape() as tape:
         sequence_loss(model, batch, batch)
-    assert len(tape.entries) == 4
+    assert len(tape.entries) == 3
+
+
+def test_token_ids_must_be_integers():
+    # a float id used to be cast, so 3.7 trained as id 3
+    model = _model()
+    for bad in ([[3.7, 4]], [[3.0, 4.0]], [[True, False]]):
+        with pytest.raises(DomainError, match="integers"):
+            sequence_loss(model, bad, [[3, 4]])
+        with pytest.raises(DomainError, match="integers"):
+            sequence_loss(model, [[3, 4]], bad)
+        with pytest.raises(DomainError, match="integers"):
+            encode_batch(bad, model)
+        with pytest.raises(DomainError, match="integers"):
+            generate(bad[0], model)
+    # an empty batch is an empty matrix, not a reduction error
+    with pytest.raises(DomainError, match="non-empty"):
+        sequence_loss(model, np.zeros((0, 2), dtype=int), np.zeros((0, 2), dtype=int))
+    # narrower integer dtypes are ids like any other
+    src = np.array([[3, 4], [5, 3]])
+    narrow = sequence_loss(model, src.astype(np.uint8), src.astype(np.int32))
+    assert narrow.value == sequence_loss(model, src, src).value
+
+
+def test_generate_rejects_a_source_that_is_not_one_sequence():
+    # a 2-D source used to be flattened and decoded as [3, 4, 5, 6]
+    model = _model()
+    for bad in ([[3, 4], [5, 6]], 3, []):
+        with pytest.raises(DomainError, match="id matrix"):
+            generate(bad, model)
 
 
 def _per_step_sequence_loss(model, src, tgt):
@@ -404,6 +433,20 @@ def test_config_caps_hidden_before_allocating():
     for hidden in (0, MAX_HIDDEN + 1, 99999999999):
         with pytest.raises(DomainError, match="hidden"):
             ModelConfig(8, hidden=hidden)
+
+
+def test_config_checks_field_types():
+    # a bool used to pass as the int 1 (a depth-1 model) and a float to reach
+    # numpy; a numpy int could not be written to a checkpoint
+    for kwargs, name in (
+        ({"ham_depth": True}, "ham_depth"),
+        ({"hidden": 2.5}, "hidden"),
+        ({"hidden": np.int64(4)}, "hidden"),
+        ({"bidirectional": 1}, "bidirectional"),
+        ({"vocab_size": 8.0}, "vocab_size"),
+    ):
+        with pytest.raises(DomainError, match=name):
+            ModelConfig(**{"vocab_size": 8, **kwargs})
 
 
 def test_config_caps_vocab_and_depth_before_allocating():
