@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, check_int
 from . import kernels
 
 
@@ -126,8 +126,7 @@ def attention_levels(q, K, depth: int) -> np.ndarray:
     ``q`` is [..., dk] and ``K`` [..., dk, n], with or without batch axes;
     returns [..., depth, dk], row t-1 being the level-t output.
     """
-    if depth < 1:
-        raise DomainError(f"depth must be >= 1, got {depth}")
+    depth = check_int("depth", depth, 1)
     keys, q0 = _rows(q, K)
     levels = np.stack(level_forward(keys, q0, depth)[0][1:], axis=1)
     return levels.reshape(*np.shape(q)[:-1], depth, keys.shape[2])

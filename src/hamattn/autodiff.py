@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionError, DomainError
-from .tensor import level_sum
+from .tensor import level_sum, token_ids
 
 
 class Variable:
@@ -295,15 +295,11 @@ def mean_all(x) -> Variable:
 
 
 def gather_rows(table, ids) -> Variable:
-    """Select rows of a 2-D table by integer index (embedding lookup)."""
+    """Select rows of a 2-D table by 1-D integer ids (embedding lookup); ``token_ids`` checks them."""
     table = as_variable(table)
-    ids = np.asarray(ids, dtype=np.int64)
-    if table.value.ndim != 2 or ids.ndim != 1:
-        raise DimensionError(
-            f"gather_rows expects a 2-D table and 1-D ids, got {table.value.shape}, {ids.shape}"
-        )
-    if ids.size and (ids.min() < 0 or ids.max() >= table.value.shape[0]):
-        raise DomainError(f"gather_rows ids out of range [0, {table.value.shape[0]})")
+    if table.value.ndim != 2:
+        raise DimensionError(f"gather_rows expects a 2-D table, got {table.value.shape}")
+    ids = token_ids(ids, table.value.shape[0], 1, "gather_rows ids")
     out = Variable(table.value[ids])
 
     def vjp(g):
@@ -376,20 +372,18 @@ def weighted_sum(xs: Sequence, w) -> Variable:
 
 
 def cross_entropy_logits(logits, targets) -> Variable:
-    """Mean cross-entropy of integer targets under rows of logits.
+    """Mean cross-entropy of integer targets (checked by ``token_ids``) under rows of logits.
 
     Fused log-softmax + negative log-likelihood; strictly positive for
     finite logits whenever the vocabulary has at least two entries.
     """
     logits = as_variable(logits)
-    targets = np.asarray(targets, dtype=np.int64)
-    if logits.value.ndim != 2 or targets.ndim != 1 or logits.value.shape[0] != targets.shape[0]:
-        raise DimensionError(
-            f"cross_entropy_logits expects [N,V] and [N], got {logits.value.shape}, {targets.shape}"
-        )
+    if logits.value.ndim != 2:
+        raise DimensionError(f"cross_entropy_logits expects [N,V] logits, got {logits.value.shape}")
     n, v = logits.value.shape
-    if targets.size and (targets.min() < 0 or targets.max() >= v):
-        raise DomainError(f"targets out of range [0, {v})")
+    targets = token_ids(targets, v, 1, "targets")
+    if targets.shape[0] != n:
+        raise DimensionError(f"cross_entropy_logits expects {n} targets, got {targets.shape[0]}")
     loss_sum, probs = kernels.cross_entropy_rows(logits.value, targets)
     out = Variable(loss_sum / n)
 

@@ -17,7 +17,7 @@ from .attention import (
     vanilla_attention,
 )
 from .autodiff import Variable, check_gradients
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .ham import MAX_REDUCTION_INSTANCES, ham_s_vars, ham_v_context, reduction_report, norm_bound_suite
 from .model import GRUParams, ModelConfig, Seq2SeqModel, gru_step, sequence_loss
 from .tensor import softmax_vec
@@ -48,7 +48,7 @@ def property_report(seed: int = 0) -> dict:
     Each entry records the worst deviation observed and the first failing
     instance, if any, for replay.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     report = {}
 
     def run(name, tol, sampler):
@@ -130,9 +130,7 @@ def verify_report(
     reduction_instances: int = 1_000,
 ) -> tuple[dict, bool]:
     """Assemble the full verification report; second value is overall pass."""
-    cap = MAX_REDUCTION_INSTANCES  # checked before any suite runs
-    if not 1 <= reduction_instances <= cap:
-        raise DomainError(f"reduction_instances must lie in [1, {cap}], got {reduction_instances}")
+    reduction_instances = check_int("reduction_instances", reduction_instances, 1, MAX_REDUCTION_INSTANCES)
     bounds = norm_bound_suite(trials, seed=seed, max_depth=max_depth)
     red = reduction_report(reduction_instances, seed=seed + 1)
     props = property_report(seed=seed + 2)
@@ -184,10 +182,9 @@ def gradcheck_table(scale: str = "tiny", seed: int = 0, instances: int = 30) -> 
     projected then draw a random linear functional ``w`` of the output, fixed
     per instance, and check ``sum(w * build())``; the others build a scalar loss.
     """
-    if not 1 <= instances <= MAX_GRADCHECK_INSTANCES:
-        raise DomainError(f"instances must lie in [1, {MAX_GRADCHECK_INSTANCES}], got {instances}")
+    instances = check_int("instances", instances, 1, MAX_GRADCHECK_INSTANCES)
     d = _dims(scale)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     v, r, c, k, b, h = (d[key] for key in ("vec", "rows", "cols", "inner", "batch", "hidden"))
 
     def u(*shape):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorpusError, DomainError
+from .errors import CorpusError, DomainError, check_int
 
 PAD, BOS, EOS = 0, 1, 2
 NUM_RESERVED = 3
@@ -78,8 +78,7 @@ class Corpus:
         self.validate()
 
     def validate(self) -> None:
-        if self.vocab_size < NUM_RESERVED:
-            raise DomainError(f"vocab size must be >= {NUM_RESERVED}, got {self.vocab_size}")
+        check_int("vocab_size", self.vocab_size, NUM_RESERVED)
         for i, (src, tgt) in enumerate(self.pairs):
             problem = _pair_problem(src, tgt, self.vocab_size, self.strict)
             if problem:
@@ -92,10 +91,8 @@ class Corpus:
 def check_corpus_size(n_pairs: int, seq_len: int, name: str = "pairs") -> None:
     """Reject a corpus of ``n_pairs`` pairs of length ``seq_len`` past the caps
     before any of it is made; ``name`` names the pair count in the message."""
-    if not 1 <= seq_len <= MAX_SEQ_LEN:
-        raise DomainError(f"seq_len must lie in [1, {MAX_SEQ_LEN}], got {seq_len}")
-    if not 1 <= n_pairs <= MAX_PAIRS:
-        raise DomainError(f"{name} must lie in [1, {MAX_PAIRS}], got {n_pairs}")
+    check_int("seq_len", seq_len, 1, MAX_SEQ_LEN)
+    check_int(name, n_pairs, 1, MAX_PAIRS)
     if n_pairs * seq_len > MAX_TOKENS:
         raise DomainError(f"{name} x seq_len must be at most {MAX_TOKENS} tokens, got {n_pairs} x {seq_len}")
 
@@ -108,10 +105,9 @@ def gen_task(task: str, n_pairs: int, seq_len: int, payload_vocab: int, seed: in
     """
     if task not in TASKS:
         raise DomainError(f"unknown task {task!r}, expected one of {TASKS}")
-    if not 2 <= payload_vocab <= MAX_VOCAB - NUM_RESERVED:
-        raise DomainError(f"payload_vocab must lie in [2, {MAX_VOCAB - NUM_RESERVED}], got {payload_vocab}")
+    check_int("payload_vocab", payload_vocab, 2, MAX_VOCAB - NUM_RESERVED)
     check_corpus_size(n_pairs, seq_len)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     pairs = []
     for _ in range(n_pairs):
         src = [int(t) for t in rng.integers(NUM_RESERVED, NUM_RESERVED + payload_vocab, seq_len)]

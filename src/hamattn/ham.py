@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .attention import attention_levels, level_forward, self_attention_levels, vanilla_attention
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, check_int
 from .tensor import l2_norm, level_sum, softmax_vec
 
 BOUND_TOL = 1e-9
@@ -180,11 +180,9 @@ def norm_bound_suite(trials: int, seed: int = 0, max_depth: int = 10) -> dict:
     first in this order. Returns a plain dict, ``verify --out``'s
     ``norm_bounds``; the suite passes when its ``upper_violations`` is 0.
     """
-    if not 1 <= trials <= MAX_TRIALS:
-        raise DomainError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
-    if not 1 <= max_depth <= MAX_DEPTH:
-        raise DomainError(f"max_depth must lie in [1, {MAX_DEPTH}], got {max_depth}")
-    rng = np.random.default_rng(seed)
+    trials = check_int("trials", trials, 1, MAX_TRIALS)
+    max_depth = check_int("max_depth", max_depth, 1, MAX_DEPTH)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     dks = rng.integers(NORM_BOUND_DK[0], NORM_BOUND_DK[1] + 1, size=trials)
     ns = rng.integers(NORM_BOUND_N[0], NORM_BOUND_N[1] + 1, size=trials)
     shapes, counts = np.unique(np.stack([dks, ns], axis=1), axis=0, return_counts=True)
@@ -234,9 +232,8 @@ def reduction_report(instances: int, seed: int = 0) -> dict:
     the softmax tail (d-1)*e^-20 stays well under the 1e-7 check threshold.
     Each recursion runs once per instance; ham_v and ham_s are level_sum of it.
     """
-    if not 1 <= instances <= MAX_REDUCTION_INSTANCES:
-        raise DomainError(f"instances must lie in [1, {MAX_REDUCTION_INSTANCES}], got {instances}")
-    rng = np.random.default_rng(seed)
+    instances = check_int("instances", instances, 1, MAX_REDUCTION_INSTANCES)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     one = softmax_vec(np.zeros(1))
     worst = {}
     for _ in range(instances):

@@ -6,7 +6,8 @@ stays equal to the attention key width). Each decoder step queries the
 encoder states through the batched ham_v connector, consumes
 ``concat(token embedding, context)`` as GRU input and projects the new state
 to vocabulary logits. A :class:`~hamattn.autodiff.Tape` around a loss gives
-exact gradients for every parameter.
+exact gradients for every parameter. Every id array passes ``tensor.token_ids``:
+integer-typed, in the vocabulary, a float id refused rather than truncated.
 
 ``sequence_loss`` records three tape entries at any length and depth: one op
 for the whole encoder (the source embeddings gathered and both directions
@@ -35,8 +36,9 @@ from . import autodiff as ad
 from . import kernels
 from .autodiff import Variable
 from .data import BOS, EOS, MAX_VOCAB, NUM_RESERVED, read_text
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, check_int
 from .ham import MAX_DEPTH, ham_v_context, ham_v_levels, ham_v_levels_vjp
+from .tensor import token_ids
 
 INIT_SCALE = 0.1
 
@@ -59,18 +61,13 @@ class ModelConfig:
     bidirectional: bool = True
 
     def __post_init__(self):
-        # exact types: a bool would otherwise pass as an int, and a float reach numpy
+        # exact types: the fields go to checkpoint JSON, which holds no numpy int
         for f in fields(self):
             if type(getattr(self, f.name)) is not f.type:
                 raise DomainError(f"model config {f.name!r} must be {f.type.__name__}")
-        if not NUM_RESERVED < self.vocab_size <= MAX_VOCAB:
-            raise DomainError(
-                f"vocab size must lie in [{NUM_RESERVED + 1}, {MAX_VOCAB}], got {self.vocab_size}"
-            )
-        if not 1 <= self.hidden <= MAX_HIDDEN:
-            raise DomainError(f"hidden size must lie in [1, {MAX_HIDDEN}], got {self.hidden}")
-        if not 1 <= self.ham_depth <= MAX_DEPTH:
-            raise DomainError(f"attention depth must lie in [1, {MAX_DEPTH}], got {self.ham_depth}")
+        check_int("vocab_size", self.vocab_size, NUM_RESERVED + 1, MAX_VOCAB)
+        check_int("hidden", self.hidden, 1, MAX_HIDDEN)
+        check_int("ham_depth", self.ham_depth, 1, MAX_DEPTH)
 
 
 class GRUParams:
@@ -241,16 +238,11 @@ class Seq2SeqModel:
 
 
 def _token_matrix(tokens, vocab_size: int) -> np.ndarray:
-    """The one check of a [batch, steps] id matrix: non-empty, integer-typed, in the vocab."""
+    """A non-empty [batch, steps] id matrix; ``tensor.token_ids`` checks its dtype and range."""
     arr = np.asarray(tokens)
     if arr.ndim != 2 or arr.size == 0:
         raise DomainError(f"expected a non-empty [batch, steps] id matrix, got shape {arr.shape}")
-    # never cast a float id to an int: 3.7 would silently train as 3
-    if arr.dtype.kind not in "iu":
-        raise DomainError(f"token ids must be integers, got dtype {arr.dtype}")
-    if arr.min() < 0 or arr.max() >= vocab_size:
-        raise DomainError(f"token id outside vocab [0, {vocab_size})")
-    return arr.astype(np.int64, copy=False)
+    return token_ids(arr, vocab_size, 2, "token ids")
 
 
 def _step_tables(table: np.ndarray, ids: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -316,11 +308,11 @@ def encode_batch(tokens, model: Seq2SeqModel):
 
 
 def decode_step_batch(h_dec, enc_states, prev_tokens, model: Seq2SeqModel):
-    """One teacher-forced decoder step over a batch: returns (logits, new state)."""
+    """One teacher-forced decoder step over [B] ids ``prev_tokens``: returns (logits, new state)."""
     h_dec = ad.as_variable(h_dec)
     enc_states = ad.as_variable(enc_states)
     context = ham_v_context(enc_states, h_dec, model.var_c)
-    emb = ad.gather_rows(model.embedding, np.asarray(prev_tokens, dtype=np.int64))
+    emb = ad.gather_rows(model.embedding, prev_tokens)
     x = ad.concat([emb, context], axis=1)
     h_new = gru_step(x, h_dec, model.dec)
     return ad.matmul(h_new, model.w_out), h_new
@@ -424,8 +416,7 @@ def generate(src, model: Seq2SeqModel, max_len: int = 50) -> list:
     Ties break toward the smallest token id (first argmax). Deterministic for
     a fixed model and source.
     """
-    if max_len < 1:
-        raise DomainError(f"max_len must be >= 1, got {max_len}")
+    max_len = check_int("max_len", max_len, 1)
     # a batch of one: a source that is not 1-D fails the matrix check
     src = _token_matrix(np.asarray(src)[None], model.config.vocab_size)
     keys = _encode(src, model).value

@@ -4,7 +4,7 @@ A "tensor" here is simply a C-contiguous float64 ``numpy.ndarray``; this
 module pins that convention and provides the shape-checked primitives the
 rest of the package builds on. No broadcasting, views or sparse storage --
 shapes are validated at call time and all public operations keep finite
-inputs finite.
+inputs finite. ``token_ids`` is the one check of an integer id array.
 """
 
 import numpy as np
@@ -40,3 +40,16 @@ def level_sum(levels, weights) -> np.ndarray:
     for wi, x in zip(weights, levels):
         acc += wi * x
     return acc
+
+
+def token_ids(ids, bound: int, ndim: int, name: str) -> np.ndarray:
+    """``ids`` as int64 if it has ``ndim`` axes, an integer dtype and every id in [0, bound): a
+    float id is refused, never truncated, and so is a bool; an empty array passes whatever its dtype."""
+    arr = np.asarray(ids)
+    if arr.ndim != ndim:
+        raise DimensionError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise DomainError(f"{name} must be integers, got dtype {arr.dtype}")
+    if arr.size and (arr.min() < 0 or arr.max() >= bound):
+        raise DomainError(f"{name} out of range [0, {bound})")
+    return arr.astype(np.int64, copy=False)

@@ -18,6 +18,7 @@ depth computes the depth-1 function, so only that spread separates the depths.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .autodiff import Tape
 from .data import Corpus
-from .errors import DomainError, TrainingDiverged
+from .errors import DomainError, TrainingDiverged, check_int
 from .evaluate import exact_match_rate
 from .ham import MAX_DEPTH
 from .model import ModelConfig, Seq2SeqModel, generate, sequence_loss
@@ -56,14 +57,14 @@ class TrainConfig:
     restarts: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise DomainError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
-        if self.optimizer not in OPTIMIZERS:
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not (math.isfinite(lr) and lr >= 0):
+            raise DomainError(f"learning rate must be a finite real number >= 0, got {lr!r}")
+        if not isinstance(self.optimizer, str) or self.optimizer not in OPTIMIZERS:
             raise DomainError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.epochs < 1 or self.batch_size < 1 or self.restarts < 1:
-            raise DomainError("epochs, batch_size and restarts must all be >= 1")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        for name in ("epochs", "batch_size", "restarts"):
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass
@@ -215,17 +216,11 @@ def depth_sweep(
     (c = [0, NULL_LEVEL_LOGIT, ...]) and left out of the optimizer, so each
     cell computes its depth-1 partner's function up to round-off.
     """
-    # type(d) is int: a bool or a float would otherwise be trained as int(d)
-    if (
-        not isinstance(depths, (list, tuple))
-        or not depths
-        or any(type(d) is not int or not 1 <= d <= MAX_DEPTH for d in depths)
-        or list(depths) != sorted(depths)
-    ):
-        raise DomainError(
-            f"depths must be a non-empty ascending list of integers in [1, {MAX_DEPTH}], got {depths!r}"
-        )
-    depths = list(depths)
+    if not isinstance(depths, (list, tuple)) or not depths:
+        raise DomainError(f"depths must be a non-empty list, got {depths!r}")
+    depths = [check_int(f"depths[{i}]", d, 1, MAX_DEPTH) for i, d in enumerate(depths)]
+    if depths != sorted(depths):
+        raise DomainError(f"depths must be ascending, got {depths}")
     if null and depths[0] != 1:
         raise DomainError(f"a null sweep starts at depth 1, got {depths}")
     records = []

@@ -274,6 +274,23 @@ def test_token_ids_must_be_integers():
     assert narrow.value == sequence_loss(model, src, src).value
 
 
+def test_float_ids_are_refused_not_truncated():
+    # each used to cast its ids to int64, so 3.7 read as id 3
+    model = _model()
+    enc, h = encode_batch([[3, 4]], model)
+    table = Variable(np.eye(3))
+    for call in (
+        lambda: decode_step_batch(h, enc, np.array([3.7]), model),
+        lambda: ad.gather_rows(table, np.array([1.7])),
+        lambda: ad.cross_entropy_logits(Variable(np.zeros((1, 3))), [2.9]),
+        lambda: ad.gather_rows(table, [True]),
+    ):
+        with pytest.raises(DomainError, match="integers"):
+            call()
+    # an empty id list holds no id and stays legal
+    assert ad.gather_rows(table, []).value.shape == (0, 3)
+
+
 def test_generate_rejects_a_source_that_is_not_one_sequence():
     # a 2-D source used to be flattened and decoded as [3, 4, 5, 6]
     model = _model()

@@ -39,6 +39,19 @@ def test_config_validation():
             TrainConfig(learning_rate=bad)
     with pytest.raises(DomainError, match="seed"):
         TrainConfig(seed=-1)
+    # a string or bool rate used to fail in math.isfinite or train as 1.0
+    for kwargs, name in (
+        ({"learning_rate": "0.1"}, "learning rate"),
+        ({"learning_rate": True}, "learning rate"),
+        ({"optimizer": np.array("adam")}, "optimizer"),
+    ):
+        with pytest.raises(DomainError, match=name):
+            TrainConfig(**kwargs)
+    # an int stands for a rate, as in a JSON config
+    assert TrainConfig(learning_rate=1, optimizer="sgd").learning_rate == 1
+    # only the field at fault is named
+    with pytest.raises(DomainError, match=r"^batch_size must be an integer >= 1, got 0$"):
+        TrainConfig(batch_size=0)
 
 
 def test_sgd_on_half_square():
