@@ -63,6 +63,7 @@ class MultiHeadParams:
     @classmethod
     def identity(cls, d: int, h: int = 1) -> "MultiHeadParams":
         """h heads of identity projections with a stacked-identity output map."""
+        d, h = check_int("d", d, 1), check_int("h", h, 1)
         eye = np.eye(d)
         wo = np.concatenate([eye] * h, axis=0) / h
         return cls(wq=(eye,) * h, wk=(eye,) * h, wv=(eye,) * h, wo=wo)
@@ -180,6 +181,6 @@ def self_attention_layer(X) -> np.ndarray:
 def self_attention_levels(X, depth: int) -> list:
     """The ``depth`` consecutive self-attention results of the sequence X."""
     levels = [X]
-    for _ in range(depth):
+    for _ in range(check_int("depth", depth, 1)):
         levels.append(self_attention_layer(levels[-1]))
     return levels[1:]

@@ -2,8 +2,11 @@
 
 Subcommands: verify, gradcheck, train, sweep, eval, gendata. Exit codes are
 uniform: 0 success, 1 check failure, 2 usage or config error. Train and
-sweep read an optional JSON config whose every key a flag can override;
-rejected configs produce no partial outputs.
+sweep read an optional JSON config whose every key a flag can override, and
+take the defaults they share with the library from TrainConfig and
+ModelConfig. The CLI checks only that the file holds an object of known
+keys; each value is checked once, by the library code that uses it, before
+anything is written, so rejected configs produce no partial outputs.
 
 All randomness flows from one root seed. The sweep fans it out as
 documented in :mod:`hamattn.train`: the train corpus uses the root seed, the
@@ -22,21 +25,22 @@ import numpy as np
 
 from .checks import gradcheck_table, verify_report
 from .data import Corpus, TASKS, check_corpus_size, gen_task, load_corpus, read_text, save_corpus
-from .errors import CorpusError, DomainError, TrainingDiverged
+from .errors import CorpusError, DomainError, TrainingDiverged, check_int
 from .evaluate import evaluate_pairs, evaluate_quatrains
 from .model import ModelConfig, Seq2SeqModel, generate, save_checkpoint
 from .train import OPTIMIZERS, TrainConfig, depth_sweep, train, write_sweep_csv
 
-TRAIN_DEFAULTS = {
-    "depth": 1,
-    "epochs": 100,
-    "learning_rate": 0.01,
-    "batch_size": 32,
-    "optimizer": "adam",
-    "seed": 0,
-    "hidden": 16,
-    "bidirectional": True,
+# The defaults train and sweep share with the library: TrainConfig's and ModelConfig's.
+_SHARED_DEFAULTS = {
+    "learning_rate": TrainConfig.learning_rate,
+    "batch_size": TrainConfig.batch_size,
+    "optimizer": TrainConfig.optimizer,
+    "seed": TrainConfig.seed,
+    "hidden": ModelConfig.hidden,
+    "bidirectional": ModelConfig.bidirectional,
 }
+
+TRAIN_DEFAULTS = {"depth": ModelConfig.ham_depth, "epochs": 100, **_SHARED_DEFAULTS}
 
 SWEEP_DEFAULTS = {
     "task": "copy",
@@ -47,27 +51,20 @@ SWEEP_DEFAULTS = {
     "depths": [1, 2, 5],
     "restarts": 5,
     "epochs": 200,
-    "learning_rate": 0.01,
-    "batch_size": 32,
-    "optimizer": "adam",
-    "seed": 0,
-    "hidden": 16,
-    "bidirectional": True,
+    **_SHARED_DEFAULTS,
 }
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_flag(lo: int):
+    """argparse type of an integer flag >= ``lo``; argparse names the flag in its error."""
 
+    def parse(text: str) -> int:
+        try:
+            return check_int("value", int(text), lo)
+        except ValueError as e:  # not an integer literal, or a DomainError
+            raise argparse.ArgumentTypeError(str(e)) from e
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+    return parse
 
 
 def _int_list(text: str) -> list:
@@ -87,7 +84,7 @@ def _flag_options(key: str, default) -> dict:
         return {"type": _int_list}
     if isinstance(default, float):
         return {"type": float}
-    return {"type": _seed if key == "seed" else _positive_int}
+    return {"type": _int_flag(0 if key == "seed" else 1)}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
@@ -98,8 +95,9 @@ def _add_config_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
 def _merge_config(defaults: dict, config_path, args) -> dict:
     """defaults < JSON config file < explicitly passed flags.
 
-    A file value must have its default's type, bool and int kept apart; an
-    int may stand for a float, and an int passes its flag's range check.
+    The file must hold a JSON object of known keys. Its values are checked
+    where they are used -- by TrainConfig, ModelConfig, gen_task and
+    depth_sweep -- all before a command writes anything.
     """
     cfg = dict(defaults)
     if config_path:
@@ -109,17 +107,6 @@ def _merge_config(defaults: dict, config_path, args) -> dict:
         unknown = sorted(set(loaded) - set(defaults))
         if unknown:
             raise DomainError(f"unknown config keys {unknown}; known: {sorted(defaults)}")
-        for key, value in loaded.items():
-            kind = type(defaults[key])
-            if type(value) is not kind and not (kind is float and type(value) is int):
-                raise DomainError(
-                    f"config key {key!r} must be of type {kind.__name__}, got {json.dumps(value)}"
-                )
-            if kind is int:
-                try:
-                    _flag_options(key, defaults[key])["type"](value)
-                except argparse.ArgumentTypeError as e:
-                    raise DomainError(f"config key {key!r} {e}") from e
         cfg.update(loaded)
     for key in defaults:
         value = getattr(args, key, None)
@@ -333,25 +320,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run norm-bound, reduction and distribution suites")
-    p.add_argument("--trials", type=_positive_int, default=10_000)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--max-depth", type=_positive_int, default=10)
-    p.add_argument("--reduction-instances", type=_positive_int, default=1_000)
+    p.add_argument("--trials", type=_int_flag(1), default=10_000)
+    p.add_argument("--seed", type=_int_flag(0), default=0)
+    p.add_argument("--max-depth", type=_int_flag(1), default=10)
+    p.add_argument("--reduction-instances", type=_int_flag(1), default=1_000)
     p.add_argument("--out", help="write the full JSON report to this file")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every op the library differentiates")
     p.add_argument("--scale", choices=("tiny", "small"), default="tiny")
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--instances", type=_positive_int, default=30)
+    p.add_argument("--seed", type=_int_flag(0), default=0)
+    p.add_argument("--instances", type=_int_flag(1), default=30)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("gendata", help="generate a synthetic task corpus")
     p.add_argument("--task", choices=TASKS, required=True)
-    p.add_argument("--pairs", type=_positive_int, required=True)
-    p.add_argument("--seq-len", type=_positive_int, default=6)
-    p.add_argument("--payload-vocab", type=_positive_int, default=8)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--pairs", type=_int_flag(1), required=True)
+    p.add_argument("--seq-len", type=_int_flag(1), default=6)
+    p.add_argument("--payload-vocab", type=_int_flag(1), default=8)
+    p.add_argument("--seed", type=_int_flag(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gendata)
 

@@ -151,11 +151,10 @@ def load_corpus(path, strict: bool = True) -> Corpus:
         raise CorpusError(f"line 1: malformed JSON header ({e.msg})") from e
     if not isinstance(header, dict) or "vocab" not in header:
         raise CorpusError("line 1: header must be an object with a 'vocab' key")
-    vocab = header["vocab"]
-    if not isinstance(vocab, int) or not NUM_RESERVED <= vocab <= MAX_VOCAB:
-        raise CorpusError(
-            f"line 1: vocab must be an integer in [{NUM_RESERVED}, {MAX_VOCAB}], got {vocab!r}"
-        )
+    try:
+        vocab = check_int("vocab", header["vocab"], NUM_RESERVED, MAX_VOCAB)
+    except DomainError as e:
+        raise CorpusError(f"line 1: {e}") from e
     task = header.get("task", "file")
     pairs = []
     for line_no, raw in enumerate(lines[1:], start=2):

@@ -63,8 +63,9 @@ class ModelConfig:
     def __post_init__(self):
         # exact types: the fields go to checkpoint JSON, which holds no numpy int
         for f in fields(self):
-            if type(getattr(self, f.name)) is not f.type:
-                raise DomainError(f"model config {f.name!r} must be {f.type.__name__}")
+            value = getattr(self, f.name)
+            if type(value) is not f.type:
+                raise DomainError(f"model config {f.name!r} must be {f.type.__name__}, got {value!r}")
         check_int("vocab_size", self.vocab_size, NUM_RESERVED + 1, MAX_VOCAB)
         check_int("hidden", self.hidden, 1, MAX_HIDDEN)
         check_int("ham_depth", self.ham_depth, 1, MAX_DEPTH)

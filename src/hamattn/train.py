@@ -59,7 +59,7 @@ class TrainConfig:
     def __post_init__(self):
         lr = self.learning_rate
         if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not (math.isfinite(lr) and lr >= 0):
-            raise DomainError(f"learning rate must be a finite real number >= 0, got {lr!r}")
+            raise DomainError(f"learning_rate: the learning rate must be a finite real number >= 0, got {lr!r}")
         if not isinstance(self.optimizer, str) or self.optimizer not in OPTIMIZERS:
             raise DomainError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         for name in ("epochs", "batch_size", "restarts"):
@@ -199,8 +199,8 @@ def depth_sweep(
     eval_corpus: Corpus,
     depths,
     config: TrainConfig,
-    hidden: int = 16,
-    bidirectional: bool = True,
+    hidden: int = ModelConfig.hidden,
+    bidirectional: bool = ModelConfig.bidirectional,
     null: bool = False,
 ):
     """Train restarts x depths cells under one budget; summarize best losses.

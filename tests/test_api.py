@@ -1,7 +1,7 @@
 import numpy as np
 
 import hamattn
-from hamattn.attention import attention_levels
+from hamattn.attention import MultiHeadParams, attention_levels, self_attention_levels
 from hamattn.checks import MAX_GRADCHECK_INSTANCES, gradcheck_table, property_report, verify_report
 from hamattn.data import MAX_PAIRS, MAX_SEQ_LEN, MAX_VOCAB, NUM_RESERVED, Corpus, check_corpus_size, gen_task
 from hamattn.errors import DomainError
@@ -30,6 +30,9 @@ INTEGER_INPUTS = [
     ("seed", 0, None, lambda x: TrainConfig(seed=x)),
     ("depths", 1, MAX_DEPTH, lambda x: depth_sweep(CORPUS, CORPUS, [x], TrainConfig())),
     ("depth", 1, None, lambda x: attention_levels(Q, K, x)),
+    ("depth", 1, None, lambda x: self_attention_levels(K, x)),
+    ("d", 1, None, lambda x: MultiHeadParams.identity(x)),
+    ("h", 1, None, lambda x: MultiHeadParams.identity(2, h=x)),
     ("vocab_size", NUM_RESERVED, None, lambda x: Corpus(vocab_size=x)),
     ("seq_len", 1, MAX_SEQ_LEN, lambda x: check_corpus_size(2, x)),
     ("pairs", 1, MAX_PAIRS, lambda x: check_corpus_size(x, 2)),

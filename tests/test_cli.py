@@ -488,6 +488,38 @@ def test_fuzzed_config_exits_cleanly(command, data):
             assert not out.exists(), err.getvalue()
 
 
+# JSON values of another type than a default of this type
+WRONG_TYPES = {
+    int: ["3", 2.5, None, True],
+    float: ["0.1", None, True],
+    bool: [1, "yes", None],
+    str: [1, None, ["copy"]],
+    list: [1, None, [1.5]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+def test_every_config_key_checks_its_value(command, tmp_path, capsys):
+    """A value of the wrong JSON type for any default-table key, or a number
+    below its range, exits 2 with one line naming the key and its value
+    before anything is written."""
+    defaults = CONFIG_COMMANDS[command][0]
+    base = {k: v for k, v in FUZZ_BASE.items() if k in defaults}
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "train":
+        save_corpus(gen_task("copy", 4, 3, 5, seed=0), tmp_path / "c.jsonl")
+        argv += ["--corpus", str(tmp_path / "c.jsonl")]
+    for key, default in defaults.items():
+        below = [-1] if type(default) in (int, float) else []
+        for value in WRONG_TYPES[type(default)] + below:
+            cfg.write_text(json.dumps({**base, key: value}))
+            assert run(argv) == 2, (key, value)
+            # a list's message names the element it refuses
+            _one_line_error(capsys, key, *([] if isinstance(value, list) else [repr(value)]))
+            assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["verify", "gradcheck", "gendata", "train", "sweep"])
 def test_negative_seed_flag_is_a_usage_error(command, tmp_path, capsys):
     out = tmp_path / "out"
