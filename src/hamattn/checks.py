@@ -161,12 +161,11 @@ def verify_report(
 # gradcheck table
 
 
-def _dims(scale: str) -> dict:
-    if scale == "tiny":
-        return {"vec": 5, "rows": 3, "cols": 4, "inner": 3, "batch": 2, "steps": 2, "hidden": 3}
-    if scale == "small":
-        return {"vec": 9, "rows": 5, "cols": 6, "inner": 4, "batch": 3, "steps": 3, "hidden": 4}
-    raise DomainError(f"scale must be 'tiny' or 'small', got {scale!r}")
+# the operand sizes of each gradcheck scale; ``gradcheck --scale`` offers these keys
+_SCALES = {
+    "tiny": {"vec": 5, "rows": 3, "cols": 4, "inner": 3, "batch": 2, "steps": 2, "hidden": 3},
+    "small": {"vec": 9, "rows": 5, "cols": 6, "inner": 4, "batch": 3, "steps": 3, "hidden": 4},
+}
 
 
 def gradcheck_table(scale: str = "tiny", seed: int = 0, instances: int = 30) -> list:
@@ -183,7 +182,9 @@ def gradcheck_table(scale: str = "tiny", seed: int = 0, instances: int = 30) -> 
     per instance, and check ``sum(w * build())``; the others build a scalar loss.
     """
     instances = check_int("instances", instances, 1, MAX_GRADCHECK_INSTANCES)
-    d = _dims(scale)
+    if not isinstance(scale, str) or scale not in _SCALES:
+        raise DomainError(f"scale must be one of {tuple(_SCALES)}, got {scale!r}")
+    d = _SCALES[scale]
     rng = np.random.default_rng(check_int("seed", seed, 0))
     v, r, c, k, b, h = (d[key] for key in ("vec", "rows", "cols", "inner", "batch", "hidden"))
 

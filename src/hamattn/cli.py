@@ -1,12 +1,15 @@
 """Command-line entry point: one binary, subcommand per workflow.
 
 Subcommands: verify, gradcheck, train, sweep, eval, gendata. Exit codes are
-uniform: 0 success, 1 check failure, 2 usage or config error. Train and
-sweep read an optional JSON config whose every key a flag can override, and
-take the defaults they share with the library from TrainConfig and
-ModelConfig. The CLI checks only that the file holds an object of known
-keys; each value is checked once, by the library code that uses it, before
-anything is written, so rejected configs produce no partial outputs.
+uniform: 0 success, 1 check failure, 2 usage or config error. The value
+flags of each command come from one defaults table, whose values are the
+library's (verify_report's and gradcheck_table's keywords, TrainConfig and
+ModelConfig; gendata takes SWEEP_DEFAULTS'). Train and sweep also read an
+optional JSON config whose every key a flag can override. The CLI only
+parses: argparse types each flag, and a config file must hold an object of
+known keys. Each value is checked once, by the library code that uses it,
+before anything is written, so a bad flag or config value exits 2 with one
+line naming it and produces no partial outputs.
 
 All randomness flows from one root seed. The sweep fans it out as
 documented in :mod:`hamattn.train`: the train corpus uses the root seed, the
@@ -16,6 +19,7 @@ depths of one restart share their init draws and batch order.
 """
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import asdict, fields
@@ -23,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import gradcheck_table, verify_report
+from .checks import _SCALES, gradcheck_table, verify_report
 from .data import Corpus, TASKS, check_corpus_size, gen_task, load_corpus, read_text, save_corpus
-from .errors import CorpusError, DomainError, TrainingDiverged, check_int
+from .errors import CorpusError, DomainError, TrainingDiverged
 from .evaluate import evaluate_pairs, evaluate_quatrains
 from .model import ModelConfig, Seq2SeqModel, generate, save_checkpoint
 from .train import OPTIMIZERS, TrainConfig, depth_sweep, train, write_sweep_csv
@@ -55,18 +59,6 @@ SWEEP_DEFAULTS = {
 }
 
 
-def _int_flag(lo: int):
-    """argparse type of an integer flag >= ``lo``; argparse names the flag in its error."""
-
-    def parse(text: str) -> int:
-        try:
-            return check_int("value", int(text), lo)
-        except ValueError as e:  # not an integer literal, or a DomainError
-            raise argparse.ArgumentTypeError(str(e)) from e
-
-    return parse
-
-
 def _int_list(text: str) -> list:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
@@ -74,17 +66,24 @@ def _int_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from e
 
 
+# The tables of the commands without a config file: the library's own defaults.
+_VERIFY_DEFAULTS, _GRADCHECK_DEFAULTS = (
+    {key: p.default for key, p in inspect.signature(fn).parameters.items()}
+    for fn in (verify_report, gradcheck_table)
+)
+_GENDATA_DEFAULTS = {key: SWEEP_DEFAULTS[key] for key in ("seq_len", "payload_vocab", "seed")}
+_CHOICES = {"task": TASKS, "optimizer": OPTIMIZERS, "scale": tuple(_SCALES)}
+
+
 def _flag_options(key: str, default) -> dict:
-    """argparse keywords of a config key's ``--key-name`` flag, typed by its default."""
-    if key in ("task", "optimizer"):
-        return {"choices": TASKS if key == "task" else OPTIMIZERS}
+    """argparse keywords of a table key's ``--key-name`` flag: its type, not its range."""
+    if key in _CHOICES:
+        return {"choices": _CHOICES[key]}
     if isinstance(default, bool):
         return {"action": argparse.BooleanOptionalAction}
     if isinstance(default, list):
         return {"type": _int_list}
-    if isinstance(default, float):
-        return {"type": float}
-    return {"type": _int_flag(0 if key == "seed" else 1)}
+    return {"type": type(default)}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
@@ -93,11 +92,12 @@ def _add_config_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
 
 
 def _merge_config(defaults: dict, config_path, args) -> dict:
-    """defaults < JSON config file < explicitly passed flags.
+    """defaults < JSON config file (if any) < explicitly passed flags.
 
-    The file must hold a JSON object of known keys. Its values are checked
-    where they are used -- by TrainConfig, ModelConfig, gen_task and
-    depth_sweep -- all before a command writes anything.
+    The file must hold a JSON object of known keys. Values from the file and
+    the flags alike are checked where they are used -- by verify_report,
+    gradcheck_table, TrainConfig, ModelConfig, gen_task and depth_sweep --
+    all before a command writes anything.
     """
     cfg = dict(defaults)
     if config_path:
@@ -160,12 +160,7 @@ def _write_json(payload: dict, path) -> None:
 
 def cmd_verify(args) -> int:
     out = _out_file(args.out)
-    report, passed = verify_report(
-        trials=args.trials,
-        seed=args.seed,
-        max_depth=args.max_depth,
-        reduction_instances=args.reduction_instances,
-    )
+    report, passed = verify_report(**_merge_config(_VERIFY_DEFAULTS, None, args))
     if out:
         _write_json(report, out)
     nb = report["norm_bounds"]
@@ -194,7 +189,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    rows = gradcheck_table(scale=args.scale, seed=args.seed, instances=args.instances)
+    rows = gradcheck_table(**_merge_config(_GRADCHECK_DEFAULTS, None, args))
     width = max(len(r["name"]) for r in rows)
     failures = []
     for r in rows:
@@ -209,7 +204,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_gendata(args) -> int:
     out = _out_file(args.out)
-    corpus = gen_task(args.task, args.pairs, args.seq_len, args.payload_vocab, args.seed)
+    cfg = _merge_config(_GENDATA_DEFAULTS, None, args)
+    corpus = gen_task(args.task, args.pairs, cfg["seq_len"], cfg["payload_vocab"], cfg["seed"])
     save_corpus(corpus, out)
     print(f"wrote {len(corpus) + 1} lines (header + {len(corpus)} pairs) to {out}")
     return 0
@@ -320,25 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run norm-bound, reduction and distribution suites")
-    p.add_argument("--trials", type=_int_flag(1), default=10_000)
-    p.add_argument("--seed", type=_int_flag(0), default=0)
-    p.add_argument("--max-depth", type=_int_flag(1), default=10)
-    p.add_argument("--reduction-instances", type=_int_flag(1), default=1_000)
+    _add_config_flags(p, _VERIFY_DEFAULTS)
     p.add_argument("--out", help="write the full JSON report to this file")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every op the library differentiates")
-    p.add_argument("--scale", choices=("tiny", "small"), default="tiny")
-    p.add_argument("--seed", type=_int_flag(0), default=0)
-    p.add_argument("--instances", type=_int_flag(1), default=30)
+    _add_config_flags(p, _GRADCHECK_DEFAULTS)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("gendata", help="generate a synthetic task corpus")
     p.add_argument("--task", choices=TASKS, required=True)
-    p.add_argument("--pairs", type=_int_flag(1), required=True)
-    p.add_argument("--seq-len", type=_int_flag(1), default=6)
-    p.add_argument("--payload-vocab", type=_int_flag(1), default=8)
-    p.add_argument("--seed", type=_int_flag(0), default=0)
+    p.add_argument("--pairs", type=int, required=True)
+    _add_config_flags(p, _GENDATA_DEFAULTS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gendata)
 

@@ -45,6 +45,12 @@ OPTIMIZERS = ("sgd", "adam")
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 MAX_GRAD_NORM = 5.0  # single fixed safeguard, not a tunable schedule
+# Loop counts of one run: an epoch of the pinned protocol (512 pairs, batch 32,
+# hidden 16) takes about 0.1 s at depth 5 on a 2-core host, so MAX_EPOCHS is
+# about 17 minutes per cell, and a pinned sweep (3 depths x 200 epochs, about
+# 50 s per restart) at MAX_RESTARTS about 1.4 hours.
+MAX_EPOCHS = 10_000
+MAX_RESTARTS = 100
 
 
 @dataclass
@@ -62,8 +68,9 @@ class TrainConfig:
             raise DomainError(f"learning_rate: the learning rate must be a finite real number >= 0, got {lr!r}")
         if not isinstance(self.optimizer, str) or self.optimizer not in OPTIMIZERS:
             raise DomainError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        for name in ("epochs", "batch_size", "restarts"):
-            check_int(name, getattr(self, name), 1)
+        check_int("epochs", self.epochs, 1, MAX_EPOCHS)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("restarts", self.restarts, 1, MAX_RESTARTS)
         check_int("seed", self.seed, 0)
 
 

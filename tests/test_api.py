@@ -7,7 +7,7 @@ from hamattn.data import MAX_PAIRS, MAX_SEQ_LEN, MAX_VOCAB, NUM_RESERVED, Corpus
 from hamattn.errors import DomainError
 from hamattn.ham import MAX_DEPTH, MAX_REDUCTION_INSTANCES, MAX_TRIALS, norm_bound_suite, reduction_report
 from hamattn.model import MAX_HIDDEN, ModelConfig, Seq2SeqModel, generate
-from hamattn.train import TrainConfig, depth_sweep
+from hamattn.train import MAX_EPOCHS, MAX_RESTARTS, TrainConfig, depth_sweep
 
 
 def test_every_public_name_resolves_once():
@@ -24,9 +24,9 @@ MODEL = Seq2SeqModel(ModelConfig(8, hidden=4, ham_depth=2), np.random.default_rn
 INTEGER_INPUTS = [
     ("reduction_instances", 1, MAX_REDUCTION_INSTANCES, lambda x: verify_report(reduction_instances=x)),
     ("instances", 1, MAX_GRADCHECK_INSTANCES, lambda x: gradcheck_table("tiny", 0, x)),
-    ("epochs", 1, None, lambda x: TrainConfig(epochs=x)),
+    ("epochs", 1, MAX_EPOCHS, lambda x: TrainConfig(epochs=x)),
     ("batch_size", 1, None, lambda x: TrainConfig(batch_size=x)),
-    ("restarts", 1, None, lambda x: TrainConfig(restarts=x)),
+    ("restarts", 1, MAX_RESTARTS, lambda x: TrainConfig(restarts=x)),
     ("seed", 0, None, lambda x: TrainConfig(seed=x)),
     ("depths", 1, MAX_DEPTH, lambda x: depth_sweep(CORPUS, CORPUS, [x], TrainConfig())),
     ("depth", 1, None, lambda x: attention_levels(Q, K, x)),

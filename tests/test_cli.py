@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import subprocess
@@ -15,9 +16,12 @@ from hypothesis import given, settings, strategies as st
 from hamattn import cli
 from hamattn.checks import MAX_GRADCHECK_INSTANCES
 from hamattn.cli import SWEEP_DEFAULTS, TRAIN_DEFAULTS, _merge_config, build_parser, main
-from hamattn.data import MAX_PAIRS, MAX_SEQ_LEN, TASKS, gen_task, load_corpus, save_corpus
-from hamattn.ham import MAX_REDUCTION_INSTANCES
-from hamattn.train import OPTIMIZERS
+from hamattn.data import (
+    MAX_PAIRS, MAX_SEQ_LEN, MAX_VOCAB, NUM_RESERVED, TASKS, gen_task, load_corpus, save_corpus,
+)
+from hamattn.ham import MAX_DEPTH, MAX_REDUCTION_INSTANCES, MAX_TRIALS
+from hamattn.model import MAX_HIDDEN
+from hamattn.train import MAX_EPOCHS, MAX_RESTARTS, OPTIMIZERS
 
 
 def run(argv):
@@ -59,10 +63,11 @@ def test_verify_small_run_passes_and_is_deterministic(tmp_path, capsys):
     assert "lower bound fails" in out_a
 
 
-def test_verify_rejects_zero_trials():
-    with pytest.raises(SystemExit) as exc:
-        run(["verify", "--trials", "0"])
-    assert exc.value.code == 2
+def test_verify_rejects_zero_trials(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["verify", "--trials", "0", "--out", str(out)]) == 2
+    _one_line_error(capsys, "trials", "got 0")
+    assert not out.exists()
 
 
 def test_gradcheck_small_run(capsys):
@@ -404,7 +409,7 @@ def _flag_override(key, default):
         value = default + [default[-1] + 1]
         text = ",".join(map(str, value))
     elif isinstance(default, str):
-        value = next(c for c in (TASKS if key == "task" else OPTIMIZERS) if c != default)
+        value = next(c for c in cli._CHOICES[key] if c != default)
         text = value
     else:
         value = default * 2 if isinstance(default, float) else default + 1
@@ -412,8 +417,15 @@ def _flag_override(key, default):
     return [f"--{key.replace('_', '-')}", text], value
 
 
-# command -> (default table, required flags, its flags that set no config key)
-CONFIG_COMMANDS = {
+# command -> (default table, required flags, its flags that set no table key)
+FLAG_COMMANDS = {
+    "verify": (cli._VERIFY_DEFAULTS, [], {"help", "out"}),
+    "gradcheck": (cli._GRADCHECK_DEFAULTS, [], {"help"}),
+    "gendata": (
+        cli._GENDATA_DEFAULTS,
+        ["--task", "copy", "--pairs", "1", "--out", "o"],
+        {"help", "task", "pairs", "out"},
+    ),
     "train": (
         TRAIN_DEFAULTS,
         ["--corpus", "c.jsonl", "--out", "o"],
@@ -421,23 +433,40 @@ CONFIG_COMMANDS = {
     ),
     "sweep": (SWEEP_DEFAULTS, ["--out", "o"], {"help", "out", "config", "record_timing"}),
 }
+# the commands that read a JSON config file
+CONFIG_COMMANDS = {command: FLAG_COMMANDS[command] for command in ("train", "sweep")}
 
 
-@pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+@pytest.mark.parametrize("command", sorted(FLAG_COMMANDS))
 def test_config_flags_are_the_default_table(command, tmp_path):
-    """Each default-table key has one flag, which overrides the file's value."""
-    defaults, required, other = CONFIG_COMMANDS[command]
+    """Each default-table key has one flag, which overrides the default and the file's value."""
+    defaults, required, other = FLAG_COMMANDS[command]
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     dests = {a.dest for a in sub.choices[command]._actions if a.option_strings}
     assert dests == set(defaults) | other
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(defaults))
+    config_path = str(cfg) if command in CONFIG_COMMANDS else None
+    assert _merge_config(defaults, None, parser.parse_args([command, *required])) == defaults
     for key, default in defaults.items():
         flag, value = _flag_override(key, default)
         args = parser.parse_args([command, *required, *flag])
         assert getattr(args, key) == value != default, key
-        assert _merge_config(defaults, str(cfg), args)[key] == value, key
+        assert _merge_config(defaults, config_path, args)[key] == value, key
+
+
+def test_flag_tables_keep_their_defaults():
+    """The tables of the commands without a config file, key order included, as
+    they were when each flag was written out by hand; the scales in their order."""
+    assert list(cli._VERIFY_DEFAULTS.items()) == [
+        ("trials", 10_000), ("seed", 0), ("max_depth", 10), ("reduction_instances", 1_000),
+    ]
+    assert list(cli._GRADCHECK_DEFAULTS.items()) == [("scale", "tiny"), ("seed", 0), ("instances", 30)]
+    assert list(cli._GENDATA_DEFAULTS.items()) == [("seq_len", 6), ("payload_vocab", 8), ("seed", 0)]
+    assert cli._CHOICES["scale"] == ("tiny", "small")
+    tables = (cli._VERIFY_DEFAULTS, cli._GRADCHECK_DEFAULTS, cli._GENDATA_DEFAULTS)
+    assert all(type(v) in (int, str) for table in tables for v in table.values())  # no float 1e4
 
 
 FUZZ_BASE = {"pairs": 4, "eval_pairs": 2, "epochs": 1, "restarts": 1, "depths": [1], "hidden": 3}
@@ -520,21 +549,85 @@ def test_every_config_key_checks_its_value(command, tmp_path, capsys):
             assert not out.exists()
 
 
+def _flag_argv(command, tmp_path):
+    """A command line of ``command`` that passes its required flags and writes to tmp_path / "out"."""
+    out = str(tmp_path / "out")
+    corpus_path = tmp_path / "c.jsonl"
+    save_corpus(gen_task("copy", 4, 3, 5, seed=0), corpus_path)
+    return {
+        "verify": ["verify", "--out", out],
+        "gradcheck": ["gradcheck"],
+        "gendata": ["gendata", "--task", "copy", "--pairs", "1", "--out", out],
+        "train": ["train", "--corpus", str(corpus_path), "--out", out],
+        "sweep": ["sweep", "--out", out],
+    }[command]
+
+
 @pytest.mark.parametrize("command", ["verify", "gradcheck", "gendata", "train", "sweep"])
 def test_negative_seed_flag_is_a_usage_error(command, tmp_path, capsys):
-    out = tmp_path / "out"
-    required = {
-        "verify": [],
-        "gradcheck": [],
-        "gendata": ["--task", "copy", "--pairs", "1", "--out", str(out)],
-        "train": ["--corpus", str(tmp_path / "c.jsonl"), "--out", str(out)],
-        "sweep": ["--out", str(out)],
-    }[command]
-    with pytest.raises(SystemExit) as exc:
-        run([command, *required, "--seed", "-1"])
-    assert exc.value.code == 2
-    assert "--seed" in capsys.readouterr().err
-    assert not out.exists()
+    """The library's seed check, not argparse, refuses it: one line, as from a config file."""
+    assert run([*_flag_argv(command, tmp_path), "--seed", "-1"]) == 2
+    _one_line_error(capsys, "error: seed ", "got -1")
+    assert not (tmp_path / "out").exists()
+
+
+# command -> {integer flag key: (the name its message starts with, lowest value, cap or None)}
+INTEGER_FLAGS = {
+    "verify": {
+        "trials": ("trials", 1, MAX_TRIALS),
+        "seed": ("seed", 0, None),
+        "max_depth": ("max_depth", 1, MAX_DEPTH),
+        "reduction_instances": ("reduction_instances", 1, MAX_REDUCTION_INSTANCES),
+    },
+    "gradcheck": {"seed": ("seed", 0, None), "instances": ("instances", 1, MAX_GRADCHECK_INSTANCES)},
+    "gendata": {
+        "pairs": ("pairs", 1, MAX_PAIRS),
+        "seq_len": ("seq_len", 1, MAX_SEQ_LEN),
+        "payload_vocab": ("payload_vocab", 2, MAX_VOCAB - NUM_RESERVED),
+        "seed": ("seed", 0, None),
+    },
+    "train": {
+        "depth": ("ham_depth", 1, MAX_DEPTH),
+        "epochs": ("epochs", 1, MAX_EPOCHS),
+        "batch_size": ("batch_size", 1, None),
+        "seed": ("seed", 0, None),
+        "hidden": ("hidden", 1, MAX_HIDDEN),
+    },
+    "sweep": {
+        "pairs": ("pairs", 1, MAX_PAIRS),
+        "seq_len": ("seq_len", 1, MAX_SEQ_LEN),
+        "payload_vocab": ("payload_vocab", 2, MAX_VOCAB - NUM_RESERVED),
+        "eval_pairs": ("eval_pairs", 1, MAX_PAIRS),
+        "depths": ("depths[0]", 1, MAX_DEPTH),
+        "restarts": ("restarts", 1, MAX_RESTARTS),
+        "epochs": ("epochs", 1, MAX_EPOCHS),
+        "batch_size": ("batch_size", 1, None),
+        "seed": ("seed", 0, None),
+        "hidden": ("hidden", 1, MAX_HIDDEN),
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(INTEGER_FLAGS))
+def test_integer_flag_out_of_range_exits_2_naming_the_field(command, tmp_path, capsys, monkeypatch):
+    """Every integer flag is range-checked once, by the library: a value below
+    its range or above its cap exits 2 with the one line a config file's value
+    gets, before any training or output."""
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    monkeypatch.setattr(importlib.import_module("hamattn.train"), "train", no_training)
+    defaults = FLAG_COMMANDS[command][0]
+    int_keys = {k for k, v in defaults.items() if type(v) is int or type(v) is list}
+    assert set(INTEGER_FLAGS[command]) == int_keys | ({"pairs"} if command == "gendata" else set())
+    argv = _flag_argv(command, tmp_path)
+    for key, (name, lo, hi) in INTEGER_FLAGS[command].items():
+        for value in (lo - 1, *(() if hi is None else (hi + 1,))):
+            assert run([*argv, "--" + key.replace("_", "-"), str(value)]) == 2, (key, value)
+            _one_line_error(capsys, f"error: {name} ", f"got {value}")
+            assert not (tmp_path / "out").exists()
 
 
 def test_module_entrypoint_smoke():
