@@ -81,16 +81,17 @@ def scaled_dot_score(k, q) -> float:
 
 
 def level_forward(keys, q0, depth: int):
-    """The level recursion of every ham_v path: ``keys`` [B, n, dk] (C-contiguous), ``q0`` [B, dk].
+    """The level recursion of every ham_v path: ``keys`` [..., B, n, dk] (C-contiguous), ``q0`` [..., B, dk].
 
     Returns ``(queries, probs)``; ``queries[1:]`` are the level outputs and ``probs[t]`` level
-    t+1's weights. Each instance of a batch gets the bits of its own call."""
-    inv = float(1.0 / np.sqrt(keys.shape[2]))
+    t+1's weights. Each instance of a batch, and each index of the leading axes, gets the bits
+    of its own call."""
+    inv = float(1.0 / np.sqrt(keys.shape[-1]))
     queries, probs = [q0], []
     for _ in range(depth):
-        p = kernels.softmax_rows(np.einsum("bth,bh->bt", keys, queries[-1]) * inv)
+        p = kernels.softmax_rows(np.einsum("...th,...h->...t", keys, queries[-1]) * inv)
         probs.append(p)
-        queries.append(np.einsum("bth,bt->bh", keys, p))
+        queries.append(np.einsum("...th,...t->...h", keys, p))
     return queries, probs
 
 

@@ -375,12 +375,17 @@ def cross_entropy_logits(logits, targets) -> Variable:
     """Mean cross-entropy of integer targets (checked by ``token_ids``) under rows of logits.
 
     Fused log-softmax + negative log-likelihood; strictly positive for
-    finite logits whenever the vocabulary has at least two entries.
+    finite logits whenever the vocabulary has at least two entries. Logits
+    [R, N, V] hold R stacked sets scored against the same targets: the result
+    is [R], each set's loss with the bits of its own [N, V] call. Stacked
+    logits are forward-only, so a tape refuses them.
     """
     logits = as_variable(logits)
-    if logits.value.ndim != 2:
-        raise DimensionError(f"cross_entropy_logits expects [N,V] logits, got {logits.value.shape}")
-    n, v = logits.value.shape
+    if logits.value.ndim not in (2, 3):
+        raise DimensionError(f"cross_entropy_logits expects [N,V] or [R,N,V], got {logits.value.shape}")
+    if logits.value.ndim == 3 and _current_tape() is not None:
+        raise DimensionError(f"stacked logits {logits.value.shape} are forward-only; a tape takes [N,V]")
+    n, v = logits.value.shape[-2:]
     targets = token_ids(targets, v, 1, "targets")
     if targets.shape[0] != n:
         raise DimensionError(f"cross_entropy_logits expects {n} targets, got {targets.shape[0]}")
@@ -403,6 +408,10 @@ def cross_entropy_logits(logits, targets) -> Variable:
 # central-difference step: truncation error ~h^2 and float64 rounding ~1e-16/h
 # both stay near 1e-10
 FD_STEP = 1e-5
+# most perturbed points one stacked forward of ``check_gradients`` evaluates, so
+# a chunk holds at most this many copies of the variables; the gradcheck table's
+# seq2seq rows have 520 ("tiny") and 860 ("small") points: 3 and 4 forwards
+FD_CHUNK = 256
 
 
 class GradCheckResult(NamedTuple):
@@ -411,32 +420,85 @@ class GradCheckResult(NamedTuple):
     worst_coord: tuple
 
 
-def check_gradients(build_loss, variables) -> GradCheckResult:
+def _point_losses(build_loss, variables) -> list:
+    """The loss at every central-difference point, one build per point.
+
+    Points run variable by variable and coordinate by coordinate in C
+    order, ``+FD_STEP`` before ``-FD_STEP``; each coordinate is restored
+    after its build, also when the build raises.
+    """
+    losses = []
+    for v in variables:
+        for i in range(v.value.size):
+            idx = np.unravel_index(i, v.value.shape)
+            orig = v.value[idx]
+            try:
+                for step in (FD_STEP, -FD_STEP):
+                    v.value[idx] = orig + step
+                    losses.append(float(build_loss().value))
+            finally:
+                v.value[idx] = orig
+    return losses
+
+
+def _stacked_losses(build_loss, variables) -> list:
+    """``_point_losses`` through stacked builds of at most ``FD_CHUNK`` points each.
+
+    For a chunk of R points every variable's value is swapped for a fresh
+    C-contiguous stack [R, ...] of copies of it, with set r's one coordinate
+    moved to ``orig ± FD_STEP``; ``build_loss`` returns the R losses. The
+    original arrays are put back after the call, also when a build raises.
+    """
+    originals = [v.value for v in variables]
+    points = [(vi, i, step) for vi, v in enumerate(originals) for i in range(v.size)
+              for step in (FD_STEP, -FD_STEP)]
+    losses = []
+    try:
+        for start in range(0, len(points), FD_CHUNK):
+            chunk = points[start:start + FD_CHUNK]
+            stacks = [np.repeat(v[None], len(chunk), axis=0) for v in originals]
+            for r, (vi, i, step) in enumerate(chunk):
+                stacks[vi].reshape(len(chunk), -1)[r, i] = originals[vi].flat[i] + step
+            for v, stack in zip(variables, stacks):
+                v.value = stack
+            out = build_loss().value
+            if out.shape != (len(chunk),):
+                raise DimensionError(f"a stacked build of {len(chunk)} sets returned shape {out.shape}")
+            losses.extend(out.tolist())
+    finally:
+        for v, orig in zip(variables, originals):
+            v.value = orig
+    return losses
+
+
+def check_gradients(build_loss, variables, stacked: bool = False) -> GradCheckResult:
     """Compare reverse-mode against central finite differences of step ``FD_STEP``.
 
     ``build_loss`` recomputes the scalar loss from the current values of
     ``variables`` (leaf Variables perturbed in place), so one call checks the
     gradient of every coordinate of every listed variable. The result carries
     the max over coordinates of |analytic - numeric| / max(1, |analytic|),
-    plus which variable/coordinate attained it.
+    plus which variable/coordinate attained it (the first one, in variable
+    and C order, on a tie).
+
+    ``stacked=True`` declares a build that also takes every variable as a
+    stack [R, ...] of R values and then returns R losses, each with the bits
+    of its own unstacked build: the 2N perturbed points are then evaluated
+    ``FD_CHUNK`` at a time (see ``_stacked_losses``), with the same result.
     """
     variables = list(variables)
     with Tape() as tape:
         loss = build_loss()
     tape.backward(loss)
     analytic = [v.grad.copy() for v in variables]
+    losses = iter((_stacked_losses if stacked else _point_losses)(build_loss, variables))
 
     max_rel = 0.0
     worst = (0, ())
     for vi, (v, a) in enumerate(zip(variables, analytic)):
         for i in range(v.value.size):
             idx = np.unravel_index(i, v.value.shape)
-            orig = v.value[idx]
-            v.value[idx] = orig + FD_STEP
-            fp = float(build_loss().value)
-            v.value[idx] = orig - FD_STEP
-            fm = float(build_loss().value)
-            v.value[idx] = orig
+            fp, fm = next(losses), next(losses)
             numeric = (fp - fm) / (2.0 * FD_STEP)
             rel = abs(a[idx] - numeric) / max(1.0, abs(a[idx]))
             if rel > max_rel:

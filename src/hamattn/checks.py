@@ -180,6 +180,10 @@ def gradcheck_table(scale: str = "tiny", seed: int = 0, instances: int = 30) -> 
     Each case draws its leaves and returns ``(leaves, build)``. Rows marked
     projected then draw a random linear functional ``w`` of the output, fixed
     per instance, and check ``sum(w * build())``; the others build a scalar loss.
+    The row marked stacked (``seq2seq_loss``, whose ``sequence_loss`` takes a
+    leading parameter-set axis) evaluates its finite differences in stacked
+    forwards, ``check_gradients(..., stacked=True)``; every other row builds
+    one point at a time. Both give the same bits.
     """
     instances = check_int("instances", instances, 1, MAX_GRADCHECK_INSTANCES)
     if not isinstance(scale, str) or scale not in _SCALES:
@@ -234,36 +238,37 @@ def gradcheck_table(scale: str = "tiny", seed: int = 0, instances: int = 30) -> 
         return list(model.parameters().values()), lambda: sequence_loss(model, src, tgt)
 
     P = PRIMITIVE_TOL
-    # (name, case, threshold, projected); the two unprojected rows build scalar losses
+    # (name, case, threshold, projected, stacked); the two unprojected rows build
+    # scalar losses, and the stacked one's build also scores stacked parameter sets
     cases = [
-        ("add", on(ad.add, (r, c), (r, c)), P, True),
-        ("sub", on(ad.sub, (r, c), (r, c)), P, True),
-        ("mul", on(ad.mul, (r, c), (r, c)), P, True),
-        ("scale", scale_case, P, True),
-        ("add_bias", on(ad.add_bias, (r, c), (c,)), P, True),
-        ("matmul", on(ad.matmul, (r, k), (k, c)), P, True),
-        ("dot", on(ad.dot, (v,), (v,)), P, True),
-        ("concat", on(lambda x, y: ad.concat([x, y], axis=1), (r, c), (r, c + 1)), P, True),
-        ("softmax_vec", on(ad.softmax, (v,)), P, True),
-        ("softmax_rows", on(ad.softmax, (r, c)), P, True),
-        ("tanh", on(ad.tanh, (r, c)), P, True),
-        ("sigmoid", on(ad.sigmoid, (r, c)), P, True),
-        ("gather_rows", gather_case, P, True),
-        ("attend_scores", on(ad.attend_scores, (b, r, c), (b, c)), P, True),
-        ("attend_combine", on(ad.attend_combine, (b, r, c), (b, r)), P, True),
-        ("weighted_sum", weighted_sum_case, P, True),
-        ("cross_entropy", cross_entropy_case, P, False),
+        ("add", on(ad.add, (r, c), (r, c)), P, True, False),
+        ("sub", on(ad.sub, (r, c), (r, c)), P, True, False),
+        ("mul", on(ad.mul, (r, c), (r, c)), P, True, False),
+        ("scale", scale_case, P, True, False),
+        ("add_bias", on(ad.add_bias, (r, c), (c,)), P, True, False),
+        ("matmul", on(ad.matmul, (r, k), (k, c)), P, True, False),
+        ("dot", on(ad.dot, (v,), (v,)), P, True, False),
+        ("concat", on(lambda x, y: ad.concat([x, y], axis=1), (r, c), (r, c + 1)), P, True, False),
+        ("softmax_vec", on(ad.softmax, (v,)), P, True, False),
+        ("softmax_rows", on(ad.softmax, (r, c)), P, True, False),
+        ("tanh", on(ad.tanh, (r, c)), P, True, False),
+        ("sigmoid", on(ad.sigmoid, (r, c)), P, True, False),
+        ("gather_rows", gather_case, P, True, False),
+        ("attend_scores", on(ad.attend_scores, (b, r, c), (b, c)), P, True, False),
+        ("attend_combine", on(ad.attend_combine, (b, r, c), (b, r)), P, True, False),
+        ("weighted_sum", weighted_sum_case, P, True, False),
+        ("cross_entropy", cross_entropy_case, P, False, False),
         # one example through the batched connector: [1, k] query, [1, r, k] keys
-        ("ham_v", on(lambda q, K, cc: ham_v_context(K, q, cc), (1, k), (1, r, k), (3,)), P, True),
-        ("ham_s", on(ham_s_vars, (r, k), (3,)), P, True),
-        ("gru_chain", gru_chain_case, P, True),
-        ("seq2seq_loss", seq2seq_case, END_TO_END_TOL, False),
-        ("reshape", on(lambda x: ad.reshape(x, (b * r, c)), (b, r, c)), P, True),
-        ("transpose", on(ad.transpose, (r, c)), P, True),
+        ("ham_v", on(lambda q, K, cc: ham_v_context(K, q, cc), (1, k), (1, r, k), (3,)), P, True, False),
+        ("ham_s", on(ham_s_vars, (r, k), (3,)), P, True, False),
+        ("gru_chain", gru_chain_case, P, True, False),
+        ("seq2seq_loss", seq2seq_case, END_TO_END_TOL, False, True),
+        ("reshape", on(lambda x: ad.reshape(x, (b * r, c)), (b, r, c)), P, True, False),
+        ("transpose", on(ad.transpose, (r, c)), P, True, False),
     ]
 
     rows = []
-    for name, case, tol, projected in cases:
+    for name, case, tol, projected, stacked in cases:
         worst_err, worst_at = 0.0, None
         for _ in range(instances):
             leaves, build = case()
@@ -271,7 +276,7 @@ def gradcheck_table(scale: str = "tiny", seed: int = 0, instances: int = 30) -> 
             if projected:
                 w = rng.uniform(-1.0, 1.0, size=build().value.shape)
                 loss = lambda: ad.sum_all(ad.mul(build(), Variable(w)))
-            result = check_gradients(loss, leaves)
+            result = check_gradients(loss, leaves, stacked)
             if result.max_rel_error > worst_err:
                 worst_err = float(result.max_rel_error)
                 worst_at = [int(result.worst_variable), [int(i) for i in result.worst_coord]]

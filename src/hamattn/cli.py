@@ -28,11 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from .checks import _SCALES, gradcheck_table, verify_report
-from .data import Corpus, TASKS, check_corpus_size, gen_task, load_corpus, read_text, save_corpus
+from .data import Corpus, TASKS, check_corpus_size, gen_task, load_corpus, read_text, save_corpus, task_vocab
 from .errors import CorpusError, DomainError, TrainingDiverged
 from .evaluate import evaluate_pairs, evaluate_quatrains
 from .model import ModelConfig, Seq2SeqModel, generate, save_checkpoint
-from .train import OPTIMIZERS, TrainConfig, depth_sweep, train, write_sweep_csv
+from .train import OPTIMIZERS, TrainConfig, check_depths, depth_sweep, train, write_sweep_csv
 
 # The defaults train and sweep share with the library: TrainConfig's and ModelConfig's.
 _SHARED_DEFAULTS = {
@@ -245,13 +245,18 @@ def cmd_train(args) -> int:
 def run_sweep(cfg: dict, null: bool = False):
     """Run the sweep a ``SWEEP_DEFAULTS``-shaped dict describes.
 
-    Builds the train corpus from the root seed and the held-out corpus from
-    root+1, then returns ``depth_sweep``'s (records, summary). ``hamattn
+    Checks the corpus sizes, the TrainConfig and every depth's ModelConfig,
+    then builds the train corpus from the root seed and the held-out corpus
+    from root+1 and returns ``depth_sweep``'s (records, summary). ``hamattn
     sweep``, the null sweep and acceptance criterion 5 all go through here, so
     the band and the criterion are measured on one protocol.
     """
     check_corpus_size(cfg["eval_pairs"], cfg["seq_len"], "eval_pairs")  # before the train corpus
     train_config = _train_config(cfg)
+    # every cell's model config too, so a bad hidden or depth costs no corpus work
+    vocab = task_vocab(cfg["payload_vocab"])
+    for depth in check_depths(cfg["depths"]):
+        ModelConfig(vocab, cfg["hidden"], depth, cfg["bidirectional"])
     train_corpus = gen_task(
         cfg["task"], cfg["pairs"], cfg["seq_len"], cfg["payload_vocab"], cfg["seed"]
     )

@@ -97,6 +97,11 @@ def check_corpus_size(n_pairs: int, seq_len: int, name: str = "pairs") -> None:
         raise DomainError(f"{name} x seq_len must be at most {MAX_TOKENS} tokens, got {n_pairs} x {seq_len}")
 
 
+def task_vocab(payload_vocab: int) -> int:
+    """The vocabulary size of a generated corpus with ``payload_vocab`` payload ids."""
+    return NUM_RESERVED + check_int("payload_vocab", payload_vocab, 2, MAX_VOCAB - NUM_RESERVED)
+
+
 def gen_task(task: str, n_pairs: int, seq_len: int, payload_vocab: int, seed: int) -> Corpus:
     """Generate a deterministic copy / reverse / sort corpus.
 
@@ -105,12 +110,12 @@ def gen_task(task: str, n_pairs: int, seq_len: int, payload_vocab: int, seed: in
     """
     if task not in TASKS:
         raise DomainError(f"unknown task {task!r}, expected one of {TASKS}")
-    check_int("payload_vocab", payload_vocab, 2, MAX_VOCAB - NUM_RESERVED)
+    vocab = task_vocab(payload_vocab)
     check_corpus_size(n_pairs, seq_len)
     rng = np.random.default_rng(check_int("seed", seed, 0))
     pairs = []
     for _ in range(n_pairs):
-        src = [int(t) for t in rng.integers(NUM_RESERVED, NUM_RESERVED + payload_vocab, seq_len)]
+        src = [int(t) for t in rng.integers(NUM_RESERVED, vocab, seq_len)]
         if task == "copy":
             tgt = list(src)
         elif task == "reverse":
@@ -118,7 +123,7 @@ def gen_task(task: str, n_pairs: int, seq_len: int, payload_vocab: int, seed: in
         else:
             tgt = sorted(src)
         pairs.append((src, tgt))
-    return Corpus(vocab_size=NUM_RESERVED + payload_vocab, pairs=pairs, task=task)
+    return Corpus(vocab_size=vocab, pairs=pairs, task=task)
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -139,8 +144,9 @@ def _int_list(value, line_no: int, key: str) -> list:
 def load_corpus(path, strict: bool = True) -> Corpus:
     """Parse a JSONL corpus, validating every line; errors name the line number.
 
-    ``strict=False`` permits reserved ids inside payloads, for files holding
-    raw model generations.
+    Each pair is checked once, as its line is read, so the first bad line in
+    file order is the one reported. ``strict=False`` permits reserved ids
+    inside payloads, for files holding raw model generations.
     """
     lines = read_text(path).splitlines()
     if not lines or all(not ln.strip() for ln in lines):
@@ -172,4 +178,6 @@ def load_corpus(path, strict: bool = True) -> Corpus:
         if problem:
             raise CorpusError(f"line {line_no}: {problem}")
         pairs.append((src, tgt))
-    return Corpus(vocab_size=vocab, pairs=pairs, task=task, strict=strict)
+    corpus = Corpus(vocab_size=vocab, task=task, strict=strict)
+    corpus.pairs = pairs  # checked line by line above; Corpus() would check them again
+    return corpus

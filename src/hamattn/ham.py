@@ -76,14 +76,19 @@ def ham_s_vars(X, c) -> ad.Variable:
 
 
 def ham_v_levels(keys, q0, pc):
-    """Plain-numpy forward of the batched ham_v connector: ``keys`` [B,T,H]
-    (C-contiguous), ``q0`` [B,H] and the [1, d] level-weight row ``pc``.
+    """Plain-numpy forward of the batched ham_v connector: ``keys`` [..., B,T,H]
+    (C-contiguous), ``q0`` [..., B,H] and the [..., 1, d] level-weight rows ``pc``,
+    one row per index of the leading axes (a stack of parameter sets).
 
     Returns ``(context, queries, probs)`` with the arithmetic of the primitive
     chain attend_scores -> scale -> softmax -> attend_combine, then weighted_sum.
     """
-    queries, probs = level_forward(keys, q0, pc.shape[1])
-    return level_sum(queries[1:], pc[0]), queries, probs
+    queries, probs = level_forward(keys, q0, pc.shape[-1])
+    # level i's weight: a scalar for one set (numpy's cheaper scalar product),
+    # [R, 1, 1] against the [R, B, H] levels of R stacked sets; either way each
+    # set's level is scaled by the same product, so it keeps its bits
+    weights = pc[0] if pc.ndim == 2 else np.moveaxis(pc, -1, 0)[..., None]
+    return level_sum(queries[1:], weights), queries, probs
 
 
 def ham_v_levels_vjp(g, keys, queries, probs, pc):

@@ -1,8 +1,12 @@
 """Hot numeric kernels in plain numpy.
 
 Shape contracts: ``softmax_rows`` / ``softmax_rows_vjp`` /
-``cross_entropy_rows`` take 2-D float64 arrays and apply row-wise; the
-elementwise kernels accept any shape. All kernels are pure functions.
+``cross_entropy_rows`` take float64 arrays of at least two axes and apply
+along the last one; any leading axes before the [N, V] rows are a batch of
+independent row sets (a stack of parameter sets, say). A row reduction runs
+over one contiguous row at a time whatever the leading axes, so each set
+gets the bits of its own 2-D call. The elementwise kernels accept any
+shape. All kernels are pure functions.
 """
 
 import numpy as np
@@ -13,16 +17,16 @@ BACKEND = "numpy"
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise stabilized softmax of a 2-D array."""
-    m = x.max(axis=1, keepdims=True)
+    """Stabilized softmax along the last axis of a [..., N, V] array."""
+    m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_rows_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Pull an upstream gradient back through ``softmax_rows`` output ``p``."""
     # action of the Jacobian diag(p) - p p^T on g, row-wise
-    inner = (p * g).sum(axis=1, keepdims=True)
+    inner = (p * g).sum(axis=-1, keepdims=True)
     return p * (g - inner)
 
 
@@ -50,16 +54,17 @@ def tanh_vjp(t: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy_rows(logits: np.ndarray, targets: np.ndarray):
-    """Summed cross-entropy of integer ``targets`` under row logits.
+    """Summed cross-entropy of the [N] integer ``targets`` under [..., N, V] logits.
 
     Returns ``(loss_sum, probs)`` where ``probs`` is the row-wise softmax,
-    cached for the backward pass.
+    cached for the backward pass, and ``loss_sum`` one sum per leading index:
+    a float for 2-D logits.
     """
-    n = logits.shape[0]
-    m = logits.max(axis=1, keepdims=True)
+    n = logits.shape[-2]
+    m = logits.max(axis=-1, keepdims=True)
     e = np.exp(logits - m)
-    s = e.sum(axis=1, keepdims=True)
+    s = e.sum(axis=-1, keepdims=True)
     probs = e / s
-    lse = m[:, 0] + np.log(s[:, 0])
-    loss = lse - logits[np.arange(n), targets]
-    return float(loss.sum()), probs
+    lse = m[..., 0] + np.log(s[..., 0])
+    loss = lse - logits[..., np.arange(n), targets]
+    return loss.sum(axis=-1), probs

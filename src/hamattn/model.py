@@ -20,6 +20,10 @@ computed with the arithmetic of the per-step chain of ``gru_step``,
 ``decode_step_batch`` and the primitives, which stay as the public per-step
 forms, and gradients that several steps feed are added in that chain's tape
 order, so the fused ops reproduce its loss and gradients bit for bit.
+The forward halves also take every parameter stacked on a leading set axis
+``[R, ...]``: untaped, ``sequence_loss`` then scores R parameter sets in one
+pass, each with the bits of its own call, which is how the gradient checks
+evaluate their finite-difference points.
 
 Checkpoints are versioned JSON containers of named parameter tensors; see
 ``save_checkpoint``.
@@ -97,12 +101,20 @@ class GRUParams:
         return {name: getattr(self, name) for name in self.FIELDS}
 
 
+def _stack_at(parts, axis: int) -> np.ndarray:
+    """``np.stack(parts, axis=axis)`` for ``axis`` 0 or 1, C-contiguous, at a third of its call cost."""
+    stacked = np.array(parts)
+    return np.ascontiguousarray(stacked.swapaxes(0, axis)) if axis else stacked
+
+
 def _stack_gates(p: GRUParams):
-    """The cell's weights stacked per gate in z, r, h order: [3, d_in, H], [3, H, H], [3, H]."""
+    """The cell's weights stacked per gate in z, r, h order: [3, d_in, H], [3, H, H], [3, H],
+    after the leading set axis the values carry, if any (see ``_stacked``)."""
+    sets = p.wz.value.ndim - 2
     return (
-        np.array([p.wz.value, p.wr.value, p.wh.value]),
-        np.array([p.uz.value, p.ur.value, p.uh.value]),
-        np.array([p.bz.value, p.br.value, p.bh.value]),
+        _stack_at([p.wz.value, p.wr.value, p.wh.value], sets),
+        _stack_at([p.uz.value, p.ur.value, p.uh.value], sets),
+        _stack_at([p.bz.value, p.br.value, p.bh.value], sets),
     )
 
 
@@ -238,6 +250,32 @@ class Seq2SeqModel:
         return params
 
 
+def _stacked(model: Seq2SeqModel) -> bool:
+    """Whether the model's values are stacks [R, ...] of R parameter sets.
+
+    ``sequence_loss`` scores R stacked sets in one untaped forward, each with
+    the bits of its own unstacked call; every value must then be [R, ...]
+    over its unstacked shape, or DimensionError names the ones that are not.
+    """
+    lead = model.embedding.value.shape[:-2]
+    if not lead and model.w_out.value.ndim == 2 and model.var_c.value.ndim == 1:
+        return False
+    one_set = Seq2SeqModel(model.config, np.random.default_rng(0)).parameters()
+    bad = [name for name, var in model.parameters().items() if var.value.shape != lead[:1] + one_set[name].shape]
+    if len(lead) != 1 or bad:
+        raise DimensionError(f"stacked parameters must share one leading set axis; {bad or ['embedding']} do not")
+    return True
+
+
+def _embed_steps(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The rows of a [V, H] (or stacked [R, V, H]) table for a [B, n] id matrix,
+    step-major: [n, B, H] (or [n, R, B, H]).
+
+    The gather runs in C order of ``ids.T``, as per-step gathers lay the rows out.
+    """
+    return np.ascontiguousarray(table[..., ids.T, :].swapaxes(-3, 0))
+
+
 def _token_matrix(tokens, vocab_size: int) -> np.ndarray:
     """A non-empty [batch, steps] id matrix; ``tensor.token_ids`` checks its dtype and range."""
     arr = np.asarray(tokens)
@@ -260,27 +298,29 @@ def _step_tables(table: np.ndarray, ids: np.ndarray, g: np.ndarray) -> np.ndarra
 def _encode(tokens: np.ndarray, model: Seq2SeqModel) -> Variable:
     """Per-token encoder states [B, n, H] of a checked id matrix as one tape entry.
 
-    The embedding rows are gathered step-major in C order, as per-step
-    gathers lay them out. Both directions step together as a [2, B, H]
-    batch: direction j's k-th step reads token k forward and token n-1-k
-    backward, and the states of one token are summed. The input projections
-    of every step run before the time loop; d_x, the weight gradients and
-    the embedding tables run after the BPTT loop.
+    The embedding rows are gathered step-major. Both directions step
+    together as a [2, B, H] batch: direction j's k-th step reads token k
+    forward and token n-1-k backward, and the states of one token are
+    summed. The input projections of every step run before the time loop;
+    d_x, the weight gradients and the embedding tables run after the BPTT
+    loop. The forward also takes stacked parameters [R, ...] (see
+    ``_stacked``) and returns [R, B, n, H]; the vjp serves one set.
     """
     cells = [cell for cell in (model.enc_fwd, model.enc_bwd) if cell is not None]
     nd = len(cells)
-    embs = np.ascontiguousarray(model.embedding.value[tokens.T])
-    W, U, b = (np.array(parts) for parts in zip(*map(_stack_gates, cells)))
-    xs = np.stack([embs, embs[::-1]][:nd], axis=1)  # [n, nd, B, H]
-    xw = np.matmul(xs[:, :, None], W)
-    hs = [np.zeros(xs.shape[1:3] + U.shape[-1:])]
+    embs = _embed_steps(model.embedding.value, tokens)
+    sets = embs.ndim - 3
+    W, U, b = (_stack_at(parts, sets) for parts in zip(*map(_stack_gates, cells)))
+    xs = np.stack([embs, embs[::-1]][:nd], axis=-3)  # [n, ..., nd, B, H]
+    xw = np.matmul(xs[..., None, :, :], W)
+    hs = [np.zeros(xs.shape[1:-1] + U.shape[-1:])]
     caches = []
     for k in range(len(xs)):
         h, cache = _gru_forward(xw[k], hs[-1], U, b)
         hs.append(h)
         caches.append(cache)
-    f = np.stack(hs[1:])
-    states = f[:, 0] if nd == 1 else f[:, 0] + f[::-1, 1]
+    f = np.stack(hs[1:], axis=sets)  # [..., n, nd, B, H]
+    states = f[..., 0, :, :] if nd == 1 else f[..., 0, :, :] + f[..., ::-1, 1, :, :]
 
     def vjp(g):
         gt = np.ascontiguousarray(g.transpose(1, 0, 2))
@@ -297,12 +337,14 @@ def _encode(tokens: np.ndarray, model: Seq2SeqModel) -> Variable:
         return (*d_tables, *(grad for j in range(nd) for grad in _per_field(dw[j], du[j], db[j])))
 
     params = (var for cell in cells for var in cell.variables().values())
-    out = Variable(np.ascontiguousarray(states.transpose(1, 0, 2)))
+    out = Variable(np.ascontiguousarray(states.swapaxes(-3, -2)))
     return ad._record((*[model.embedding] * len(embs), *params), out, vjp)
 
 
 def encode_batch(tokens, model: Seq2SeqModel):
     """Encode a [B, n] id matrix to per-token states [B, n, H] plus the last state."""
+    if _stacked(model):
+        raise DimensionError("encode_batch takes one parameter set")
     enc = _encode(_token_matrix(tokens, model.config.vocab_size), model)
     b, n, h = enc.value.shape
     return enc, ad.gather_rows(ad.reshape(enc, (b * n, h)), np.arange(n - 1, b * n, n))
@@ -320,16 +362,16 @@ def decode_step_batch(h_dec, enc_states, prev_tokens, model: Seq2SeqModel):
 
 
 def _decoder_weights(model: Seq2SeqModel):
-    """The decoder cell's stacked gates plus the level-weight row softmax(c)."""
-    return (*_stack_gates(model.dec), kernels.softmax_rows(model.var_c.value.reshape(1, -1)))
+    """The decoder cell's stacked gates plus the level-weight row softmax(c), [..., 1, d]."""
+    return (*_stack_gates(model.dec), kernels.softmax_rows(model.var_c.value[..., None, :]))
 
 
 def _decoder_step(keys, h, emb, weights):
     """One decoder transition in plain numpy: (new state, (input, connector levels, cell cache))."""
     W, U, b, pc = weights
     context, queries, probs = ham_v_levels(keys, h, pc)
-    x = np.concatenate([emb, context], axis=1)
-    h_new, cache = _gru_forward(x @ W, h, U, b)
+    x = np.concatenate([emb, context], axis=-1)
+    h_new, cache = _gru_forward(x[..., None, :, :] @ W, h, U, b)
     return h_new, (x, (queries, probs), cache)
 
 
@@ -342,21 +384,23 @@ def _decode(enc: Variable, inputs: np.ndarray, model: Seq2SeqModel) -> Variable:
     the BPTT loop, while the output projection, its gradient and the weight
     gradients run once over all steps. Gradients that several steps feed are
     summed one step at a time, last step first, as Tape.backward adds them.
+    The forward also takes stacked parameters [R, ...] and keys [R, B, n, H]
+    and returns [R, T*B, V]; the vjp serves one set.
     """
     keys = enc.value
-    hidden = keys.shape[2]
+    sets, hidden = keys.ndim - 3, keys.shape[-1]
     weights = _decoder_weights(model)
     W, U, _, pc = weights
     w_out = model.w_out.value
-    embs = np.ascontiguousarray(model.embedding.value[inputs.T])
-    hs = [np.ascontiguousarray(keys[:, -1])]
+    embs = _embed_steps(model.embedding.value, inputs)
+    hs = [np.ascontiguousarray(keys[..., -1, :])]
     records = []
     for emb in embs:
         h, record = _decoder_step(keys, hs[-1], emb, weights)
         hs.append(h)
         records.append(record)
-    h_new = np.stack(hs[1:])
-    logits = np.matmul(h_new, w_out)
+    h_new = np.stack(hs[1:], axis=sets)  # [..., T, B, H]
+    logits = np.matmul(h_new, w_out[..., None, :, :])
 
     def vjp(g):
         g = g.reshape(logits.shape)
@@ -388,7 +432,7 @@ def _decode(enc: Variable, inputs: np.ndarray, model: Seq2SeqModel) -> Variable:
         return (d_keys, *d_tables, *_per_field(*grads), d_w_out, _sum_steps(d_c))
 
     params = (*model.dec.variables().values(), model.w_out, model.var_c)
-    out = Variable(logits.reshape(-1, logits.shape[2]))
+    out = Variable(logits.reshape(*logits.shape[:-3], -1, logits.shape[-1]))
     return ad._record((enc, *[model.embedding] * len(embs), *params), out, vjp)
 
 
@@ -399,7 +443,13 @@ def sequence_loss(model: Seq2SeqModel, src_batch, tgt_batch) -> Variable:
     against the target shifted left with EOS appended. The tape holds three
     entries whatever the lengths and depth: the encoder (with its embedding
     gather), the decoder (with its own) and the cross-entropy.
+
+    On stacked parameters (every value [R, ...], see ``_stacked``) the result
+    holds R losses, set r's with the bits of its own unstacked call. Stacks
+    run forward only: under an active tape they raise DimensionError.
     """
+    if _stacked(model) and ad._current_tape() is not None:
+        raise DimensionError("stacked parameters are forward-only; a tape takes one parameter set")
     src = _token_matrix(src_batch, model.config.vocab_size)
     tgt = _token_matrix(tgt_batch, model.config.vocab_size)
     if src.shape[0] != tgt.shape[0]:
@@ -418,6 +468,8 @@ def generate(src, model: Seq2SeqModel, max_len: int = 50) -> list:
     a fixed model and source.
     """
     max_len = check_int("max_len", max_len, 1)
+    if _stacked(model):
+        raise DimensionError("generate takes one parameter set")
     # a batch of one: a source that is not 1-D fails the matrix check
     src = _token_matrix(np.asarray(src)[None], model.config.vocab_size)
     keys = _encode(src, model).value

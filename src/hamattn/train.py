@@ -201,6 +201,16 @@ def _exact_match(model: Seq2SeqModel, eval_corpus: Corpus) -> float:
     return exact_match_rate(pairs)
 
 
+def check_depths(depths) -> list:
+    """A sweep's depths as a list of ints: non-empty, ascending, each in [1, MAX_DEPTH]."""
+    if not isinstance(depths, (list, tuple)) or not depths:
+        raise DomainError(f"depths must be a non-empty list, got {depths!r}")
+    depths = [check_int(f"depths[{i}]", d, 1, MAX_DEPTH) for i, d in enumerate(depths)]
+    if depths != sorted(depths):
+        raise DomainError(f"depths must be ascending, got {depths}")
+    return depths
+
+
 def depth_sweep(
     train_corpus: Corpus,
     eval_corpus: Corpus,
@@ -223,11 +233,7 @@ def depth_sweep(
     (c = [0, NULL_LEVEL_LOGIT, ...]) and left out of the optimizer, so each
     cell computes its depth-1 partner's function up to round-off.
     """
-    if not isinstance(depths, (list, tuple)) or not depths:
-        raise DomainError(f"depths must be a non-empty list, got {depths!r}")
-    depths = [check_int(f"depths[{i}]", d, 1, MAX_DEPTH) for i, d in enumerate(depths)]
-    if depths != sorted(depths):
-        raise DomainError(f"depths must be ascending, got {depths}")
+    depths = check_depths(depths)
     if null and depths[0] != 1:
         raise DomainError(f"a null sweep starts at depth 1, got {depths}")
     records = []

@@ -138,6 +138,74 @@ def test_grad_check_constant_function():
     assert check_gradients(lambda: ad.sum_all(ad.scale(x, 0.0)), [x]).max_rel_error == 0.0
 
 
+def _seq2seq_case(scale, seed=0):
+    """The gradcheck table's seq2seq_loss case at ``scale``: (leaves, build)."""
+    from hamattn.checks import _SCALES
+    from hamattn.model import ModelConfig, Seq2SeqModel, sequence_loss
+
+    d = _SCALES[scale]
+    rng = np.random.default_rng(seed)
+    model = Seq2SeqModel(ModelConfig(7, d["hidden"], ham_depth=2), rng)
+    src = rng.integers(3, 7, size=(d["batch"], d["steps"]))
+    tgt = rng.integers(3, 7, size=(d["batch"], d["steps"]))
+    return list(model.parameters().values()), lambda: sequence_loss(model, src, tgt)
+
+
+@pytest.mark.parametrize("scale", ["tiny", "small"])
+def test_stacked_finite_differences_match_the_point_loop(scale):
+    leaves, build = _seq2seq_case(scale)
+    originals = [v.value for v in leaves]
+    saved = [v.value.copy() for v in leaves]
+    assert 2 * sum(v.size for v in saved) > ad.FD_CHUNK
+    stacked = check_gradients(build, leaves, stacked=True)
+    assert all(v.value is orig for v, orig in zip(leaves, originals))
+    looped = check_gradients(build, leaves)
+    assert stacked == looped
+    for v, value in zip(leaves, saved):
+        np.testing.assert_array_equal(v.value, value)
+
+
+@pytest.mark.parametrize("stacked", [True, False])
+def test_finite_differences_restore_values_after_a_build_raises(stacked):
+    leaves, build = _seq2seq_case("tiny")
+    originals = [v.value for v in leaves]
+    saved = [v.value.copy() for v in leaves]
+    calls = []
+
+    def failing():
+        calls.append(None)
+        if len(calls) == 3:  # the taped build, then a perturbed one, then this
+            raise RuntimeError("build failed")
+        return build()
+
+    with pytest.raises(RuntimeError, match="build failed"):
+        check_gradients(failing, leaves, stacked=stacked)
+    for v, orig, value in zip(leaves, originals, saved):
+        assert v.value is orig
+        np.testing.assert_array_equal(v.value, value)
+
+
+def test_seq2seq_row_makes_one_stacked_forward_per_chunk(monkeypatch):
+    from hamattn import checks
+
+    shapes = []
+
+    def counted(model, src, tgt):
+        shapes.append(model.embedding.value.shape)
+        return checks_sequence_loss(model, src, tgt)
+
+    checks_sequence_loss = checks.sequence_loss
+    monkeypatch.setattr(checks, "sequence_loss", counted)
+    for scale, points in (("tiny", 520), ("small", 860)):
+        shapes.clear()
+        checks.gradcheck_table(scale, instances=1)
+        chunks = -(-points // ad.FD_CHUNK)
+        last = points - ad.FD_CHUNK * (chunks - 1)
+        # one taped build for the analytic gradient, then one stacked forward per chunk
+        assert len(shapes) == 1 + chunks and len(shapes[0]) == 2
+        assert [shape[0] for shape in shapes[1:]] == [ad.FD_CHUNK] * (chunks - 1) + [last]
+
+
 @pytest.fixture(scope="module")
 def tiny_gradcheck_rows():
     # full 100-instance sweep lives in the acceptance suite

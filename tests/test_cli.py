@@ -251,6 +251,28 @@ def test_sweep_rejects_bad_config_before_writing_outputs(tmp_path, capsys):
         assert field in err and "Traceback" not in err, err
 
 
+def test_sweep_checks_every_model_config_before_any_corpus(tmp_path, capsys, monkeypatch):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("gen_task ran before the config was checked")
+
+    monkeypatch.setattr(cli, "gen_task", no_corpus)
+    out = tmp_path / "out"
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"bidirectional": 1}))
+    for flags, field in (
+        (["--hidden", "0"], "hidden"),
+        (["--hidden", str(MAX_HIDDEN + 1)], "hidden"),
+        (["--pairs", str(MAX_PAIRS), "--hidden", "0"], "hidden"),
+        (["--depths", f"1,{MAX_DEPTH + 1}"], "depths[1]"),
+        (["--depths", "2,1"], "depths"),
+        (["--payload-vocab", "1"], "payload_vocab"),
+        (["--config", str(cfg)], "bidirectional"),
+    ):
+        assert run(["sweep", *flags, "--out", str(out)]) == 2, flags
+        _one_line_error(capsys, field)
+        assert not out.exists()
+
+
 def test_train_rejects_bad_config_before_writing_outputs(tmp_path, capsys):
     corpus_path = tmp_path / "task.jsonl"
     save_corpus(gen_task("copy", 4, 3, 5, seed=0), corpus_path)

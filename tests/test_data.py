@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hamattn import data
 from hamattn.data import (
     BOS,
     EOS,
@@ -149,6 +150,29 @@ def test_reserved_id_in_payload_rejected_unless_lenient(tmp_path):
         load_corpus(path)
     corpus = load_corpus(path, strict=False)
     assert corpus.pairs == [([3], [0, 4])]
+
+
+def test_each_corpus_pair_is_checked_once(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    save_corpus(gen_task("copy", 7, 3, 5, seed=0), path)
+    calls = []
+    check = data._pair_problem
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(data, "_pair_problem", counted)
+    assert len(load_corpus(path)) == 7 and len(calls) == 7
+    calls.clear()
+    assert len(gen_task("copy", 5, 3, 5, seed=0)) == 5 and len(calls) == 5
+
+
+def test_first_bad_line_in_file_order_is_reported(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"vocab": 5}\n{"src": [3], "tgt": [4]}\n{"src": [3], "tgt": [9]}\nnot json\n')
+    with pytest.raises(CorpusError, match="line 3: tgt id 9 outside vocab"):
+        load_corpus(path)
 
 
 def test_malformed_header(tmp_path):

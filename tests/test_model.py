@@ -362,6 +362,66 @@ def test_sequence_loss_is_bit_identical_to_per_step_chain(
         np.testing.assert_array_equal(grads[name], grad, err_msg=name)
 
 
+def _stack_values(model, rng, sets):
+    """Swap every parameter value for a C-contiguous stack of ``sets`` perturbed
+    copies; returns the stacks."""
+    stacks = []
+    for var in model.parameters().values():
+        stack = np.ascontiguousarray(var.value + rng.normal(0.0, 0.05, (sets, *var.value.shape)))
+        var.value = stack
+        stacks.append(stack)
+    return stacks
+
+
+@pytest.mark.parametrize("bidirectional", [True, False])
+@pytest.mark.parametrize("depth", [1, 2, 5])
+@pytest.mark.parametrize("hidden", [1, 3, 16])
+def test_stacked_sequence_loss_is_bit_identical_per_set(hidden, depth, bidirectional):
+    vocab = 9
+    rng = np.random.default_rng(hidden * 10 + depth)
+    for batch, sets in ((1, 1), (2, 5), (32, 3), (1, 7), (32, 1)):
+        model = _model(vocab, hidden, depth, bidirectional, seed=batch)
+        src = rng.integers(0, vocab, (batch, 4))
+        tgt = rng.integers(0, vocab, (batch, 3))
+        stacks = _stack_values(model, rng, sets)
+        losses = sequence_loss(model, src, tgt).value
+        assert losses.shape == (sets,)
+        for r in range(sets):
+            for var, stack in zip(model.parameters().values(), stacks):
+                var.value = stack[r].copy()
+            np.testing.assert_array_equal(losses[r], sequence_loss(model, src, tgt).value)
+
+
+def test_stacked_parameters_are_forward_only():
+    model = _model(seed=3)
+    src = np.array([[3, 4, 5]])
+    _stack_values(model, np.random.default_rng(3), 2)
+    with ad.Tape():
+        with pytest.raises(DimensionError, match="forward-only"):
+            sequence_loss(model, src, src)
+        with pytest.raises(DimensionError, match="forward-only"):
+            ad.cross_entropy_logits(Variable(np.zeros((2, 3, 4))), [0, 1, 2])
+    for one_set in (lambda: encode_batch(src, model), lambda: generate(src[0], model)):
+        with pytest.raises(DimensionError, match="one parameter set"):
+            one_set()
+    model.w_out.value = model.w_out.value[0]
+    with pytest.raises(DimensionError, match="one leading set axis"):
+        sequence_loss(model, src, src)
+    # a stack that the embedding does not carry is refused too, not broadcast
+    for name in ("w_out", "ham_c"):
+        one_set = _model(seed=3)
+        var = one_set.parameters()[name]
+        var.value = np.stack([var.value] * 2)
+        with pytest.raises(DimensionError, match=f"one leading set axis; \\['{name}'"):
+            sequence_loss(one_set, src, src)
+    # and so is one value left unstacked when its first size happens to be R
+    model = _model(hidden=4, seed=3)
+    _stack_values(model, np.random.default_rng(3), 4)
+    model.w_out.value = model.w_out.value[0]
+    with pytest.raises(DimensionError, match="\\['w_out'\\]"):
+        sequence_loss(model, src, src)
+
+
 def _per_array_adam_state(params):
     return {"t": 0, "m": [np.zeros_like(p.value) for p in params],
             "v": [np.zeros_like(p.value) for p in params]}
