@@ -32,7 +32,7 @@ from .model import (
     save_checkpoint,
 )
 from .tensor import l2_norm, softmax_vec
-from .train import TrainConfig, adam_step, depth_sweep, sgd_step, train
+from .train import TrainConfig, adam_step, depth_sweep, sgd_step, sweep_plan, train
 
 __version__ = "0.1.0"
 
@@ -76,6 +76,7 @@ __all__ = [
     "self_attention_layer",
     "sgd_step",
     "softmax_vec",
+    "sweep_plan",
     "norm_bound_suite",
     "train",
     "vanilla_attention",

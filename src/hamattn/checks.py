@@ -28,8 +28,8 @@ REDUCTION_ONEHOT_TOL = 1e-7
 REDUCTION_D1_TOL = 1e-12
 PROPERTY_TOL = 1e-12
 PROPERTY_SAMPLES = 200  # random instances per property_report check
-# Largest gradcheck --instances: an instance takes about 0.35 s at scale "tiny"
-# and 0.75 s at "small", so the cap is 6-13 minutes; the default is 30.
+# Largest gradcheck --instances: an instance takes about 0.065 s at scale "tiny"
+# and 0.15 s at "small" on a 2-core host, so the cap is 1-2.5 minutes; the default is 30.
 MAX_GRADCHECK_INSTANCES = 1_000
 
 

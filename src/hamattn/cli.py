@@ -8,31 +8,29 @@ ModelConfig; gendata takes SWEEP_DEFAULTS'). Train and sweep also read an
 optional JSON config whose every key a flag can override. The CLI only
 parses: argparse types each flag, and a config file must hold an object of
 known keys. Each value is checked once, by the library code that uses it,
-before anything is written, so a bad flag or config value exits 2 with one
-line naming it and produces no partial outputs.
+before anything is written, and train's model config and the sweep's plan
+before any corpus is read or made. So a bad flag or config value exits 2
+with one line naming it and produces no partial outputs.
 
-All randomness flows from one root seed. The sweep fans it out as
-documented in :mod:`hamattn.train`: the train corpus uses the root seed, the
-held-out corpus root+1, and restart r of every depth trains from
-cell_seed(root, depths[0], r) = root*1_000_000 + depths[0]*1_000 + r, so the
-depths of one restart share their init draws and batch order.
+All randomness flows from one root seed: a sweep's train corpus uses it, the
+held-out corpus root+1, and the cells the fan-out of ``train.sweep_plan``.
 """
 
 import argparse
 import inspect
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .checks import _SCALES, gradcheck_table, verify_report
-from .data import Corpus, TASKS, check_corpus_size, gen_task, load_corpus, read_text, save_corpus, task_vocab
+from .data import Corpus, NUM_RESERVED, TASKS, check_corpus_size, gen_task, load_corpus, read_text, save_corpus, task_vocab
 from .errors import CorpusError, DomainError, TrainingDiverged
 from .evaluate import evaluate_pairs, evaluate_quatrains
 from .model import ModelConfig, Seq2SeqModel, generate, save_checkpoint
-from .train import OPTIMIZERS, TrainConfig, check_depths, depth_sweep, train, write_sweep_csv
+from .train import OPTIMIZERS, TrainConfig, depth_sweep, sweep_plan, train, write_sweep_csv
 
 # The defaults train and sweep share with the library: TrainConfig's and ModelConfig's.
 _SHARED_DEFAULTS = {
@@ -96,7 +94,7 @@ def _merge_config(defaults: dict, config_path, args) -> dict:
 
     The file must hold a JSON object of known keys. Values from the file and
     the flags alike are checked where they are used -- by verify_report,
-    gradcheck_table, TrainConfig, ModelConfig, gen_task and depth_sweep --
+    gradcheck_table, TrainConfig, ModelConfig, gen_task and sweep_plan --
     all before a command writes anything.
     """
     cfg = dict(defaults)
@@ -215,13 +213,13 @@ def cmd_train(args) -> int:
     out = _out_dir(args.out)
     cfg = _merge_config(TRAIN_DEFAULTS, args.config, args)
     train_config = _train_config(cfg)
+    # checked before the corpus is read, at the smallest vocab ModelConfig takes
+    model_config = ModelConfig(NUM_RESERVED + 1, cfg["hidden"], cfg["depth"], cfg["bidirectional"])
     corpus = load_corpus(args.corpus)
     if len(corpus) == 0:
         raise DomainError(f"corpus {args.corpus} holds no pairs")
-    model = Seq2SeqModel(
-        ModelConfig(corpus.vocab_size, cfg["hidden"], cfg["depth"], cfg["bidirectional"]),
-        np.random.default_rng(cfg["seed"]),
-    )
+    model_config = replace(model_config, vocab_size=corpus.vocab_size)  # checks the vocab
+    model = Seq2SeqModel(model_config, np.random.default_rng(cfg["seed"]))
     model, losses = train(model, corpus, train_config)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -243,35 +241,23 @@ def cmd_train(args) -> int:
 
 
 def run_sweep(cfg: dict, null: bool = False):
-    """Run the sweep a ``SWEEP_DEFAULTS``-shaped dict describes.
-
-    Checks the corpus sizes, the TrainConfig and every depth's ModelConfig,
-    then builds the train corpus from the root seed and the held-out corpus
-    from root+1 and returns ``depth_sweep``'s (records, summary). ``hamattn
-    sweep``, the null sweep and acceptance criterion 5 all go through here, so
-    the band and the criterion are measured on one protocol.
-    """
+    """Run the sweep a ``SWEEP_DEFAULTS``-shaped dict describes: check the eval
+    corpus size and build the ``sweep_plan`` before any corpus work, then make
+    the train corpus from the root seed and the held-out one from root+1 and
+    return ``depth_sweep``'s (records, summary). ``hamattn sweep``, the null
+    sweep and acceptance criterion 5 all go through here, so the band and the
+    criterion are measured on one protocol."""
     check_corpus_size(cfg["eval_pairs"], cfg["seq_len"], "eval_pairs")  # before the train corpus
     train_config = _train_config(cfg)
-    # every cell's model config too, so a bad hidden or depth costs no corpus work
     vocab = task_vocab(cfg["payload_vocab"])
-    for depth in check_depths(cfg["depths"]):
-        ModelConfig(vocab, cfg["hidden"], depth, cfg["bidirectional"])
+    plan = sweep_plan(vocab, cfg["depths"], train_config, cfg["hidden"], cfg["bidirectional"], null)
     train_corpus = gen_task(
         cfg["task"], cfg["pairs"], cfg["seq_len"], cfg["payload_vocab"], cfg["seed"]
     )
     eval_corpus = gen_task(
         cfg["task"], cfg["eval_pairs"], cfg["seq_len"], cfg["payload_vocab"], cfg["seed"] + 1
     )
-    return depth_sweep(
-        train_corpus,
-        eval_corpus,
-        cfg["depths"],
-        train_config,
-        hidden=cfg["hidden"],
-        bidirectional=cfg["bidirectional"],
-        null=null,
-    )
+    return depth_sweep(train_corpus, eval_corpus, plan)
 
 
 def cmd_sweep(args) -> int:

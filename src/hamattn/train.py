@@ -2,18 +2,19 @@
 
 Every number a run records is determined by (seed, config, corpus): model
 init, batch shuffling and the optimizer are all driven by numpy Generators
-seeded from one root. The sweep fans the root seed out with a documented
-rule -- cell_seed(root, depth, restart) = root*1_000_000 + depth*1_000 +
-restart -- and pairs its cells: restart r of every depth trains from
-cell_seed(root, depths[0], r), so the depths of one restart share their init
-draws and batch order, and any cell can be reproduced in isolation.
+seeded from one root. ``sweep_plan`` builds and checks every cell of a sweep
+before ``depth_sweep`` runs it. The plan fans the root seed out with
+cell_seed(root, depth, restart) = root*1_000_000 + depth*1_000 + restart and
+pairs its cells: restart r of every depth trains from cell_seed(root,
+depths[0], r), so the depths of one restart share their init draws and batch
+order, and any cell can be reproduced alone from its plan entry.
 
 The depth sweep reports best-over-restarts final losses per depth and
 asserts that they do not increase by more than SWEEP_TOLERANCE from one depth
 to the next. Global minima are not computable, and at desk scale a few-ulp
 difference between two runs grows over 200 epochs into a loss spread as wide
 as a new seed's. The tolerance is therefore measured, not chosen: it comes
-from the paired null sweep (``depth_sweep(..., null=True)``), in which every
+from the paired null sweep (``sweep_plan(..., null=True)``), in which every
 depth computes the depth-1 function, so only that spread separates the depths.
 """
 
@@ -211,65 +212,76 @@ def check_depths(depths) -> list:
     return depths
 
 
-def depth_sweep(
-    train_corpus: Corpus,
-    eval_corpus: Corpus,
+@dataclass(frozen=True)
+class SweepCell:
+    """One sweep cell (its depth is ``model.ham_depth``); a null cell has ``frozen`` set."""
+
+    model: ModelConfig
+    train: TrainConfig
+    frozen: tuple
+
+
+@dataclass(frozen=True)
+class SweepPlan:
+    depths: list
+    restarts: int
+    seed: int  # the root seed
+    cells: list  # SweepCell, in run order: depth-major, restarts inner
+
+
+def sweep_plan(
+    vocab_size: int,
     depths,
     config: TrainConfig,
     hidden: int = ModelConfig.hidden,
     bidirectional: bool = ModelConfig.bidirectional,
     null: bool = False,
-):
-    """Train restarts x depths cells under one budget; summarize best losses.
+) -> SweepPlan:
+    """Every cell of a depth sweep in run order, each config built and checked once.
 
-    The cells are paired: restart r of every depth trains from
-    cell_seed(root, depths[0], r), so within a restart only the depth
-    differs. Returns (records, summary); summary maps each depth to its
-    best-over-restarts final loss and states whether the sequence is
-    non-increasing within SWEEP_TOLERANCE.
-
-    ``null=True`` runs the null sweep that SWEEP_TOLERANCE is measured on:
-    every depth above 1 has its level weights pinned to level 1
-    (c = [0, NULL_LEVEL_LOGIT, ...]) and left out of the optimizer, so each
-    cell computes its depth-1 partner's function up to round-off.
+    ``null=True`` plans the null sweep: depths above 1 freeze their level weights
+    ``ham_c``, which ``depth_sweep`` pins to level 1 (c = [0, NULL_LEVEL_LOGIT,
+    ...]), so each cell computes its depth-1 partner's function up to round-off.
     """
     depths = check_depths(depths)
     if null and depths[0] != 1:
         raise DomainError(f"a null sweep starts at depth 1, got {depths}")
+    models = {d: ModelConfig(vocab_size, hidden, d, bidirectional) for d in depths}
+    seeds = [cell_seed(config.seed, depths[0], r) for r in range(config.restarts)]
+    cells = [
+        SweepCell(models[d], replace(config, seed=s), ("ham_c",) if null and d > 1 else ())
+        for d in depths
+        for s in seeds
+    ]
+    return SweepPlan(depths, config.restarts, config.seed, cells)
+
+
+def depth_sweep(train_corpus: Corpus, eval_corpus: Corpus, plan: SweepPlan):
+    """Train a ``sweep_plan``'s cells; return (records, summary). The summary maps
+    each depth to its best-over-restarts final loss and states whether the
+    sequence is non-increasing within SWEEP_TOLERANCE."""
+    vocab = plan.cells[0].model.vocab_size  # every cell's
+    if train_corpus.vocab_size != vocab:
+        raise DomainError(f"vocab_size: the train corpus has {train_corpus.vocab_size}, the plan {vocab}")
     records = []
-    for depth in depths:
-        for restart in range(config.restarts):
-            seed = cell_seed(config.seed, depths[0], restart)
-            start = time.perf_counter()
-            model = Seq2SeqModel(
-                ModelConfig(train_corpus.vocab_size, hidden, depth, bidirectional),
-                np.random.default_rng(seed),
-            )
-            frozen = ()
-            if null and depth > 1:
-                model.var_c.value[1:] = NULL_LEVEL_LOGIT
-                frozen = ("ham_c",)
-            cfg = replace(config, seed=seed)
-            _, losses = train(model, train_corpus, cfg, frozen)
-            metric = _exact_match(model, eval_corpus) if len(eval_corpus) else 0.0
-            records.append(
-                SweepRecord(
-                    depth=depth,
-                    seed=seed,
-                    final_loss=losses[-1],
-                    metric=metric,
-                    wall_time_s=time.perf_counter() - start,
-                )
-            )
-    best = {d: min(r.final_loss for r in records if r.depth == d) for d in depths}
+    for cell in plan.cells:
+        start = time.perf_counter()
+        model = Seq2SeqModel(cell.model, np.random.default_rng(cell.train.seed))
+        if cell.frozen:  # a null cell
+            model.var_c.value[1:] = NULL_LEVEL_LOGIT
+        _, losses = train(model, train_corpus, cell.train, cell.frozen)
+        metric = _exact_match(model, eval_corpus) if len(eval_corpus) else 0.0
+        wall = time.perf_counter() - start
+        records.append(SweepRecord(cell.model.ham_depth, cell.train.seed, losses[-1], metric, wall))
+    best = {d: min(r.final_loss for r in records if r.depth == d) for d in plan.depths}
     monotone = all(
-        best[b] <= best[a] * (1.0 + SWEEP_TOLERANCE) for a, b in zip(depths, depths[1:])
+        best[b] <= best[a] * (1.0 + SWEEP_TOLERANCE) for a, b in zip(plan.depths, plan.depths[1:])
     )
     summary = {
-        "depths": depths,
-        "restarts": config.restarts,
-        "seed": config.seed,
-        "best_loss": {str(d): best[d] for d in depths},
+        "depths": plan.depths,
+        "restarts": plan.restarts,
+        "seed": plan.seed,
+        "best_loss": {str(d): best[d] for d in plan.depths},
         "tolerance": SWEEP_TOLERANCE,
         "monotone_within_tolerance": monotone,
     }

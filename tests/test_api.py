@@ -7,7 +7,7 @@ from hamattn.data import MAX_PAIRS, MAX_SEQ_LEN, MAX_VOCAB, NUM_RESERVED, Corpus
 from hamattn.errors import DomainError
 from hamattn.ham import MAX_DEPTH, MAX_REDUCTION_INSTANCES, MAX_TRIALS, norm_bound_suite, reduction_report
 from hamattn.model import MAX_HIDDEN, ModelConfig, Seq2SeqModel, generate
-from hamattn.train import MAX_EPOCHS, MAX_RESTARTS, TrainConfig, depth_sweep
+from hamattn.train import MAX_EPOCHS, MAX_RESTARTS, TrainConfig, sweep_plan
 
 
 def test_every_public_name_resolves_once():
@@ -28,7 +28,7 @@ INTEGER_INPUTS = [
     ("batch_size", 1, None, lambda x: TrainConfig(batch_size=x)),
     ("restarts", 1, MAX_RESTARTS, lambda x: TrainConfig(restarts=x)),
     ("seed", 0, None, lambda x: TrainConfig(seed=x)),
-    ("depths", 1, MAX_DEPTH, lambda x: depth_sweep(CORPUS, CORPUS, [x], TrainConfig())),
+    ("depths", 1, MAX_DEPTH, lambda x: sweep_plan(8, [x], TrainConfig())),
     ("depth", 1, None, lambda x: attention_levels(Q, K, x)),
     ("depth", 1, None, lambda x: self_attention_levels(K, x)),
     ("d", 1, None, lambda x: MultiHeadParams.identity(x)),

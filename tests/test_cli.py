@@ -19,6 +19,7 @@ from hamattn.cli import SWEEP_DEFAULTS, TRAIN_DEFAULTS, _merge_config, build_par
 from hamattn.data import (
     MAX_PAIRS, MAX_SEQ_LEN, MAX_VOCAB, NUM_RESERVED, TASKS, gen_task, load_corpus, save_corpus,
 )
+from hamattn.errors import DomainError
 from hamattn.ham import MAX_DEPTH, MAX_REDUCTION_INSTANCES, MAX_TRIALS
 from hamattn.model import MAX_HIDDEN
 from hamattn.train import MAX_EPOCHS, MAX_RESTARTS, OPTIMIZERS
@@ -269,6 +270,28 @@ def test_sweep_checks_every_model_config_before_any_corpus(tmp_path, capsys, mon
         (["--config", str(cfg)], "bidirectional"),
     ):
         assert run(["sweep", *flags, "--out", str(out)]) == 2, flags
+        _one_line_error(capsys, field)
+        assert not out.exists()
+    with pytest.raises(DomainError, match="null sweep starts at depth 1"):
+        cli.run_sweep({**SWEEP_DEFAULTS, "depths": [2, 5]}, null=True)
+
+
+def test_train_checks_every_model_value_before_reading_the_corpus(tmp_path, capsys, monkeypatch):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("load_corpus ran before the model config was checked")
+
+    monkeypatch.setattr(cli, "load_corpus", no_corpus)
+    out = tmp_path / "run"
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"bidirectional": 1}))
+    for flags, field in (
+        (["--hidden", "0"], "hidden"),
+        (["--hidden", str(MAX_HIDDEN + 1)], "hidden"),
+        (["--depth", "0"], "depth"),
+        (["--depth", str(MAX_DEPTH + 1)], "depth"),
+        (["--config", str(cfg)], "bidirectional"),
+    ):
+        assert run(["train", "--corpus", "c.jsonl", *flags, "--out", str(out)]) == 2, flags
         _one_line_error(capsys, field)
         assert not out.exists()
 

@@ -11,6 +11,7 @@ from hamattn.errors import DomainError, TrainingDiverged
 from hamattn.model import ModelConfig, Seq2SeqModel, encode_batch, generate, gru_step, sequence_loss
 from hamattn.train import (
     MAX_GRAD_NORM,
+    NULL_LEVEL_LOGIT,
     SWEEP_CSV_HEADER,
     TrainConfig,
     adam_step,
@@ -19,6 +20,7 @@ from hamattn.train import (
     depth_sweep,
     init_adam_state,
     sgd_step,
+    sweep_plan,
     train,
     write_sweep_csv,
 )
@@ -172,7 +174,7 @@ def test_depth_sweep_single_depth_trivially_monotone():
     corpus = gen_task("copy", 8, 3, 5, seed=0)
     eval_corpus = gen_task("copy", 4, 3, 5, seed=1)
     cfg = TrainConfig(epochs=2, batch_size=4, seed=0, restarts=2)
-    records, summary = depth_sweep(corpus, eval_corpus, [1], cfg, hidden=5)
+    records, summary = depth_sweep(corpus, eval_corpus, sweep_plan(corpus.vocab_size, [1], cfg, hidden=5))
     assert summary["monotone_within_tolerance"] is True
     assert len(records) == 2
     assert all(r.final_loss > 0 for r in records)
@@ -180,7 +182,7 @@ def test_depth_sweep_single_depth_trivially_monotone():
 
     # paired: restart r of every depth trains from cell_seed(root, 1, r), and
     # the depth-1 records are those of the depth-1 sweep alone
-    paired, _ = depth_sweep(corpus, eval_corpus, [1, 2], cfg, hidden=5)
+    paired, _ = depth_sweep(corpus, eval_corpus, sweep_plan(corpus.vocab_size, [1, 2], cfg, hidden=5))
     for restart in range(2):
         cells = [r for r in paired if r.seed == cell_seed(0, 1, restart)]
         assert [r.depth for r in cells] == [1, 2]
@@ -192,7 +194,7 @@ def test_depth_sweep_repeated_depth_is_deterministic():
     corpus = gen_task("copy", 8, 3, 5, seed=0)
     eval_corpus = gen_task("copy", 4, 3, 5, seed=1)
     cfg = TrainConfig(epochs=2, batch_size=4, seed=0, restarts=1)
-    records, summary = depth_sweep(corpus, eval_corpus, [2, 2], cfg, hidden=5)
+    records, summary = depth_sweep(corpus, eval_corpus, sweep_plan(corpus.vocab_size, [2, 2], cfg, hidden=5))
     assert records[0].final_loss == records[1].final_loss
     assert records[0].metric == records[1].metric
 
@@ -201,13 +203,31 @@ def test_null_sweep_tracks_depth_one():
     corpus = gen_task("copy", 8, 3, 5, seed=0)
     eval_corpus = gen_task("copy", 4, 3, 5, seed=1)
     cfg = TrainConfig(epochs=3, batch_size=4, seed=0, restarts=2)
-    records, _ = depth_sweep(corpus, eval_corpus, [1, 2, 5], cfg, hidden=5, null=True)
+    plan = sweep_plan(corpus.vocab_size, [1, 2, 5], cfg, hidden=5, null=True)
+    records, _ = depth_sweep(corpus, eval_corpus, plan)
     d1 = [r.final_loss for r in records if r.depth == 1]
     for depth in (2, 5):
         deeper = [r.final_loss for r in records if r.depth == depth]
         np.testing.assert_allclose(deeper, d1, rtol=1e-12)
-    with pytest.raises(DomainError):
-        depth_sweep(corpus, eval_corpus, [2, 5], cfg, null=True)
+    with pytest.raises(DomainError, match="starts at depth 1"):
+        sweep_plan(corpus.vocab_size, [2, 5], cfg, null=True)
+
+
+def test_one_cell_of_a_plan_reproduces_alone():
+    # any cell, plain or null, trained on its own from its plan entry gives the sweep's bits
+    corpus = gen_task("copy", 8, 3, 5, seed=0)
+    eval_corpus = gen_task("copy", 4, 3, 5, seed=1)
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=1, restarts=2)
+    for null in (False, True):
+        plan = sweep_plan(corpus.vocab_size, [1, 2], cfg, hidden=5, null=null)
+        records, _ = depth_sweep(corpus, eval_corpus, plan)
+        cell, record = plan.cells[3], records[3]  # depth 2, restart 1
+        assert (cell.model.ham_depth, cell.frozen) == (2, ("ham_c",) if null else ())
+        model = Seq2SeqModel(cell.model, np.random.default_rng(cell.train.seed))
+        if cell.frozen:
+            model.var_c.value[1:] = NULL_LEVEL_LOGIT
+        _, losses = train(model, corpus, cell.train, cell.frozen)
+        assert (cell.train.seed, losses[-1]) == (record.seed, record.final_loss)
 
 
 def test_frozen_parameters_keep_their_values():
@@ -223,9 +243,9 @@ def test_depth_sweep_rejects_unsorted_depths():
     corpus = gen_task("copy", 4, 3, 5, seed=0)
     cfg = TrainConfig(epochs=1, restarts=1)
     with pytest.raises(DomainError):
-        depth_sweep(corpus, corpus, [5, 1], cfg)
+        sweep_plan(corpus.vocab_size, [5, 1], cfg)
     with pytest.raises(DomainError):
-        depth_sweep(corpus, corpus, [], cfg)
+        sweep_plan(corpus.vocab_size, [], cfg)
 
 
 def test_depth_sweep_caps_depths_before_training(monkeypatch):
@@ -235,7 +255,19 @@ def test_depth_sweep_caps_depths_before_training(monkeypatch):
     monkeypatch.setattr(training_module, "train", no_training)
     corpus = gen_task("copy", 4, 3, 5, seed=0)
     with pytest.raises(DomainError, match="depths"):
-        depth_sweep(corpus, corpus, [1, 10**30], TrainConfig(epochs=1, restarts=1))
+        depth_sweep(corpus, corpus, sweep_plan(corpus.vocab_size, [1, 10**30], TrainConfig(epochs=1, restarts=1)))
+
+
+def test_depth_sweep_refuses_a_train_corpus_of_another_vocab(monkeypatch):
+    # a wider plan would train silently on different numbers, a narrower one fail mid-cell
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(training_module, "train", no_training)
+    corpus = gen_task("copy", 4, 3, 5, seed=0)
+    for vocab in (corpus.vocab_size - 1, corpus.vocab_size + 1):
+        with pytest.raises(DomainError, match="vocab_size"):
+            depth_sweep(corpus, corpus, sweep_plan(vocab, [1], TrainConfig()))
 
 
 def test_cell_seed_fanout_rule():
