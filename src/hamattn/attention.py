@@ -4,7 +4,7 @@ multi-level and self-attention.
 Two layout conventions meet here and the boundary is a transpose: the
 query-vector form stores keys as columns of a ``dk x n`` matrix, while the
 matrix form (``sdp_attention``, ``self_attention_layer``) stores one token
-per row. Values coincide with keys except in ``sdp_attention``, which keeps
+per row, [..., n, dk] with any leading batch axes. Values coincide with keys except in ``sdp_attention``, which keeps
 a separate V so multi-head projections can use it. The compatibility
 function is the scaled dot product <k,q>/sqrt(dk) throughout.
 
@@ -140,21 +140,25 @@ def multi_level_attention(q, K, depth: int) -> np.ndarray:
 
 
 def sdp_attention(Q, K, V) -> np.ndarray:
-    """softmax(Q K^T / sqrt(dk)) V with row-per-token operands."""
+    """softmax(Q K^T / sqrt(dk)) V with row-per-token operands: Q [..., m, dk], K [..., n, dk]
+    and V [..., n, dv], with the same leading axes; returns [..., m, dv]. Each index of the
+    leading axes gets the bits of its own 2-D call."""
     Q = np.asarray(Q, dtype=np.float64)
     K = np.asarray(K, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
-    if Q.ndim != 2 or K.ndim != 2 or V.ndim != 2:
+    if (
+        min(Q.ndim, K.ndim, V.ndim) < 2
+        or not Q.shape[:-2] == K.shape[:-2] == V.shape[:-2]
+        or Q.shape[-1] != K.shape[-1]
+        or K.shape[-2] != V.shape[-2]
+    ):
         raise DimensionError(
-            f"sdp_attention expects 2-D Q, K, V, got {Q.shape}, {K.shape}, {V.shape}"
+            f"sdp_attention expects Q [..., m, dk], K [..., n, dk], V [..., n, dv], "
+            f"got {Q.shape}, {K.shape}, {V.shape}"
         )
-    if Q.shape[1] != K.shape[1] or K.shape[0] != V.shape[0]:
-        raise DimensionError(
-            f"sdp_attention shape mismatch: Q {Q.shape}, K {K.shape}, V {V.shape}"
-        )
-    if K.shape[0] == 0:
+    if K.shape[-2] == 0:
         raise DomainError("empty key sequence")
-    p = kernels.softmax_rows(Q @ K.T / np.sqrt(Q.shape[1]))
+    p = kernels.softmax_rows(Q @ K.swapaxes(-1, -2) / np.sqrt(Q.shape[-1]))
     return p @ V
 
 
@@ -175,12 +179,13 @@ def multi_head(Q, K, V, params: MultiHeadParams) -> np.ndarray:
 
 
 def self_attention_layer(X) -> np.ndarray:
-    """Every token attends over the whole sequence: sdp_attention(X, X, X)."""
+    """Every token attends over the whole sequence: sdp_attention(X, X, X) for X [..., n, dk]."""
     return sdp_attention(X, X, X)
 
 
 def self_attention_levels(X, depth: int) -> list:
-    """The ``depth`` consecutive self-attention results of the sequence X."""
+    """The ``depth`` consecutive self-attention results of the sequences X [..., n, dk]: a list
+    of ``depth`` arrays shaped like X, each sequence of a batch with the bits of its own call."""
     levels = [X]
     for _ in range(check_int("depth", depth, 1)):
         levels.append(self_attention_layer(levels[-1]))

@@ -36,11 +36,13 @@ BOUND_TOL = 1e-9
 # defaults use depth 5 and 10 x 10,000, and far beyond numpy would refuse the arrays.
 MAX_DEPTH = 64
 MAX_TRIALS = 1_000_000
-# Largest verify --reduction-instances: about 25 s at 0.25 ms an instance.
+# Largest verify --reduction-instances: about 6-10 s at 0.06-0.1 ms an instance (2 cores).
 MAX_REDUCTION_INSTANCES = 100_000
 # norm_bound_suite's inclusive ranges of key dimension and key count, and of K and q entries
 NORM_BOUND_DK, NORM_BOUND_N, NORM_BOUND_ENTRY = (2, 16), (1, 32), 3.0
 REDUCTION_HOT = 20.0  # reduction_report's scalar on the hot level; the rest are zero
+# reduction_report's drawn instances held at a time, about 1 MB of them
+REDUCTION_CHUNK = 1024
 
 
 def ham_v(q, K, c) -> np.ndarray:
@@ -51,7 +53,7 @@ def ham_v(q, K, c) -> np.ndarray:
 
 
 def ham_s(X, c) -> np.ndarray:
-    """Weighted sum of the d consecutive self-attention results of the sequence X, d = len(c)."""
+    """Weighted sum of the d consecutive self-attention results of the sequences X [..., n, dk], d = len(c)."""
     alpha = softmax_vec(c)
     return level_sum(self_attention_levels(X, len(alpha)), alpha)
 
@@ -190,11 +192,13 @@ def norm_bound_suite(trials: int, seed: int = 0, max_depth: int = 10) -> dict:
     rng = np.random.default_rng(check_int("seed", seed, 0))
     dks = rng.integers(NORM_BOUND_DK[0], NORM_BOUND_DK[1] + 1, size=trials)
     ns = rng.integers(NORM_BOUND_N[0], NORM_BOUND_N[1] + 1, size=trials)
-    shapes, counts = np.unique(np.stack([dks, ns], axis=1), axis=0, return_counts=True)
+    # one integer per shape, ordered as (dk, n) pairs are: n is at most NORM_BOUND_N[1]
+    keys, counts = np.unique(dks * (NORM_BOUND_N[1] + 1) + ns, return_counts=True)
     upper_violations = 0
     lower_violations = 0
     first_upper = None
-    for (dk, n), g in zip(shapes.tolist(), counts.tolist()):
+    for key, g in zip(keys.tolist(), counts.tolist()):
+        dk, n = divmod(key, NORM_BOUND_N[1] + 1)
         K = rng.uniform(-NORM_BOUND_ENTRY, NORM_BOUND_ENTRY, size=(g, dk, n))
         q = rng.uniform(-NORM_BOUND_ENTRY, NORM_BOUND_ENTRY, size=(g, dk))
         # random level weighting: a convex combination must obey the same bound
@@ -235,31 +239,57 @@ def reduction_report(instances: int, seed: int = 0) -> dict:
     output must match the plain level-t attention result; with d=1 the match
     is exact up to float rounding. Depths are capped at 6 and entries at 2 so
     the softmax tail (d-1)*e^-20 stays well under the 1e-7 check threshold.
-    Each recursion runs once per instance; ham_v and ham_s are level_sum of it.
+
+    Each instance is drawn in turn (dk, n, d, t, K, q, X) from one stream, at
+    most ``REDUCTION_CHUNK`` of them held at a time. A chunk's instances run in
+    (dk, n) shape groups (``_reduction_group``); every instance gets the bits of
+    its own per-instance ham_v and ham_s calls, so the maxima are those of a
+    one-at-a-time loop.
     """
     instances = check_int("instances", instances, 1, MAX_REDUCTION_INSTANCES)
     rng = np.random.default_rng(check_int("seed", seed, 0))
-    one = softmax_vec(np.zeros(1))
-    worst = {}
-    for _ in range(instances):
-        dk = int(rng.integers(2, 9))
-        n = int(rng.integers(1, 9))
-        d = int(rng.integers(2, 7))
-        t = int(rng.integers(0, d))
-        K = rng.uniform(-2.0, 2.0, size=(dk, n))
-        q = rng.uniform(-2.0, 2.0, size=dk)
-        X = rng.uniform(-2.0, 2.0, size=(n, dk))
-
-        c = np.zeros(d)
-        c[t] = REDUCTION_HOT
-        alpha = softmax_vec(c)
-        v_levels = attention_levels(q, K, d)
-        s_levels = self_attention_levels(X, d)
-        for key, out, want in (
-            ("ham_v_onehot_max_err", level_sum(v_levels, alpha), v_levels[t]),
-            ("ham_v_d1_max_err", level_sum(v_levels[:1], one), v_levels[0]),
-            ("ham_s_onehot_max_err", level_sum(s_levels, alpha), s_levels[t]),
-            ("ham_s_d1_max_err", level_sum(s_levels[:1], one), s_levels[0]),
-        ):
-            worst[key] = max(worst.get(key, 0.0), float(np.max(np.abs(out - want))))
+    worst = dict.fromkeys(
+        ("ham_v_onehot_max_err", "ham_v_d1_max_err", "ham_s_onehot_max_err", "ham_s_d1_max_err"), 0.0
+    )  # in report order
+    for start in range(0, instances, REDUCTION_CHUNK):
+        groups = {}
+        for _ in range(min(REDUCTION_CHUNK, instances - start)):
+            dk = int(rng.integers(2, 9))
+            n = int(rng.integers(1, 9))
+            d = int(rng.integers(2, 7))
+            t = int(rng.integers(0, d))
+            K = rng.uniform(-2.0, 2.0, size=(dk, n))
+            q = rng.uniform(-2.0, 2.0, size=dk)
+            X = rng.uniform(-2.0, 2.0, size=(n, dk))
+            groups.setdefault((dk, n), []).append((d, t, K, q, X))
+        for group in groups.values():
+            for key, err in _reduction_group(group):
+                worst[key] = max(worst[key], err)
     return {"instances": instances, "seed": seed, "hot": REDUCTION_HOT, **worst}
+
+
+def _reduction_group(group):
+    """Yield ``(error name, max error)`` over one shape group's (d, t, K, q, X) instances.
+
+    The recursions run once, at the group's largest depth (level t does not
+    depend on the depth asked for); each depth's one-hot level weights are one
+    ``softmax_rows`` of its [g_d, d] logit rows, and each sum one ``level_sum``.
+    """
+    ds, ts, K, q, X = (np.array(column) for column in zip(*group))
+    depth = int(ds.max())
+    v = np.moveaxis(attention_levels(q, K, depth), 1, 0)  # [depth, g, dk]
+    s = np.stack(self_attention_levels(X, depth))  # [depth, g, n, dk]
+    one = softmax_vec(np.zeros(1))
+    yield "ham_v_d1_max_err", _max_err(level_sum(v[:1], one), v[0])
+    yield "ham_s_d1_max_err", _max_err(level_sum(s[:1], one), s[0])
+    for d in sorted(set(ds.tolist())):
+        rows = np.flatnonzero(ds == d)
+        logits = np.zeros((rows.size, d))
+        logits[np.arange(rows.size), ts[rows]] = REDUCTION_HOT
+        weights = kernels.softmax_rows(logits).T[..., None]  # [d, g_d, 1]
+        yield "ham_v_onehot_max_err", _max_err(level_sum(v[:d, rows], weights), v[ts[rows], rows])
+        yield "ham_s_onehot_max_err", _max_err(level_sum(s[:d, rows], weights[..., None]), s[ts[rows], rows])
+
+
+def _max_err(out, want) -> float:
+    return float(np.max(np.abs(out - want)))

@@ -261,8 +261,9 @@ def depth_sweep(train_corpus: Corpus, eval_corpus: Corpus, plan: SweepPlan):
     each depth to its best-over-restarts final loss and states whether the
     sequence is non-increasing within SWEEP_TOLERANCE."""
     vocab = plan.cells[0].model.vocab_size  # every cell's
-    if train_corpus.vocab_size != vocab:
-        raise DomainError(f"vocab_size: the train corpus has {train_corpus.vocab_size}, the plan {vocab}")
+    for name, corpus in (("train", train_corpus), ("eval", eval_corpus)):
+        if corpus.vocab_size != vocab:
+            raise DomainError(f"vocab_size: the {name} corpus has {corpus.vocab_size}, the plan {vocab}")
     records = []
     for cell in plan.cells:
         start = time.perf_counter()

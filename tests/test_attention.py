@@ -12,6 +12,7 @@ from hamattn.attention import (
     scaled_dot_score,
     sdp_attention,
     self_attention_layer,
+    self_attention_levels,
     vanilla_attention,
 )
 from hamattn.errors import DimensionError, DomainError
@@ -119,6 +120,35 @@ def test_sdp_shape_errors():
         sdp_attention(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros((4, 2)))
     with pytest.raises(DimensionError):
         sdp_attention(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((5, 2)))
+
+
+def test_sdp_batch_shape_errors():
+    for Q, K, V in (
+        (np.zeros(3), np.zeros(3), np.zeros(3)),
+        (np.zeros((2, 4, 3)), np.zeros((5, 3)), np.zeros((5, 2))),
+        (np.zeros((2, 4, 3)), np.zeros((3, 5, 3)), np.zeros((3, 5, 2))),
+        (np.zeros((2, 4, 3)), np.zeros((2, 5, 3)), np.zeros((1, 5, 2))),
+    ):
+        with pytest.raises(DimensionError):
+            sdp_attention(Q, K, V)
+    with pytest.raises(DomainError):
+        sdp_attention(np.zeros((2, 4, 3)), np.zeros((2, 0, 3)), np.zeros((2, 0, 2)))
+
+
+def test_batched_sdp_and_self_attention_levels_match_per_item_calls_bitwise():
+    rng = np.random.default_rng(21)
+    for n in range(1, 17):
+        for dk in range(1, 17):
+            X = rng.uniform(-2, 2, (3, n, dk))
+            levels = self_attention_levels(X, 6)  # Q is K is V at every level
+            for i in range(3):
+                for got, want in zip(levels, self_attention_levels(X[i], 6), strict=True):
+                    np.testing.assert_array_equal(got[i], want)
+            Q, V = rng.uniform(-2, 2, (2, 3, 4, dk)), rng.uniform(-2, 2, (2, 3, n, 5))
+            K = X.reshape(1, 3, n, dk).repeat(2, axis=0)
+            got = sdp_attention(Q, K, V)
+            for i in np.ndindex(2, 3):
+                np.testing.assert_array_equal(got[i], sdp_attention(Q[i], K[i], V[i]))
 
 
 def test_multi_head_identity_single_head_equals_sdp():

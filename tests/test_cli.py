@@ -392,6 +392,17 @@ def test_verify_report_matches_committed_golden(tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / "verify_small.json").read_bytes()
 
 
+def test_verify_bench_report_matches_committed_digest(tmp_path, capsys):
+    """The benchmark's verify report (10,000 trials, 1,000 reduction instances, seed 0),
+    pinned by its sha256: shape groups and chunks of this size do not occur in
+    verify_small.json. Regenerate it with the command this test runs and record the move
+    in CHANGES.md."""
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--trials", "10000", "--seed", "0", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == (GOLDEN / "verify_bench.sha256").read_text().strip()
+
+
 def test_out_that_is_a_file_is_rejected_before_training(tmp_path, capsys, monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("training started")

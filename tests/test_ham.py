@@ -15,6 +15,7 @@ from hamattn.ham import (
     MAX_DEPTH,
     MAX_REDUCTION_INSTANCES,
     MAX_TRIALS,
+    REDUCTION_CHUNK,
     ham_v_context,
     ham_v_levels,
     reduction_report,
@@ -357,9 +358,31 @@ def _reduction_reference(instances, seed, hot=20.0):
     return {"instances": instances, "seed": seed, "hot": hot, **worst}
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_reduction_report_matches_per_instance_ham_v_and_ham_s(seed):
-    assert reduction_report(150, seed=seed) == _reduction_reference(150, seed)
+@pytest.mark.parametrize("instances, seed", [
+    pytest.param(150, 0, id="0"),
+    pytest.param(150, 1, id="1"),
+    pytest.param(1_000, 1, id="verify_default"),  # verify's call at seed 0
+    pytest.param(REDUCTION_CHUNK + 150, 2, id="two_chunks"),
+])
+def test_reduction_report_matches_per_instance_ham_v_and_ham_s(instances, seed):
+    assert reduction_report(instances, seed=seed) == _reduction_reference(instances, seed)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, REDUCTION_CHUNK])
+def test_reduction_report_holds_at_most_a_chunk_of_instances(monkeypatch, chunk):
+    seen = []
+
+    def recording(q, K, depth):
+        seen.append(len(q))
+        return attention_levels(q, K, depth)
+
+    want = reduction_report(300, seed=4)
+    monkeypatch.setattr(ham_module, "REDUCTION_CHUNK", chunk)
+    monkeypatch.setattr(ham_module, "attention_levels", recording)
+    # the maxima do not depend on how the instances are grouped
+    assert reduction_report(300, seed=4) == want
+    assert sum(seen) == 300
+    assert max(seen) <= chunk
 
 
 def test_reduction_report_caps_instances_before_its_loop(monkeypatch):

@@ -270,6 +270,20 @@ def test_depth_sweep_refuses_a_train_corpus_of_another_vocab(monkeypatch):
             depth_sweep(corpus, corpus, sweep_plan(vocab, [1], TrainConfig()))
 
 
+def test_depth_sweep_refuses_an_eval_corpus_of_another_vocab(monkeypatch):
+    # a wider eval corpus would fail in generate only after the first cell has trained
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(training_module, "train", no_training)
+    corpus = gen_task("copy", 4, 3, 5, seed=0)
+    plan = sweep_plan(corpus.vocab_size, [1, 2], TrainConfig())
+    for payload in (4, 6):
+        eval_corpus = gen_task("copy", 4, 3, payload, seed=1)
+        with pytest.raises(DomainError, match="vocab_size: the eval corpus"):
+            depth_sweep(corpus, eval_corpus, plan)
+
+
 def test_cell_seed_fanout_rule():
     assert cell_seed(3, 2, 4) == 3_002_004
     assert cell_seed(0, 10, 0) == 10_000
