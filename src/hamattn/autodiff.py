@@ -479,7 +479,8 @@ def check_gradients(build_loss, variables, stacked: bool = False) -> GradCheckRe
     gradient of every coordinate of every listed variable. The result carries
     the max over coordinates of |analytic - numeric| / max(1, |analytic|),
     plus which variable/coordinate attained it (the first one, in variable
-    and C order, on a tie).
+    and C order, on a tie). A NaN error, from the analytic gradient or from a
+    finite-difference loss, counts as infinite, so a NaN fails every check.
 
     ``stacked=True`` declares a build that also takes every variable as a
     stack [R, ...] of R values and then returns R losses, each with the bits
@@ -501,6 +502,8 @@ def check_gradients(build_loss, variables, stacked: bool = False) -> GradCheckRe
             fp, fm = next(losses), next(losses)
             numeric = (fp - fm) / (2.0 * FD_STEP)
             rel = abs(a[idx] - numeric) / max(1.0, abs(a[idx]))
+            if np.isnan(rel):
+                rel = np.inf
             if rel > max_rel:
                 max_rel = rel
                 worst = (vi, idx)

@@ -1,7 +1,8 @@
 """Command-line entry point: one binary, subcommand per workflow.
 
 Subcommands: verify, gradcheck, train, sweep, eval, gendata. Exit codes are
-uniform: 0 success, 1 check failure, 2 usage or config error. The value
+uniform: 0 success, 1 check failure, 2 usage or config error or a failed read
+or write (one ``error:`` line, naming the path when the error does). The value
 flags of each command come from one defaults table, whose values are the
 library's (verify_report's and gradcheck_table's keywords, TrainConfig and
 ModelConfig; gendata takes SWEEP_DEFAULTS'). Train and sweep also read an
@@ -359,7 +360,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (DomainError, CorpusError, FileNotFoundError, json.JSONDecodeError) as e:
+    except (DomainError, CorpusError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:

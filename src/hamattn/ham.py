@@ -19,8 +19,10 @@ the model's fused decoder calls it once per step. The vjp returns the 2d
 contributions to the keys' gradient separately, in the unfused chain's
 order: ``ham_v_context`` lists ``enc`` 2d times among its inputs so that
 Tape.backward adds them one at a time, which gives the same bits as the
-chain of 4d+2 entries. ``ham_s_vars`` is a taped ham_s built from autodiff
-primitives, for the gradient checks.
+chain of 4d+2 entries. ham_s has no taped form and no gradcheck row, as
+nothing trains it; the ops a taped ham_s would record (autodiff's
+``softmax``, ``scale``, ``transpose``, ``weighted_sum``) keep their rows only
+because the benchmark's trace names them.
 """
 
 import numpy as np
@@ -60,21 +62,6 @@ def ham_s(X, c) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # taped (differentiable) forms
-
-
-def ham_s_vars(X, c) -> ad.Variable:
-    """Taped ham_s: X is [n, dk], c is [d]."""
-    X, c = ad.as_variable(X), ad.as_variable(c)
-    if X.value.ndim != 2 or X.value.size == 0:
-        raise DimensionError(f"ham_s expects a non-empty [n, dk] matrix, got {X.value.shape}")
-    inv = 1.0 / np.sqrt(X.value.shape[1])
-    cur = X
-    levels = []
-    for _ in range(c.value.shape[0]):
-        scores = ad.scale(ad.matmul(cur, ad.transpose(cur)), inv)
-        cur = ad.matmul(ad.softmax(scores), cur)
-        levels.append(cur)
-    return ad.weighted_sum(levels, ad.softmax(c))
 
 
 def ham_v_levels(keys, q0, pc):

@@ -138,6 +138,38 @@ def test_grad_check_constant_function():
     assert check_gradients(lambda: ad.sum_all(ad.scale(x, 0.0)), [x]).max_rel_error == 0.0
 
 
+def _nan_op(x, forward_nan_above=np.inf, vjp_nan_at=()):
+    """Identity op whose forward is NaN where x exceeds ``forward_nan_above``
+    and whose vjp is NaN at the coordinates ``vjp_nan_at``."""
+    x = ad.as_variable(x)
+
+    def vjp(g):
+        g = g.copy()
+        for coord in vjp_nan_at:
+            g[coord] = np.nan
+        return (g,)
+
+    out = np.where(x.value > forward_nan_above, np.nan, x.value)
+    return ad._record((x,), Variable(out), vjp)
+
+
+def test_a_nan_gradient_fails_at_its_first_coordinate():
+    y, x = Variable(np.ones(4)), Variable(np.ones((2, 3)))
+
+    def build():
+        return ad.add(ad.sum_all(y), ad.sum_all(_nan_op(x, vjp_nan_at=[(1, 0), (0, 2)])))
+
+    # not 0.0: a NaN error is infinite, reported at its first coordinate in C order
+    assert check_gradients(build, [y, x]) == (np.inf, 1, (0, 2))
+
+
+def test_a_nan_finite_difference_loss_fails_the_check():
+    x = Variable(np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 0.0]]))
+    # only the point x[1, 1] + FD_STEP makes the loss NaN
+    result = check_gradients(lambda: ad.sum_all(_nan_op(x, forward_nan_above=2.0)), [x])
+    assert result == (np.inf, 0, (1, 1))
+
+
 def _seq2seq_case(scale, seed=0):
     """The gradcheck table's seq2seq_loss case at ``scale``: (leaves, build)."""
     from hamattn.checks import _SCALES

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import hashlib
 import importlib
 import io
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamattn import cli
+from hamattn import cli, kernels
 from hamattn.checks import MAX_GRADCHECK_INSTANCES
 from hamattn.cli import SWEEP_DEFAULTS, TRAIN_DEFAULTS, _merge_config, build_parser, main
 from hamattn.data import (
@@ -95,6 +96,15 @@ def test_gradcheck_unknown_flag():
     with pytest.raises(SystemExit) as exc:
         run(["gradcheck", "--scales", "tiny"])
     assert exc.value.code == 2
+
+
+def test_gradcheck_with_a_nan_vjp_fails(capsys, monkeypatch):
+    """A NaN gradient is an infinite error: the row fails and the command exits 1."""
+    monkeypatch.setattr(kernels, "tanh_vjp", lambda t, g: np.full_like(g, np.nan))
+    assert run(["gradcheck", "--instances", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("tanh ") and line.endswith("[FAIL]") for line in lines), lines
+    assert "gradcheck failure: op tanh at variable 0, coordinate [0, 0]" in lines
 
 
 def test_train_missing_corpus_is_config_error(tmp_path, capsys):
@@ -438,6 +448,23 @@ def test_out_file_is_checked_before_any_work(command, tmp_path, capsys, monkeypa
         assert run(argv + ["--out", str(out)]) == 2, out
         _one_line_error(capsys, out)
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "gendata"])
+def test_a_failed_write_exits_2_with_one_line(command, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out.json"
+    writer, argv, carried = {
+        "verify": ("_write_json", ["verify", "--trials", "1", "--reduction-instances", "1"], None),
+        "gendata": ("save_corpus", ["gendata", "--task", "copy", "--pairs", "2"], str(out)),
+    }[command]
+
+    def full_disk(payload, path):
+        raise OSError(errno.ENOSPC, "No space left on device", carried)
+
+    monkeypatch.setattr(cli, writer, full_disk)
+    assert run(argv + ["--out", str(out)]) == 2
+    # the line names the path when the error carries one
+    _one_line_error(capsys, "No space left on device", *([carried] if carried else []))
 
 
 def test_oversized_hidden_exits_2_without_allocating(tmp_path, capsys, monkeypatch):
