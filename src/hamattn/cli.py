@@ -2,7 +2,7 @@
 
 Subcommands: verify, gradcheck, train, sweep, eval, gendata. Exit codes are
 uniform: 0 success, 1 check failure, 2 usage or config error or a failed read
-or write (one ``error:`` line, naming the path when the error does). The value
+or write (one ``error:`` line; for a file error it names the file). The value
 flags of each command come from one defaults table, whose values are the
 library's (verify_report's and gradcheck_table's keywords, TrainConfig and
 ModelConfig; gendata takes SWEEP_DEFAULTS'). Train and sweep also read an
@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .checks import _SCALES, gradcheck_table, verify_report
-from .data import Corpus, NUM_RESERVED, TASKS, check_corpus_size, gen_task, load_corpus, read_text, save_corpus, task_vocab
+from .data import Corpus, NUM_RESERVED, TASKS, check_corpus_size, gen_task, load_corpus, read_json
+from .data import save_corpus, task_vocab, write_text
 from .errors import CorpusError, DomainError, TrainingDiverged
 from .evaluate import evaluate_pairs, evaluate_quatrains
 from .model import ModelConfig, Seq2SeqModel, generate, save_checkpoint
@@ -100,7 +101,7 @@ def _merge_config(defaults: dict, config_path, args) -> dict:
     """
     cfg = dict(defaults)
     if config_path:
-        loaded = json.loads(read_text(config_path))
+        loaded = read_json(config_path)
         if not isinstance(loaded, dict):
             raise DomainError(f"config file must hold a JSON object: {config_path}")
         unknown = sorted(set(loaded) - set(defaults))
@@ -147,12 +148,6 @@ def _out_file(path):
     return out
 
 
-def _write_json(payload: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -161,7 +156,7 @@ def cmd_verify(args) -> int:
     out = _out_file(args.out)
     report, passed = verify_report(**_merge_config(_VERIFY_DEFAULTS, None, args))
     if out:
-        _write_json(report, out)
+        write_text(out, [json.dumps(report, indent=2) + "\n"])
     nb = report["norm_bounds"]
     print(
         f"norm bounds: {nb['upper_violations']} upper-bound violations over "
@@ -225,10 +220,8 @@ def cmd_train(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "checkpoint.json")
-    with open(out / "losses.csv", "w", encoding="utf-8") as f:
-        f.write("epoch,loss\n")
-        for epoch, loss in enumerate(losses):
-            f.write(f"{epoch},{loss!r}\n")
+    rows = (f"{epoch},{loss!r}\n" for epoch, loss in enumerate(losses))
+    write_text(out / "losses.csv", ["epoch,loss\n", *rows])
     if args.emit_generations:
         gen_pairs = [
             (src, generate(src, model, max_len=len(tgt) + 2)) for src, tgt in corpus.pairs
@@ -267,11 +260,9 @@ def cmd_sweep(args) -> int:
     records, summary = run_sweep(cfg)
 
     out.mkdir(parents=True, exist_ok=True)
-    write_sweep_csv(records, out / "sweep.csv", include_timing=args.record_timing)
-    _write_json(
-        {**summary, "config": cfg, "records": [asdict(r) for r in records]},
-        out / "sweep_summary.json",
-    )
+    write_sweep_csv(records, out / "sweep.csv")
+    payload = {**summary, "config": cfg, "records": [asdict(r) for r in records]}
+    write_text(out / "sweep_summary.json", [json.dumps(payload, indent=2) + "\n"])
     for depth in summary["depths"]:
         print(f"depth {depth}: best final loss {summary['best_loss'][str(depth)]:.6f}")
     verdict = summary["monotone_within_tolerance"]
@@ -291,7 +282,7 @@ def cmd_eval(args) -> int:
         report = evaluate_pairs(gen_targets, gold_targets)
     text = report.to_json()
     if out:
-        out.write_text(text, encoding="utf-8")
+        write_text(out, [text])
     print(text, end="")
     return 0
 
@@ -335,11 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="JSON config; flags override its keys")
     _add_config_flags(p, SWEEP_DEFAULTS)
-    p.add_argument(
-        "--record-timing",
-        action="store_true",
-        help="include wall-clock seconds in the CSV (breaks byte-identical reruns)",
-    )
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("eval", help="score a generated corpus against a gold corpus")
@@ -360,7 +346,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (DomainError, CorpusError, OSError, json.JSONDecodeError) as e:
+    except (DomainError, CorpusError, OSError) as e:  # OSError: mkdir's and stat's, which name the file
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:

@@ -6,6 +6,7 @@ appear inside payloads. Corpora are stored as JSONL: a header line
 object per pair, so files stay line-oriented and diff-able.
 """
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -46,6 +47,25 @@ def read_text(path) -> str:
         ) from e
     except OSError as e:
         raise DomainError(f"cannot read {path}: {e.strerror or e}") from e
+
+
+def read_json(path):
+    """The JSON value in a file a user named, read by :func:`read_text`; malformed
+    JSON raises a :class:`DomainError` naming the path and the parser's position."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as e:
+        raise DomainError(f"{path}: line {e.lineno} column {e.colno}: malformed JSON ({e.msg})") from e
+
+
+def write_text(path, parts) -> None:
+    """Write the strings ``parts`` to a file a user named, as UTF-8. A failure (a full
+    disk, no permission, ...) raises a :class:`DomainError` naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(parts)
+    except OSError as e:
+        raise DomainError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def _pair_problem(src, tgt, vocab_size: int, strict: bool):
@@ -127,10 +147,9 @@ def gen_task(task: str, n_pairs: int, seq_len: int, payload_vocab: int, seed: in
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps({"vocab": corpus.vocab_size, "task": corpus.task}) + "\n")
-        for src, tgt in corpus.pairs:
-            f.write(json.dumps({"src": src, "tgt": tgt}) + "\n")
+    header = {"vocab": corpus.vocab_size, "task": corpus.task}
+    pairs = ({"src": src, "tgt": tgt} for src, tgt in corpus.pairs)
+    write_text(path, (json.dumps(obj) + "\n" for obj in itertools.chain([header], pairs)))
 
 
 def _int_list(value, line_no: int, key: str) -> list:
@@ -142,7 +161,7 @@ def _int_list(value, line_no: int, key: str) -> list:
 
 
 def load_corpus(path, strict: bool = True) -> Corpus:
-    """Parse a JSONL corpus, validating every line; errors name the line number.
+    """Parse a JSONL corpus, validating every line; errors read ``<path>: line N: ...``.
 
     Each pair is checked once, as its line is read, so the first bad line in
     file order is the one reported. ``strict=False`` permits reserved ids
@@ -152,32 +171,35 @@ def load_corpus(path, strict: bool = True) -> Corpus:
     if not lines or all(not ln.strip() for ln in lines):
         return Corpus(vocab_size=NUM_RESERVED, pairs=[], task="file")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise CorpusError(f"line 1: malformed JSON header ({e.msg})") from e
-    if not isinstance(header, dict) or "vocab" not in header:
-        raise CorpusError("line 1: header must be an object with a 'vocab' key")
-    try:
-        vocab = check_int("vocab", header["vocab"], NUM_RESERVED, MAX_VOCAB)
-    except DomainError as e:
-        raise CorpusError(f"line 1: {e}") from e
-    task = header.get("task", "file")
-    pairs = []
-    for line_no, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
         try:
-            obj = json.loads(raw)
+            header = json.loads(lines[0])
         except json.JSONDecodeError as e:
-            raise CorpusError(f"line {line_no}: malformed JSON ({e.msg})") from e
-        if not isinstance(obj, dict) or "src" not in obj or "tgt" not in obj:
-            raise CorpusError(f"line {line_no}: expected an object with 'src' and 'tgt'")
-        src = _int_list(obj["src"], line_no, "src")
-        tgt = _int_list(obj["tgt"], line_no, "tgt")
-        problem = _pair_problem(src, tgt, vocab, strict)
-        if problem:
-            raise CorpusError(f"line {line_no}: {problem}")
-        pairs.append((src, tgt))
+            raise CorpusError(f"line 1: malformed JSON header ({e.msg})") from e
+        if not isinstance(header, dict) or "vocab" not in header:
+            raise CorpusError("line 1: header must be an object with a 'vocab' key")
+        try:
+            vocab = check_int("vocab", header["vocab"], NUM_RESERVED, MAX_VOCAB)
+        except DomainError as e:
+            raise CorpusError(f"line 1: {e}") from e
+        task = header.get("task", "file")
+        pairs = []
+        for line_no, raw in enumerate(lines[1:], start=2):
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as e:
+                raise CorpusError(f"line {line_no}: malformed JSON ({e.msg})") from e
+            if not isinstance(obj, dict) or "src" not in obj or "tgt" not in obj:
+                raise CorpusError(f"line {line_no}: expected an object with 'src' and 'tgt'")
+            src = _int_list(obj["src"], line_no, "src")
+            tgt = _int_list(obj["tgt"], line_no, "tgt")
+            problem = _pair_problem(src, tgt, vocab, strict)
+            if problem:
+                raise CorpusError(f"line {line_no}: {problem}")
+            pairs.append((src, tgt))
+    except CorpusError as e:
+        raise CorpusError(f"{path}: {e}") from e
     corpus = Corpus(vocab_size=vocab, task=task, strict=strict)
     corpus.pairs = pairs  # checked line by line above; Corpus() would check them again
     return corpus

@@ -12,7 +12,7 @@ class DomainError(ValueError):
 
 
 class CorpusError(ValueError):
-    """A corpus file failed to parse or validate. The message names the line."""
+    """A corpus file failed to parse or validate. The message names the file and the line."""
 
 
 class TrainingDiverged(RuntimeError):

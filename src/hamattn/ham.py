@@ -245,10 +245,8 @@ def reduction_report(instances: int, seed: int = 0) -> dict:
             n = int(rng.integers(1, 9))
             d = int(rng.integers(2, 7))
             t = int(rng.integers(0, d))
-            K = rng.uniform(-2.0, 2.0, size=(dk, n))
-            q = rng.uniform(-2.0, 2.0, size=dk)
-            X = rng.uniform(-2.0, 2.0, size=(n, dk))
-            groups.setdefault((dk, n), []).append((d, t, K, q, X))
+            K, q, X = np.split(rng.uniform(-2.0, 2.0, size=2 * dk * n + dk), [dk * n, dk * n + dk])
+            groups.setdefault((dk, n), []).append((d, t, K.reshape(dk, n), q, X.reshape(n, dk)))
         for group in groups.values():
             for key, err in _reduction_group(group):
                 worst[key] = max(worst[key], err)

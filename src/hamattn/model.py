@@ -39,7 +39,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import Variable
-from .data import BOS, EOS, MAX_VOCAB, NUM_RESERVED, read_text
+from .data import BOS, EOS, MAX_VOCAB, NUM_RESERVED, read_json, write_text
 from .errors import DimensionError, DomainError, check_int
 from .ham import MAX_DEPTH, ham_v_context, ham_v_levels, ham_v_levels_vjp
 from .tensor import token_ids
@@ -502,9 +502,7 @@ def save_checkpoint(model: Seq2SeqModel, path) -> None:
             for name, var in model.parameters().items()
         },
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True)
-        f.write("\n")
+    write_text(path, [json.dumps(payload, sort_keys=True) + "\n"])
 
 
 def _stored_tensor(name: str, entry) -> np.ndarray:
@@ -541,7 +539,7 @@ def load_checkpoint(path) -> Seq2SeqModel:
     :class:`DomainError` (:class:`DimensionError` for a shape) naming what is
     wrong.
     """
-    payload = json.loads(read_text(path))
+    payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DomainError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if payload.get("version") != CHECKPOINT_VERSION:

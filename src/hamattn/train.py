@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Tape
-from .data import Corpus
+from .data import Corpus, write_text
 from .errors import DomainError, TrainingDiverged, check_int
 from .evaluate import exact_match_rate
 from .ham import MAX_DEPTH
@@ -289,16 +289,11 @@ def depth_sweep(train_corpus: Corpus, eval_corpus: Corpus, plan: SweepPlan):
     return records, summary
 
 
-def write_sweep_csv(records, path, include_timing: bool = False) -> None:
+def write_sweep_csv(records, path) -> None:
     """Write sweep records as CSV.
 
-    Timing is opt-in: the deterministic columns make reruns byte-identical,
-    which a wall-clock column would break. Timings always live in the JSON
-    summary written next to the CSV by the CLI.
+    The wall_time_s column stays empty so that reruns are byte-identical;
+    each cell's wall time is in the JSON summary the CLI writes next to it.
     """
-    lines = [SWEEP_CSV_HEADER]
-    for r in records:
-        wall = repr(r.wall_time_s) if include_timing else ""
-        lines.append(f"{r.depth},{r.seed},{r.final_loss!r},{r.metric!r},{wall}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    rows = (f"{r.depth},{r.seed},{r.final_loss!r},{r.metric!r},\n" for r in records)
+    write_text(path, [SWEEP_CSV_HEADER + "\n", *rows])

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import errno
 import hashlib
 import importlib
 import io
@@ -331,10 +330,17 @@ def _one_line_error(capsys, *names):
 
 
 def test_unreadable_inputs_exit_cleanly(tmp_path, capsys):
-    """Non-UTF-8 configs and corpora, and a directory as config, exit 2 naming the path."""
+    """Non-UTF-8 or malformed configs and corpora, and a directory as config, exit 2
+    naming the path."""
     out = tmp_path / "out"
     bad_config = tmp_path / "bad.json"
     bad_config.write_bytes(bytes([0xFF, 0xFE, 0x7B, 0x7D]))
+    malformed_config = tmp_path / "malformed.json"
+    malformed_config.write_text('{"epochs": 1,}')
+    malformed_at = f"{malformed_config}: line 1 column 14: malformed JSON"
+    oov_corpus = tmp_path / "oov.jsonl"
+    oov_corpus.write_text('{"vocab": 8, "task": "copy"}\n{"src": [3], "tgt": [9]}\n')
+    oov_at = f"{oov_corpus}: line 2: tgt id 9 outside vocab"
     corpus_path = tmp_path / "task.jsonl"
     save_corpus(gen_task("copy", 4, 3, 5, seed=0), corpus_path)
     lines = corpus_path.read_bytes().splitlines(keepends=True)
@@ -348,6 +354,12 @@ def test_unreadable_inputs_exit_cleanly(tmp_path, capsys):
         (["train", "--corpus", str(bad_corpus), "--out", str(out)], bad_corpus),
         (["eval", "--generated", str(bad_corpus), "--gold", str(corpus_path)], bad_corpus),
         (["eval", "--generated", str(corpus_path), "--gold", str(bad_corpus)], bad_corpus),
+        (["sweep", "--config", str(malformed_config), "--out", str(out)], malformed_at),
+        (["train", "--corpus", str(corpus_path), "--config", str(malformed_config), "--out", str(out)],
+         malformed_at),
+        (["train", "--corpus", str(oov_corpus), "--out", str(out)], oov_at),
+        (["eval", "--generated", str(oov_corpus), "--gold", str(corpus_path)], oov_at),
+        (["eval", "--generated", str(corpus_path), "--gold", str(oov_corpus)], oov_at),
     ):
         assert run(argv) == 2, argv
         _one_line_error(capsys, name)
@@ -450,21 +462,33 @@ def test_out_file_is_checked_before_any_work(command, tmp_path, capsys, monkeypa
     assert not (tmp_path / "missing").exists()
 
 
-@pytest.mark.parametrize("command", ["verify", "gendata"])
-def test_a_failed_write_exits_2_with_one_line(command, tmp_path, capsys, monkeypatch):
-    out = tmp_path / "out.json"
-    writer, argv, carried = {
-        "verify": ("_write_json", ["verify", "--trials", "1", "--reduction-instances", "1"], None),
-        "gendata": ("save_corpus", ["gendata", "--task", "copy", "--pairs", "2"], str(out)),
+DEV_FULL = Path("/dev/full")
+
+
+@pytest.mark.skipif(not DEV_FULL.exists(), reason="needs /dev/full, a device whose every write fails")
+@pytest.mark.parametrize("command", ["verify", "gendata", "eval", "train", "sweep"])
+def test_a_failed_write_exits_2_naming_the_file(command, tmp_path, capsys):
+    """A real write failure: --out /dev/full, or train's and sweep's first output file
+    made in advance as a symlink to it."""
+    corpus_path = tmp_path / "task.jsonl"
+    save_corpus(gen_task("copy", 4, 3, 5, seed=0), corpus_path)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(TINY_SWEEP))
+    out = tmp_path / "out"
+    argv, target = {
+        "verify": (["verify", "--trials", "1", "--reduction-instances", "1", "--out", str(DEV_FULL)], DEV_FULL),
+        "gendata": (["gendata", "--task", "copy", "--pairs", "2", "--out", str(DEV_FULL)], DEV_FULL),
+        "eval": (["eval", "--generated", str(corpus_path), "--gold", str(corpus_path), "--out", str(DEV_FULL)],
+                 DEV_FULL),
+        "train": (["train", "--corpus", str(corpus_path), "--epochs", "1", "--hidden", "4", "--out", str(out)],
+                  out / "checkpoint.json"),
+        "sweep": (["sweep", "--config", str(cfg), "--out", str(out)], out / "sweep.csv"),
     }[command]
-
-    def full_disk(payload, path):
-        raise OSError(errno.ENOSPC, "No space left on device", carried)
-
-    monkeypatch.setattr(cli, writer, full_disk)
-    assert run(argv + ["--out", str(out)]) == 2
-    # the line names the path when the error carries one
-    _one_line_error(capsys, "No space left on device", *([carried] if carried else []))
+    if target != DEV_FULL:
+        out.mkdir()
+        target.symlink_to(DEV_FULL)
+    assert run(argv) == 2
+    _one_line_error(capsys, f"error: cannot write {target}: No space left on device")
 
 
 def test_oversized_hidden_exits_2_without_allocating(tmp_path, capsys, monkeypatch):
@@ -514,7 +538,7 @@ FLAG_COMMANDS = {
         ["--corpus", "c.jsonl", "--out", "o"],
         {"help", "corpus", "out", "config", "emit_generations"},
     ),
-    "sweep": (SWEEP_DEFAULTS, ["--out", "o"], {"help", "out", "config", "record_timing"}),
+    "sweep": (SWEEP_DEFAULTS, ["--out", "o"], {"help", "out", "config"}),
 }
 # the commands that read a JSON config file
 CONFIG_COMMANDS = {command: FLAG_COMMANDS[command] for command in ("train", "sweep")}

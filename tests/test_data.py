@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -171,7 +172,7 @@ def test_each_corpus_pair_is_checked_once(tmp_path, monkeypatch):
 def test_first_bad_line_in_file_order_is_reported(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"vocab": 5}\n{"src": [3], "tgt": [4]}\n{"src": [3], "tgt": [9]}\nnot json\n')
-    with pytest.raises(CorpusError, match="line 3: tgt id 9 outside vocab"):
+    with pytest.raises(CorpusError, match=re.escape(f"{path}: line 3: tgt id 9 outside vocab")):
         load_corpus(path)
 
 

@@ -1,6 +1,7 @@
 import functools
 import importlib
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -553,6 +554,9 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path = tmp_path / "bogus.json"
     path.write_text('{"format": "something-else"}')
     with pytest.raises(DomainError):
+        load_checkpoint(path)
+    path.write_text('{"format": ')
+    with pytest.raises(DomainError, match=re.escape(f"{path}: line 1 column 12: malformed JSON")):
         load_checkpoint(path)
 
 

@@ -303,9 +303,6 @@ def test_sweep_csv_schema_and_determinism(tmp_path):
     lines = a.read_text().splitlines()
     assert lines[0] == SWEEP_CSV_HEADER == "depth,seed,final_loss,metric,wall_time_s"
     assert lines[1] == "1,1000,0.5,0.25,"
-    timed = tmp_path / "t.csv"
-    write_sweep_csv(records, timed, include_timing=True)
-    assert timed.read_text().splitlines()[1] == "1,1000,0.5,0.25,12.0"
 
 
 def test_onehot_frozen_ham_trains_like_multilevel_connector():
