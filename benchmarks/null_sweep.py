@@ -14,15 +14,22 @@ Usage:
     python benchmarks/null_sweep.py [--roots 0 1 2 3 4] [--jobs 2] [--out null.json]
 
 Each root takes about as long as the pinned sweep: about 4 minutes
-(232-246 s) on one core of a 2-core x86_64 host.
+(232-246 s) on one core of a 2-core x86_64 host. ``--jobs`` must lie in
+[1, cores]; it starts at most one worker process per root. A bad ``--jobs``,
+root or ``--out`` exits 2 with one ``error:`` line, ``--jobs`` before any
+process starts.
 """
 
 import argparse
 import json
 import math
 import multiprocessing
+import os
+import sys
 
 from hamattn.cli import SWEEP_DEFAULTS, run_sweep
+from hamattn.data import write_text
+from hamattn.errors import DomainError, check_int
 
 
 def null_sweep(root: int) -> dict:
@@ -38,15 +45,23 @@ def null_sweep(root: int) -> dict:
     }
 
 
-def main() -> None:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--roots", type=int, nargs="+", default=[0, 1, 2, 3, 4])
-    parser.add_argument("--jobs", type=int, default=1, help="roots run in parallel")
+    parser.add_argument("--jobs", type=int, default=1, help="roots run in parallel, at most one per core")
     parser.add_argument("--out", help="also write the rows as JSON to this file")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    try:
+        run(args)
+    except DomainError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    return 0
 
-    jobs = max(1, min(args.jobs, len(args.roots)))
-    with multiprocessing.get_context("spawn").Pool(jobs) as pool:
+
+def run(args) -> None:
+    jobs = check_int("--jobs", args.jobs, 1, os.cpu_count() or 1)
+    with multiprocessing.get_context("spawn").Pool(min(jobs, len(args.roots))) as pool:
         rows = pool.map(null_sweep, args.roots)
     depths = rows[0]["depths"]
     head = [f"best d={d}" for d in depths] + [f"d={a}->{b}" for a, b in zip(depths, depths[1:])]
@@ -59,9 +74,8 @@ def main() -> None:
     allowed = math.ceil(worst * 100) / 100
     print(f"largest ratio {worst:.4f}: allowed ratio {allowed:.2f}, SWEEP_TOLERANCE {allowed - 1:.2f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(rows, f, indent=1)
+        write_text(args.out, [json.dumps(rows, indent=1)])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,7 +3,9 @@
 Token ids 0..2 are reserved in every vocabulary (PAD, BOS, EOS) and never
 appear inside payloads. Corpora are stored as JSONL: a header line
 ``{"vocab": V, "task": tag}`` followed by one ``{"src": [...], "tgt": [...]}``
-object per pair, so files stay line-oriented and diff-able.
+object per pair; token ids are JSON integers and the task a string. Each
+input format has one check: JSON text goes through ``parse_json``, and every
+corpus, built in code or read from a file, through ``Corpus.validate``'s.
 """
 
 import itertools
@@ -49,13 +51,27 @@ def read_text(path) -> str:
         raise DomainError(f"cannot read {path}: {e.strerror or e}") from e
 
 
-def read_json(path):
-    """The JSON value in a file a user named, read by :func:`read_text`; malformed
-    JSON raises a :class:`DomainError` naming the path and the parser's position."""
+def parse_json(text: str, where, error=DomainError, line=None):
+    """The JSON value in ``text`` from file ``where`` (its line ``line``, for JSONL).
+
+    Malformed text, an integer past Python's digit limit and nesting past its
+    recursion limit all raise ``error``: ``<where>: line N: malformed JSON
+    (<reason>)``, with the parser's ``line L column C`` for a whole file.
+    """
     try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as e:
-        raise DomainError(f"{path}: line {e.lineno} column {e.colno}: malformed JSON ({e.msg})") from e
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
+        decode = isinstance(e, json.JSONDecodeError)
+        if line is not None:
+            where = f"{where}: line {line}"
+        elif decode:
+            where = f"{where}: line {e.lineno} column {e.colno}"
+        raise error(f"{where}: malformed JSON ({e.msg if decode else e})") from e
+
+
+def read_json(path):
+    """The JSON value in a file a user named: :func:`read_text`, then :func:`parse_json`."""
+    return parse_json(read_text(path), path)
 
 
 def write_text(path, parts) -> None:
@@ -71,13 +87,17 @@ def write_text(path, parts) -> None:
 def _pair_problem(src, tgt, vocab_size: int, strict: bool):
     """What is wrong with one (src, tgt) token pair, or None if nothing is.
 
-    Sources are never empty and every id lies in [0, vocab_size). A strict
-    pair (a training corpus) also has a non-empty target and no reserved ids.
+    Each is a list of Python ints (no bool, float or numpy int) in [0, vocab_size), the source
+    non-empty. A strict pair (a training corpus) also has a target and no reserved ids.
     """
     for name, seq in (("src", src), ("tgt", tgt)):
+        if not isinstance(seq, list):
+            return f"{name} has type {type(seq).__name__}, not list"
         if not seq and (strict or name == "src"):
             return f"empty {name} sequence"
-        for tok in seq:
+        for j, tok in enumerate(seq):
+            if type(tok) is not int:
+                return f"{name}[{j}] has type {type(tok).__name__}, not int"
             if not 0 <= tok < vocab_size:
                 return f"{name} id {tok} outside vocab [0, {vocab_size})"
             if strict and tok < NUM_RESERVED:
@@ -98,7 +118,9 @@ class Corpus:
         self.validate()
 
     def validate(self) -> None:
-        check_int("vocab_size", self.vocab_size, NUM_RESERVED)
+        self.vocab_size = check_int("vocab_size", self.vocab_size, NUM_RESERVED, MAX_VOCAB)  # an int for JSON
+        if not isinstance(self.task, str):
+            raise DomainError(f"task must be a string, got {type(self.task).__name__}")
         for i, (src, tgt) in enumerate(self.pairs):
             problem = _pair_problem(src, tgt, self.vocab_size, self.strict)
             if problem:
@@ -152,54 +174,31 @@ def save_corpus(corpus: Corpus, path) -> None:
     write_text(path, (json.dumps(obj) + "\n" for obj in itertools.chain([header], pairs)))
 
 
-def _int_list(value, line_no: int, key: str) -> list:
-    if not isinstance(value, list) or not all(
-        isinstance(t, int) and not isinstance(t, bool) for t in value
-    ):
-        raise CorpusError(f"line {line_no}: {key!r} must be a list of integer token ids")
-    return list(value)
-
-
 def load_corpus(path, strict: bool = True) -> Corpus:
     """Parse a JSONL corpus, validating every line; errors read ``<path>: line N: ...``.
 
-    Each pair is checked once, as its line is read, so the first bad line in
-    file order is the one reported. ``strict=False`` permits reserved ids
-    inside payloads, for files holding raw model generations.
+    The header is checked by ``Corpus``, each pair once as its line is read, so
+    the first bad line in file order is the one reported. ``strict=False``
+    permits reserved ids inside payloads, for files of raw model generations.
     """
     lines = read_text(path).splitlines()
     if not lines or all(not ln.strip() for ln in lines):
         return Corpus(vocab_size=NUM_RESERVED, pairs=[], task="file")
+    header = parse_json(lines[0], path, CorpusError, line=1)
+    if not isinstance(header, dict) or "vocab" not in header:
+        raise CorpusError(f"{path}: line 1: header must be an object with a 'vocab' key")
     try:
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as e:
-            raise CorpusError(f"line 1: malformed JSON header ({e.msg})") from e
-        if not isinstance(header, dict) or "vocab" not in header:
-            raise CorpusError("line 1: header must be an object with a 'vocab' key")
-        try:
-            vocab = check_int("vocab", header["vocab"], NUM_RESERVED, MAX_VOCAB)
-        except DomainError as e:
-            raise CorpusError(f"line 1: {e}") from e
-        task = header.get("task", "file")
-        pairs = []
-        for line_no, raw in enumerate(lines[1:], start=2):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"line {line_no}: malformed JSON ({e.msg})") from e
-            if not isinstance(obj, dict) or "src" not in obj or "tgt" not in obj:
-                raise CorpusError(f"line {line_no}: expected an object with 'src' and 'tgt'")
-            src = _int_list(obj["src"], line_no, "src")
-            tgt = _int_list(obj["tgt"], line_no, "tgt")
-            problem = _pair_problem(src, tgt, vocab, strict)
-            if problem:
-                raise CorpusError(f"line {line_no}: {problem}")
-            pairs.append((src, tgt))
-    except CorpusError as e:
-        raise CorpusError(f"{path}: {e}") from e
-    corpus = Corpus(vocab_size=vocab, task=task, strict=strict)
-    corpus.pairs = pairs  # checked line by line above; Corpus() would check them again
+        corpus = Corpus(vocab_size=header["vocab"], task=header.get("task", "file"), strict=strict)
+    except DomainError as e:
+        raise CorpusError(f"{path}: line 1: {e}") from e
+    for line_no, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        obj = parse_json(raw, path, CorpusError, line=line_no)
+        if not isinstance(obj, dict) or "src" not in obj or "tgt" not in obj:
+            raise CorpusError(f"{path}: line {line_no}: expected an object with 'src' and 'tgt'")
+        problem = _pair_problem(obj["src"], obj["tgt"], corpus.vocab_size, strict)
+        if problem:
+            raise CorpusError(f"{path}: line {line_no}: {problem}")
+        corpus.pairs.append((obj["src"], obj["tgt"]))
     return corpus

@@ -33,7 +33,7 @@ INTEGER_INPUTS = [
     ("depth", 1, None, lambda x: self_attention_levels(K, x)),
     ("d", 1, None, lambda x: MultiHeadParams.identity(x)),
     ("h", 1, None, lambda x: MultiHeadParams.identity(2, h=x)),
-    ("vocab_size", NUM_RESERVED, None, lambda x: Corpus(vocab_size=x)),
+    ("vocab_size", NUM_RESERVED, MAX_VOCAB, lambda x: Corpus(vocab_size=x)),
     ("seq_len", 1, MAX_SEQ_LEN, lambda x: check_corpus_size(2, x)),
     ("pairs", 1, MAX_PAIRS, lambda x: check_corpus_size(x, 2)),
     ("payload_vocab", 2, MAX_VOCAB - NUM_RESERVED, lambda x: gen_task("copy", 4, 2, x, 0)),

@@ -23,6 +23,7 @@ from hamattn.errors import DomainError
 from hamattn.ham import MAX_DEPTH, MAX_REDUCTION_INSTANCES, MAX_TRIALS
 from hamattn.model import MAX_HIDDEN
 from hamattn.train import MAX_EPOCHS, MAX_RESTARTS, OPTIMIZERS
+from json_fragments import JSON_FRAGMENTS, RAW
 
 
 def run(argv):
@@ -330,8 +331,8 @@ def _one_line_error(capsys, *names):
 
 
 def test_unreadable_inputs_exit_cleanly(tmp_path, capsys):
-    """Non-UTF-8 or malformed configs and corpora, and a directory as config, exit 2
-    naming the path."""
+    """Non-UTF-8 or malformed configs and corpora (JSON past the parser's limits
+    too), and a directory as config, exit 2 naming the path (and a corpus line)."""
     out = tmp_path / "out"
     bad_config = tmp_path / "bad.json"
     bad_config.write_bytes(bytes([0xFF, 0xFE, 0x7B, 0x7D]))
@@ -346,6 +347,15 @@ def test_unreadable_inputs_exit_cleanly(tmp_path, capsys):
     lines = corpus_path.read_bytes().splitlines(keepends=True)
     bad_corpus = tmp_path / "bad.jsonl"
     bad_corpus.write_bytes(lines[0] + b"\xff" + lines[1] + b"".join(lines[2:]))
+    # JSON past Python's limits: nesting deeper than its recursion limit, an integer of 5,000 digits
+    nines = "9" * 5_000
+    deep_config, long_config = tmp_path / "deep.json", tmp_path / "long.json"
+    deep_config.write_text("[" * 100_000)
+    long_config.write_text(f'{{"epochs": {nines}}}')
+    long_header, long_id, deep_line = (tmp_path / f"{name}.jsonl" for name in ("header", "id", "line"))
+    long_header.write_text(f'{{"vocab": {nines}}}\n{{"src": [3], "tgt": [3]}}\n')
+    long_id.write_text(f'{{"vocab": 8}}\n{{"src": [3], "tgt": [3]}}\n{{"src": [{nines}], "tgt": [3]}}\n')
+    deep_line.write_text('{"vocab": 8}\n' + "[" * 100_000 + "\n")
     for argv, name in (
         (["sweep", "--config", str(bad_config), "--out", str(out)], bad_config),
         (["sweep", "--config", str(tmp_path), "--out", str(out)], tmp_path),
@@ -360,6 +370,14 @@ def test_unreadable_inputs_exit_cleanly(tmp_path, capsys):
         (["train", "--corpus", str(oov_corpus), "--out", str(out)], oov_at),
         (["eval", "--generated", str(oov_corpus), "--gold", str(corpus_path)], oov_at),
         (["eval", "--generated", str(corpus_path), "--gold", str(oov_corpus)], oov_at),
+        (["sweep", "--config", str(deep_config), "--out", str(out)], f"{deep_config}: malformed JSON"),
+        (["train", "--corpus", str(corpus_path), "--config", str(deep_config), "--out", str(out)],
+         f"{deep_config}: malformed JSON"),
+        (["sweep", "--config", str(long_config), "--out", str(out)], f"{long_config}: malformed JSON"),
+        (["train", "--corpus", str(long_header), "--out", str(out)], f"{long_header}: line 1: malformed JSON"),
+        (["train", "--corpus", str(long_id), "--out", str(out)], f"{long_id}: line 3: malformed JSON"),
+        (["eval", "--generated", str(corpus_path), "--gold", str(long_id)], f"{long_id}: line 3: malformed JSON"),
+        (["train", "--corpus", str(deep_line), "--out", str(out)], f"{deep_line}: line 2: malformed JSON"),
     ):
         assert run(argv) == 2, argv
         _one_line_error(capsys, name)
@@ -588,11 +606,12 @@ CONFIG_VALUES = st.one_of(*VALUES_BY_TYPE.values(), st.none())
 
 
 def _fuzz_configs(defaults):
-    """Three values in four have their key's type, so range checks and runs are reached too."""
+    """Three values in five have their key's type, so range checks and runs are
+    reached too, and one in five is a raw JSON fragment past the parser's limits."""
 
     def entry(key):
         typed = VALUES_BY_TYPE.get(type(defaults.get(key)), st.none())
-        value = st.integers(0, 3).flatmap(lambda i: typed if i else CONFIG_VALUES)
+        value = st.integers(0, 4).flatmap(lambda i: st.just(RAW) if i == 4 else typed if i else CONFIG_VALUES)
         return st.tuples(st.just(key), value)
 
     keys = st.sampled_from([*defaults, "not_a_key"])
@@ -609,7 +628,8 @@ def test_fuzzed_config_exits_cleanly(command, data):
     base = {k: v for k, v in FUZZ_BASE.items() if k in defaults}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "cfg.json").write_text(json.dumps({**base, **drawn}))
+        fragment = data.draw(st.sampled_from(JSON_FRAGMENTS), label="fragment")
+        (tmp / "cfg.json").write_text(json.dumps({**base, **drawn}).replace(json.dumps(RAW), fragment))
         out = tmp / "out"
         argv = [command, "--config", str(tmp / "cfg.json"), "--out", str(out)]
         if command == "train":

@@ -24,6 +24,7 @@ from hamattn.data import (
     save_corpus,
 )
 from hamattn.errors import CorpusError, DomainError
+from json_fragments import JSON_FRAGMENTS
 
 
 def test_reserved_ids():
@@ -179,10 +180,13 @@ def test_first_bad_line_in_file_order_is_reported(tmp_path):
 def test_malformed_header(tmp_path):
     path = tmp_path / "h.jsonl"
     path.write_text("not json\n")
-    with pytest.raises(CorpusError, match="line 1"):
+    with pytest.raises(CorpusError, match=re.escape(f"{path}: line 1: malformed JSON (Expecting value)")):
         load_corpus(path)
     path.write_text('{"task": "copy"}\n')
     with pytest.raises(CorpusError, match="vocab"):
+        load_corpus(path)
+    path.write_text('{"vocab": 8, "task": [1]}\n{"src": [3], "tgt": [3]}\n')
+    with pytest.raises(CorpusError, match=re.escape(f"{path}: line 1: task must be a string, got list")):
         load_corpus(path)
 
 
@@ -197,6 +201,61 @@ def test_corpus_validation():
         Corpus(vocab_size=8, pairs=[([1], [3])])
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"pairs": [([3, 4], [5, 6.2])]}, "pair 0: tgt[1] has type float, not int"),
+        ({"pairs": [([3], [4]), ([3.7, 4], [5])]}, "pair 1: src[0] has type float, not int"),
+        ({"pairs": [([True], [4])]}, "pair 0: src[0] has type bool, not int"),
+        ({"pairs": [(["ab"], [4])]}, "pair 0: src[0] has type str, not int"),
+        ({"pairs": [([np.int64(3)], [4])]}, "pair 0: src[0] has type int64, not int"),
+        ({"pairs": [((3, 4), [4])]}, "pair 0: src has type tuple, not list"),
+        ({"pairs": [([3], "45")]}, "pair 0: tgt has type str, not list"),
+        ({"pairs": [([3], np.array([4]))]}, "pair 0: tgt has type ndarray, not list"),
+        ({"task": [1]}, "task must be a string, got list"),
+        ({"task": None}, "task must be a string, got NoneType"),
+        ({"vocab_size": MAX_VOCAB + 1}, f"vocab_size must be an integer in [{NUM_RESERVED}, {MAX_VOCAB}]"),
+        ({"vocab_size": 10**9}, "vocab_size must be an integer"),
+    ],
+)
+def test_corpus_checks_types_and_ranges(kwargs, message):
+    """Corpus is the one corpus check: token ids are Python ints in lists, the
+    task a string and the vocabulary capped, or a DomainError names the fault."""
+    with pytest.raises(DomainError, match=re.escape(message)):
+        Corpus(**{"vocab_size": 11, **kwargs})
+
+
+def _mostly(good, odd):
+    """``good`` seven times in eight, else ``odd``."""
+    return st.integers(0, 7).flatmap(lambda i: odd if i == 0 else good)
+
+
+_ODD_TOKENS = st.one_of(st.integers(-1, 12), st.booleans(), st.floats(0, 12), st.sampled_from(["3", np.int64(4)]))
+_SEQS = _mostly(
+    st.lists(st.integers(3, 9), min_size=1, max_size=4),
+    st.one_of(st.lists(_ODD_TOKENS, max_size=3), st.tuples(st.integers(3, 9)), st.just("34")),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    vocab_size=_mostly(st.integers(10, 12), st.sampled_from([np.int64(9), 4, MAX_VOCAB, MAX_VOCAB + 1, 2, 10.0, True])),
+    pairs=st.lists(st.tuples(_SEQS, _SEQS), max_size=4),
+    task=_mostly(st.text(max_size=4), st.one_of(st.none(), st.integers(0, 2), st.just(["copy"]))),
+    strict=st.booleans(),
+)
+def test_every_corpus_that_constructs_round_trips(vocab_size, pairs, task, strict):
+    """Whatever Corpus accepts, save_corpus writes and load_corpus reads back equal."""
+    try:
+        corpus = Corpus(vocab_size, pairs, task, strict=strict)
+    except DomainError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        save_corpus(corpus, path)
+        assert load_corpus(path, strict=strict) == corpus
+
+
 _FUZZ_CORPUS = (
     b'{"task": "sort", "vocab": 9}\n{"src": [5, 3, 8], "tgt": [3, 5, 8]}\n'
     b'{"src": [4], "tgt": [4]}\n{"src": [7, 6], "tgt": [6, 7]}\n'
@@ -204,7 +263,8 @@ _FUZZ_CORPUS = (
 _FUZZ_BYTES = st.one_of(
     st.sampled_from(
         [b"[", b"]", b"{", b"}", b'"', b",", b":", b"-", b"0", b"9", b"e", b".", b"\n", b" ",
-         b"\xff", b"\x00", b"NaN", b"true", b"null", b"1e999", b"99999999999999999999"]
+         b"\xff", b"\x00", b"NaN", b"true", b"null", b"1e999", b"99999999999999999999",
+         *(fragment.encode() for fragment in JSON_FRAGMENTS)]
     ),
     st.binary(min_size=1, max_size=3),
 )

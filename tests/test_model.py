@@ -28,6 +28,7 @@ from hamattn.model import (
     save_checkpoint,
     sequence_loss,
 )
+from json_fragments import JSON_FRAGMENTS, RAW
 
 # the package re-exports the train() function under the module's name
 training = importlib.import_module("hamattn.train")
@@ -624,6 +625,7 @@ def _mutations():
         st.text(max_size=3),
         st.lists(st.floats(-1, 1), max_size=4),
         st.dictionaries(st.sampled_from(["shape", "data", "x"]), st.integers(0, 4), max_size=2),
+        st.just(RAW),
     )
     # most edits land under params, where the tensors are
     start = st.sampled_from([[], ["config"], ["params"], ["params"], ["params"]])
@@ -674,15 +676,16 @@ def _fuzz_checkpoint() -> str:
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(edits=st.lists(_mutations(), min_size=1, max_size=3))
-def test_fuzzed_checkpoint_raises_only_domain_errors(edits):
-    """Any edit of a checkpoint's keys, types, shapes or data loads or names the fault."""
+@given(edits=st.lists(_mutations(), min_size=1, max_size=3), fragment=st.sampled_from(JSON_FRAGMENTS))
+def test_fuzzed_checkpoint_raises_only_domain_errors(edits, fragment):
+    """Any edit of a checkpoint's keys, types, shapes or data, JSON past the
+    parser's limits included, loads or names the fault."""
     payload = json.loads(_fuzz_checkpoint())
     for path, action, value in edits:
         _mutate(payload, path, action, value)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload).replace(json.dumps(RAW), fragment))
         try:
             load_checkpoint(path)
         except (DomainError, DimensionError):
