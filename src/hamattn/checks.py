@@ -28,8 +28,8 @@ REDUCTION_ONEHOT_TOL = 1e-7
 REDUCTION_D1_TOL = 1e-12
 PROPERTY_TOL = 1e-12
 PROPERTY_SAMPLES = 200  # random instances per property_report check
-# Largest gradcheck --instances: an instance takes about 0.065 s at scale "tiny"
-# and 0.15 s at "small" on a 2-core host, so the cap is 1-2.5 minutes; the default is 30.
+# Largest gradcheck --instances: an instance takes about 0.026 s at scale "tiny"
+# and 0.06 s at "small" on a 2-core host, so the cap is 0.5-1 minute; the default is 30.
 MAX_GRADCHECK_INSTANCES = 1_000
 
 
@@ -168,32 +168,19 @@ _SCALES = {
 }
 
 
-def gradcheck_table(scale: str = "tiny", seed: int = 0, instances: int = 30) -> list:
-    """Max relative finite-difference error per differentiable op of the library.
+def _projected(out: Variable, w: np.ndarray) -> Variable:
+    """The taped scalar ``sum(w * out)``, or on a stacked output [R, ...] the R
+    per-set sums: each set's product is one contiguous run that ``np.sum``
+    reduces pairwise, as ``sum_all`` reduces one set, so each sum keeps its bits."""
+    if out.value.ndim == w.ndim:
+        return ad.sum_all(ad.mul(out, Variable(w)))
+    prod = out.value * w
+    return Variable(np.sum(prod.reshape(len(prod), -1), axis=1))
 
-    Returns rows ``{name, max_err, threshold, passed, worst}`` of plain Python
-    values: one per primitive, the batched ham_v connector, a chained GRU and
-    the full seq2seq loss (checked against all model parameters at once).
-    ``sum_all`` and ``mul`` are in every projected row; ``affine``,
-    ``mean_all``, ``slice_1d`` and ``stack`` have no row, as nothing calls them.
-    Of the primitive rows, only ``mul`` (the projection) and the model's
-    ``matmul``, ``concat``, ``gather_rows``, ``reshape`` and ``cross_entropy`` pin
-    ops that run outside their own row; the others stay while the benchmark's
-    trace names their ops.
 
-    Each case draws its leaves and returns ``(leaves, build)``. Rows marked
-    projected then draw a random linear functional ``w`` of the output, fixed
-    per instance, and check ``sum(w * build())``; the others build a scalar loss.
-    The row marked stacked (``seq2seq_loss``, whose ``sequence_loss`` takes a
-    leading parameter-set axis) evaluates its finite differences in stacked
-    forwards, ``check_gradients(..., stacked=True)``; every other row builds
-    one point at a time. Both give the same bits.
-    """
-    instances = check_int("instances", instances, 1, MAX_GRADCHECK_INSTANCES)
-    if not isinstance(scale, str) or scale not in _SCALES:
-        raise DomainError(f"scale must be one of {tuple(_SCALES)}, got {scale!r}")
-    d = _SCALES[scale]
-    rng = np.random.default_rng(check_int("seed", seed, 0))
+def _gradcheck_cases(d: dict, rng: np.random.Generator) -> list:
+    """The gradcheck table's rows ``(name, case, threshold, projected, stacked)``
+    at the operand sizes ``d`` (one of ``_SCALES``); every case draws from ``rng``."""
     v, r, c, k, b, h = (d[key] for key in ("vec", "rows", "cols", "inner", "batch", "hidden"))
 
     def u(*shape):
@@ -243,42 +230,77 @@ def gradcheck_table(scale: str = "tiny", seed: int = 0, instances: int = 30) -> 
 
     P = PRIMITIVE_TOL
     # (name, case, threshold, projected, stacked); the two unprojected rows build
-    # scalar losses, and the stacked one's build also scores stacked parameter sets
-    cases = [
-        ("add", on(ad.add, (r, c), (r, c)), P, True, False),
-        ("sub", on(ad.sub, (r, c), (r, c)), P, True, False),
-        ("mul", on(ad.mul, (r, c), (r, c)), P, True, False),
-        ("scale", scale_case, P, True, False),
+    # scalar losses, and the stacked rows' builds also score stacked parameter sets
+    return [
+        ("add", on(ad.add, (r, c), (r, c)), P, True, True),
+        ("sub", on(ad.sub, (r, c), (r, c)), P, True, True),
+        ("mul", on(ad.mul, (r, c), (r, c)), P, True, True),
+        ("scale", scale_case, P, True, True),
         ("add_bias", on(ad.add_bias, (r, c), (c,)), P, True, False),
         ("matmul", on(ad.matmul, (r, k), (k, c)), P, True, False),
         ("dot", on(ad.dot, (v,), (v,)), P, True, False),
         ("concat", on(lambda x, y: ad.concat([x, y], axis=1), (r, c), (r, c + 1)), P, True, False),
-        ("softmax_vec", on(ad.softmax, (v,)), P, True, False),
+        ("softmax_vec", on(ad.softmax, (v,)), P, True, True),
         ("softmax_rows", on(ad.softmax, (r, c)), P, True, False),
-        ("tanh", on(ad.tanh, (r, c)), P, True, False),
-        ("sigmoid", on(ad.sigmoid, (r, c)), P, True, False),
+        ("tanh", on(ad.tanh, (r, c)), P, True, True),
+        ("sigmoid", on(ad.sigmoid, (r, c)), P, True, True),
         ("gather_rows", gather_case, P, True, False),
         ("attend_scores", on(ad.attend_scores, (b, r, c), (b, c)), P, True, False),
         ("attend_combine", on(ad.attend_combine, (b, r, c), (b, r)), P, True, False),
         ("weighted_sum", weighted_sum_case, P, True, False),
-        ("cross_entropy", cross_entropy_case, P, False, False),
+        ("cross_entropy", cross_entropy_case, P, False, True),
         # one example through the batched connector: [1, k] query, [1, r, k] keys
-        ("ham_v", on(lambda q, K, cc: ham_v_context(K, q, cc), (1, k), (1, r, k), (3,)), P, True, False),
-        ("gru_chain", gru_chain_case, P, True, False),
+        ("ham_v", on(lambda q, K, cc: ham_v_context(K, q, cc), (1, k), (1, r, k), (3,)), P, True, True),
+        ("gru_chain", gru_chain_case, P, True, True),
         ("seq2seq_loss", seq2seq_case, END_TO_END_TOL, False, True),
         ("reshape", on(lambda x: ad.reshape(x, (b * r, c)), (b, r, c)), P, True, False),
         ("transpose", on(ad.transpose, (r, c)), P, True, False),
     ]
 
+
+def _instance(case, projected: bool, rng: np.random.Generator):
+    """One drawn instance of a row's case as ``(leaves, loss)``: a projected
+    row's loss is ``_projected`` of its build under a ``w`` drawn here."""
+    leaves, build = case()
+    if not projected:
+        return leaves, build
+    w = rng.uniform(-1.0, 1.0, size=build().value.shape)
+    return leaves, lambda: _projected(build(), w)
+
+
+def gradcheck_table(scale: str = "tiny", seed: int = 0, instances: int = 30) -> list:
+    """Max relative finite-difference error per differentiable op of the library.
+
+    Returns rows ``{name, max_err, threshold, passed, worst}`` of plain Python
+    values: one per primitive, the batched ham_v connector, a chained GRU and
+    the full seq2seq loss (checked against all model parameters at once).
+    ``sum_all`` and ``mul`` are in every projected row; ``affine``,
+    ``mean_all``, ``slice_1d`` and ``stack`` have no row, as nothing calls them.
+    Of the primitive rows, only ``mul`` (the projection) and the model's
+    ``matmul``, ``concat``, ``gather_rows``, ``reshape`` and ``cross_entropy`` pin
+    ops that run outside their own row; the others stay while the benchmark's
+    trace names their ops.
+
+    Each case draws its leaves and returns ``(leaves, build)``. Rows marked
+    projected then draw a random linear functional ``w`` of the output, fixed
+    per instance, and check ``sum(w * build())``; the others build a scalar loss.
+    Rows marked stacked evaluate their finite differences in stacked forwards,
+    ``check_gradients(..., stacked=True)``, as their ops take a leading
+    parameter-set axis: ``add``, ``sub``, ``mul``, ``scale``, ``softmax_vec``,
+    ``tanh``, ``sigmoid``, ``cross_entropy``, ``ham_v`` (``ham_v_context``),
+    ``gru_chain`` (``gru_step``) and ``seq2seq_loss`` (``sequence_loss``); a
+    projected row's stacked output is reduced per set by ``_projected``. Every
+    other row builds one point at a time. Both give the same bits.
+    """
+    instances = check_int("instances", instances, 1, MAX_GRADCHECK_INSTANCES)
+    if not isinstance(scale, str) or scale not in _SCALES:
+        raise DomainError(f"scale must be one of {tuple(_SCALES)}, got {scale!r}")
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     rows = []
-    for name, case, tol, projected, stacked in cases:
+    for name, case, tol, projected, stacked in _gradcheck_cases(_SCALES[scale], rng):
         worst_err, worst_at = 0.0, None
         for _ in range(instances):
-            leaves, build = case()
-            loss = build
-            if projected:
-                w = rng.uniform(-1.0, 1.0, size=build().value.shape)
-                loss = lambda: ad.sum_all(ad.mul(build(), Variable(w)))
+            leaves, loss = _instance(case, projected, rng)
             result = check_gradients(loss, leaves, stacked)
             if result.max_rel_error > worst_err:
                 worst_err = float(result.max_rel_error)

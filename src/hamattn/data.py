@@ -121,8 +121,13 @@ class Corpus:
         self.vocab_size = check_int("vocab_size", self.vocab_size, NUM_RESERVED, MAX_VOCAB)  # an int for JSON
         if not isinstance(self.task, str):
             raise DomainError(f"task must be a string, got {type(self.task).__name__}")
-        for i, (src, tgt) in enumerate(self.pairs):
-            problem = _pair_problem(src, tgt, self.vocab_size, self.strict)
+        if not isinstance(self.pairs, list):
+            raise DomainError(f"pairs must be a list, got {type(self.pairs).__name__}")
+        for i, pair in enumerate(self.pairs):
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                got = type(pair).__name__ + (f" of length {len(pair)}" if isinstance(pair, (tuple, list)) else "")
+                raise DomainError(f"pair {i}: expected a (src, tgt) tuple or list, got {got}")
+            problem = _pair_problem(*pair, self.vocab_size, self.strict)
             if problem:
                 raise DomainError(f"pair {i}: {problem}")
 

@@ -112,16 +112,26 @@ def ham_v_context(enc, query, c) -> ad.Variable:
     ``enc`` is [B,T,H] (each example brings its own keys), ``query`` is
     [B,H] and ``c`` is [d]; returns the [B,H] context as one tape entry
     whose forward and backward are ``ham_v_levels`` and ``ham_v_levels_vjp``.
+    Untaped, all three may carry one leading set axis [R, ...]; the result
+    is then [R,B,H], each set with the bits of its own call.
     """
     enc, query, c = ad.as_variable(enc), ad.as_variable(query), ad.as_variable(c)
     keys, q0, cv = enc.value, query.value, c.value
-    if keys.ndim != 3 or q0.ndim != 2 or keys.shape[::2] != q0.shape or cv.ndim != 1:
+    if (
+        cv.ndim not in (1, 2)
+        or keys.ndim != cv.ndim + 2
+        or keys.shape[:-2] + keys.shape[-1:] != q0.shape
+        or keys.shape[:-3] != cv.shape[:-1]
+    ):
         raise DimensionError(
-            f"ham_v_context expects [B,T,H], [B,H], [d], got {keys.shape}, {q0.shape}, {cv.shape}"
+            f"ham_v_context expects [B,T,H], [B,H], [d], each with or without one leading set axis, "
+            f"got {keys.shape}, {q0.shape}, {cv.shape}"
         )
-    if keys.shape[0] * keys.shape[1] == 0 or cv.size == 0:
-        raise DomainError(f"ham_v_context needs B, T and d >= 1, got {keys.shape[:2]}, d={cv.size}")
-    pc = kernels.softmax_rows(cv.reshape(1, -1))
+    if cv.ndim == 2 and ad._current_tape() is not None:
+        raise DimensionError("stacked parameters are forward-only; a tape takes one parameter set")
+    if keys.shape[-3] * keys.shape[-2] == 0 or cv.shape[-1] == 0:
+        raise DomainError(f"ham_v_context needs B, T and d >= 1, got {keys.shape[-3:-1]}, d={cv.shape[-1]}")
+    pc = kernels.softmax_rows(cv[..., None, :])
     context, queries, probs = ham_v_levels(keys, q0, pc)
 
     def vjp(g):
@@ -130,7 +140,7 @@ def ham_v_context(enc, query, c) -> ad.Variable:
 
     # enc is listed once per contribution so that Tape.backward adds them to
     # enc's gradient one at a time, in the primitive chain's order
-    return ad._record((enc,) * (2 * cv.size) + (query, c), ad.Variable(context), vjp)
+    return ad._record((enc,) * (2 * cv.shape[-1]) + (query, c), ad.Variable(context), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ computed with the arithmetic of the per-step chain of ``gru_step``,
 forms, and gradients that several steps feed are added in that chain's tape
 order, so the fused ops reproduce its loss and gradients bit for bit.
 The forward halves also take every parameter stacked on a leading set axis
-``[R, ...]``: untaped, ``sequence_loss`` then scores R parameter sets in one
-pass, each with the bits of its own call, which is how the gradient checks
-evaluate their finite-difference points.
+``[R, ...]``: untaped, ``sequence_loss`` (and likewise ``gru_step``) then
+scores R parameter sets in one pass, each with the bits of its own call,
+which is how the gradient checks evaluate their finite-difference points.
 
 Checkpoints are versioned JSON containers of named parameter tensors; see
 ``save_checkpoint``.
@@ -197,18 +197,27 @@ def _gru_cell(x: Variable, h: Variable, p: GRUParams) -> Variable:
 
     Folding the whole cell into one op with a hand-written vjp keeps the tape
     short; the gradcheck suite pins its correctness against central
-    differences like any other primitive.
+    differences like any other primitive. The forward also takes every
+    value stacked on one leading set axis (x [R, B, d_in], h [R, B, H], each
+    weight [R, ...]) and returns [R, B, H], each set with the bits of its own
+    call; stacks are forward-only, so a tape refuses them.
     """
     xv, hv = x.value, h.value
-    if xv.ndim != 2 or hv.ndim != 2 or xv.shape[0] != hv.shape[0]:
+    if xv.ndim not in (2, 3) or hv.ndim != xv.ndim or xv.shape[:-1] != hv.shape[:-1]:
         raise DimensionError(f"gru_step expects matching batches, got x {xv.shape}, h {hv.shape}")
-    if xv.shape[1] != p.wz.value.shape[0] or hv.shape[1] != p.uz.value.shape[0]:
+    sets = xv.shape[:-2]
+    lead = [v.value.shape[: v.value.ndim - (1 if name[0] == "b" else 2)] for name, v in p.variables().items()]
+    if any(shape != sets for shape in lead):
+        raise DimensionError(f"gru_step weights must carry the inputs' set axes {sets}, got {lead}")
+    if sets and ad._current_tape() is not None:
+        raise DimensionError("stacked parameters are forward-only; a tape takes one parameter set")
+    if xv.shape[-1] != p.wz.value.shape[-2] or hv.shape[-1] != p.uz.value.shape[-2]:
         raise DimensionError(
             f"gru_step shapes {xv.shape}, {hv.shape} do not match weights "
             f"{p.wz.value.shape}, {p.uz.value.shape}"
         )
     W, U, b = _stack_gates(p)
-    out, cache = _gru_forward(xv @ W, hv, U, b)
+    out, cache = _gru_forward(xv[..., None, :, :] @ W, hv, U, b)
 
     def vjp(go):
         d_a = np.empty((3, *go.shape))
@@ -220,7 +229,8 @@ def _gru_cell(x: Variable, h: Variable, p: GRUParams) -> Variable:
 
 
 def gru_step(x, h_prev, params: GRUParams) -> Variable:
-    """One GRU transition of a [batch, d_in] input and a [batch, hidden] state."""
+    """One GRU transition of a [batch, d_in] input and a [batch, hidden] state
+    (untaped, also of R stacked sets: [R, batch, ...] and every weight [R, ...])."""
     return _gru_cell(ad.as_variable(x), ad.as_variable(h_prev), params)
 
 

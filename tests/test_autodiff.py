@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import weakref
 from pathlib import Path
@@ -183,18 +184,40 @@ def _seq2seq_case(scale, seed=0):
     return list(model.parameters().values()), lambda: sequence_loss(model, src, tgt)
 
 
+# the gradcheck rows whose finite differences run in stacked forwards
+STACKED_ROWS = {
+    "add", "sub", "mul", "scale", "softmax_vec", "tanh", "sigmoid",
+    "cross_entropy", "ham_v", "gru_chain", "seq2seq_loss",
+}
+
+
 @pytest.mark.parametrize("scale", ["tiny", "small"])
 def test_stacked_finite_differences_match_the_point_loop(scale):
-    leaves, build = _seq2seq_case(scale)
-    originals = [v.value for v in leaves]
-    saved = [v.value.copy() for v in leaves]
-    assert 2 * sum(v.size for v in saved) > ad.FD_CHUNK
-    stacked = check_gradients(build, leaves, stacked=True)
-    assert all(v.value is orig for v, orig in zip(leaves, originals))
-    looped = check_gradients(build, leaves)
-    assert stacked == looped
-    for v, value in zip(leaves, saved):
-        np.testing.assert_array_equal(v.value, value)
+    """Every stacked row, on the table's own instances (the draws of
+    ``gradcheck_table(scale, seed, instances=1)`` at seeds 0-2), gives each
+    finite-difference loss and so the check result of the point-by-point path,
+    bit for bit."""
+    from hamattn import checks
+
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        instances = [
+            (name, stacked, *checks._instance(case, projected, rng))
+            for name, case, _, projected, stacked in checks._gradcheck_cases(checks._SCALES[scale], rng)
+        ]
+        assert {name for name, stacked, *_ in instances if stacked} == STACKED_ROWS
+        for name, stacked, leaves, loss in instances:
+            if not stacked:
+                continue
+            originals = [v.value for v in leaves]
+            saved = [v.value.copy() for v in leaves]
+            assert ad._stacked_losses(loss, leaves) == ad._point_losses(loss, leaves), name
+            assert check_gradients(loss, leaves, stacked=True) == check_gradients(loss, leaves), name
+            assert all(v.value is orig for v, orig in zip(leaves, originals))
+            for v, value in zip(leaves, saved):
+                np.testing.assert_array_equal(v.value, value)
+            if name == "seq2seq_loss":  # the one row of several chunks
+                assert 2 * sum(v.size for v in saved) > ad.FD_CHUNK
 
 
 @pytest.mark.parametrize("stacked", [True, False])
@@ -236,6 +259,39 @@ def test_seq2seq_row_makes_one_stacked_forward_per_chunk(monkeypatch):
         # one taped build for the analytic gradient, then one stacked forward per chunk
         assert len(shapes) == 1 + chunks and len(shapes[0]) == 2
         assert [shape[0] for shape in shapes[1:]] == [ad.FD_CHUNK] * (chunks - 1) + [last]
+
+
+def test_gru_chain_row_makes_one_stacked_forward(monkeypatch):
+    from hamattn import checks
+
+    calls = []
+
+    def counted(x, h, cell):
+        calls.append((cell.wz.value.shape[:-2], ad._current_tape() is not None))
+        return checks_gru_step(x, h, cell)
+
+    checks_gru_step = checks.gru_step
+    monkeypatch.setattr(checks, "gru_step", counted)
+    for scale, points in (("tiny", 150), ("small", 248)):
+        calls.clear()
+        checks.gradcheck_table(scale, instances=1)
+        # three steps each: the build that draws the projection, one taped
+        # build for the analytic gradient, then one stacked forward of every point
+        assert calls == [((), False)] * 3 + [((), True)] * 3 + [((points,), False)] * 3
+
+
+def test_gradcheck_bench_tables_match_committed_digests():
+    """The benchmark's gradcheck tables (tiny, one instance, seeds 0 and 1), pinned
+    by the sha256 of their ``json.dumps``: every row's error and worst coordinate
+    at the call the benchmark times. Regenerate the file with the calls this test
+    makes and record the move in CHANGES.md."""
+    from hamattn.checks import gradcheck_table
+
+    golden = Path(__file__).parent / "golden" / "gradcheck_bench.sha256"
+    pinned = dict(line.split()[::-1] for line in golden.read_text().splitlines())
+    for seed in (0, 1):
+        rows = gradcheck_table("tiny", seed=seed, instances=1)
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == pinned[f"seed={seed}"]
 
 
 @pytest.fixture(scope="module")

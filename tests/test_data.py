@@ -216,6 +216,11 @@ def test_corpus_validation():
         ({"task": None}, "task must be a string, got NoneType"),
         ({"vocab_size": MAX_VOCAB + 1}, f"vocab_size must be an integer in [{NUM_RESERVED}, {MAX_VOCAB}]"),
         ({"vocab_size": 10**9}, "vocab_size must be an integer"),
+        ({"pairs": [([3],)]}, "pair 0: expected a (src, tgt) tuple or list, got tuple of length 1"),
+        ({"pairs": [([3], [4]), [[3], [4], [5]]]}, "pair 1: expected a (src, tgt) tuple or list, got list of length 3"),
+        ({"pairs": [3]}, "pair 0: expected a (src, tgt) tuple or list, got int"),
+        ({"pairs": None}, "pairs must be a list, got NoneType"),
+        ({"pairs": (([3], [4]),)}, "pairs must be a list, got tuple"),
     ],
 )
 def test_corpus_checks_types_and_ranges(kwargs, message):

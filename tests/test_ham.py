@@ -178,13 +178,33 @@ def test_fused_context_is_bit_identical_to_primitive_chain(d, b):
 
 def test_fused_context_shape_and_domain_errors():
     enc, q, c = np.zeros((2, 3, 4)), np.zeros((2, 4)), np.zeros(2)
+    # stacked: two sets of one example
+    senc, sq, sc = np.zeros((2, 1, 3, 4)), np.zeros((2, 1, 4)), np.zeros((2, 3))
     for bad in ((enc[0], q, c), (enc, q[0], c), (enc, np.zeros((3, 4)), c),
-                (enc, np.zeros((2, 5)), c), (enc, q, np.zeros((1, 2)))):
+                (enc, np.zeros((2, 5)), c), (enc, q, np.zeros((1, 2))),
+                (senc, sq, sc[0]), (senc, sq[0], sc), (senc, sq, np.zeros((3, 3))),
+                (np.zeros((3, 1, 3, 4)), np.zeros((3, 1, 4)), sc), (senc[None], sq[None], sc[None])):
         with pytest.raises(DimensionError):
             ham_v_context(*bad)
+    with Tape():
+        with pytest.raises(DimensionError, match="forward-only"):
+            ham_v_context(senc, sq, sc)
     for bad in ((np.zeros((2, 0, 4)), q, c), (enc, q, np.zeros(0))):
         with pytest.raises(DomainError):
             ham_v_context(*bad)
+
+
+@pytest.mark.parametrize("b, t, h, d", [(1, 1, 1, 1), (1, 3, 4, 3), (3, 6, 16, 5)])
+def test_stacked_context_is_bit_identical_per_set(b, t, h, d):
+    rng = np.random.default_rng(b + t + h + d)
+    for sets in (1, 4):
+        enc = rng.uniform(-2, 2, (sets, b, t, h))
+        q = rng.uniform(-2, 2, (sets, b, h))
+        c = rng.uniform(-1, 1, (sets, d))
+        out = ham_v_context(enc, q, c).value
+        assert out.shape == (sets, b, h)
+        for r in range(sets):
+            np.testing.assert_array_equal(out[r], ham_v_context(enc[r].copy(), q[r].copy(), c[r].copy()).value)
 
 
 def test_gradients_of_ham_outputs_pass_finite_differences():

@@ -34,6 +34,17 @@ from json_fragments import JSON_FRAGMENTS, RAW
 training = importlib.import_module("hamattn.train")
 
 
+def _stack_values(variables, rng, sets):
+    """Swap every value for a C-contiguous stack of ``sets`` perturbed copies;
+    returns the stacks."""
+    stacks = []
+    for var in variables:
+        stack = np.ascontiguousarray(var.value + rng.normal(0.0, 0.05, (sets, *var.value.shape)))
+        var.value = stack
+        stacks.append(stack)
+    return stacks
+
+
 def _zero_gru(d_in, hidden):
     cell = GRUParams(np.random.default_rng(0), d_in, hidden)
     for var in cell.variables().values():
@@ -80,6 +91,33 @@ def test_gru_step_shape_error():
         gru_step(np.zeros((2, 3)), np.zeros((1, 4)), cell)
     with pytest.raises(DimensionError):
         gru_step(np.zeros(3), np.zeros(4), cell)
+    # stacked inputs need every weight stacked over the same sets, and the reverse
+    x, h = np.zeros((2, 1, 3)), np.zeros((2, 1, 4))
+    with pytest.raises(DimensionError, match="set axes"):
+        gru_step(x, h, cell)
+    _stack_values(cell.variables().values(), np.random.default_rng(0), 2)
+    for bad_x, bad_h in ((x[0], h[0]), (np.zeros((3, 1, 3)), np.zeros((3, 1, 4))), (x, h[0]), (x[None], h[None])):
+        with pytest.raises(DimensionError):
+            gru_step(bad_x, bad_h, cell)
+    cell.uh.value = cell.uh.value[0]
+    with pytest.raises(DimensionError, match="set axes"):
+        gru_step(x, h, cell)
+
+
+@pytest.mark.parametrize("d_in, hidden", [(1, 1), (3, 4), (32, 16)])
+def test_stacked_gru_step_is_bit_identical_per_set(d_in, hidden):
+    rng = np.random.default_rng(d_in + hidden)
+    for batch, sets in ((1, 1), (1, 6), (5, 3)):
+        cell = GRUParams(rng, d_in, hidden)
+        stacks = _stack_values(cell.variables().values(), rng, sets)
+        xs = rng.uniform(-1, 1, (sets, batch, d_in))
+        hs = rng.uniform(-1, 1, (sets, batch, hidden))
+        out = gru_step(xs, hs, cell).value
+        assert out.shape == (sets, batch, hidden)
+        for r in range(sets):
+            for var, stack in zip(cell.variables().values(), stacks):
+                var.value = stack[r].copy()
+            np.testing.assert_array_equal(out[r], gru_step(xs[r].copy(), hs[r].copy(), cell).value)
 
 
 def test_gru_chain_gradients():
@@ -364,17 +402,6 @@ def test_sequence_loss_is_bit_identical_to_per_step_chain(
         np.testing.assert_array_equal(grads[name], grad, err_msg=name)
 
 
-def _stack_values(model, rng, sets):
-    """Swap every parameter value for a C-contiguous stack of ``sets`` perturbed
-    copies; returns the stacks."""
-    stacks = []
-    for var in model.parameters().values():
-        stack = np.ascontiguousarray(var.value + rng.normal(0.0, 0.05, (sets, *var.value.shape)))
-        var.value = stack
-        stacks.append(stack)
-    return stacks
-
-
 @pytest.mark.parametrize("bidirectional", [True, False])
 @pytest.mark.parametrize("depth", [1, 2, 5])
 @pytest.mark.parametrize("hidden", [1, 3, 16])
@@ -385,7 +412,7 @@ def test_stacked_sequence_loss_is_bit_identical_per_set(hidden, depth, bidirecti
         model = _model(vocab, hidden, depth, bidirectional, seed=batch)
         src = rng.integers(0, vocab, (batch, 4))
         tgt = rng.integers(0, vocab, (batch, 3))
-        stacks = _stack_values(model, rng, sets)
+        stacks = _stack_values(model.parameters().values(), rng, sets)
         losses = sequence_loss(model, src, tgt).value
         assert losses.shape == (sets,)
         for r in range(sets):
@@ -397,12 +424,14 @@ def test_stacked_sequence_loss_is_bit_identical_per_set(hidden, depth, bidirecti
 def test_stacked_parameters_are_forward_only():
     model = _model(seed=3)
     src = np.array([[3, 4, 5]])
-    _stack_values(model, np.random.default_rng(3), 2)
+    _stack_values(model.parameters().values(), np.random.default_rng(3), 2)
     with ad.Tape():
         with pytest.raises(DimensionError, match="forward-only"):
             sequence_loss(model, src, src)
         with pytest.raises(DimensionError, match="forward-only"):
             ad.cross_entropy_logits(Variable(np.zeros((2, 3, 4))), [0, 1, 2])
+        with pytest.raises(DimensionError, match="forward-only"):
+            gru_step(np.zeros((2, 1, 4)), np.zeros((2, 1, 4)), model.enc_fwd)
     for one_set in (lambda: encode_batch(src, model), lambda: generate(src[0], model)):
         with pytest.raises(DimensionError, match="one parameter set"):
             one_set()
@@ -418,7 +447,7 @@ def test_stacked_parameters_are_forward_only():
             sequence_loss(one_set, src, src)
     # and so is one value left unstacked when its first size happens to be R
     model = _model(hidden=4, seed=3)
-    _stack_values(model, np.random.default_rng(3), 4)
+    _stack_values(model.parameters().values(), np.random.default_rng(3), 4)
     model.w_out.value = model.w_out.value[0]
     with pytest.raises(DimensionError, match="\\['w_out'\\]"):
         sequence_loss(model, src, src)
