@@ -89,9 +89,10 @@ def level_forward(keys, q0, depth: int):
     inv = float(1.0 / np.sqrt(keys.shape[-1]))
     queries, probs = [q0], []
     for _ in range(depth):
-        p = kernels.softmax_rows(np.einsum("...th,...h->...t", keys, queries[-1]) * inv)
-        probs.append(p)
-        queries.append(np.einsum("...th,...t->...h", keys, p))
+        scores = np.einsum("...th,...h->...t", keys, queries[-1])
+        scores *= inv
+        probs.append(kernels.softmax_rows(scores))
+        queries.append(np.einsum("...th,...t->...h", keys, probs[-1]))
     return queries, probs
 
 

@@ -130,6 +130,7 @@ class Corpus:
             problem = _pair_problem(*pair, self.vocab_size, self.strict)
             if problem:
                 raise DomainError(f"pair {i}: {problem}")
+        self.pairs = [tuple(pair) for pair in self.pairs]  # as a file reads back: (src, tgt)
 
     def __len__(self) -> int:
         return len(self.pairs)

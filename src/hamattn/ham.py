@@ -12,14 +12,15 @@ level d).
 The levels come from ``attention.level_forward`` (ham_v) and
 ``attention.self_attention_levels`` (ham_s); every weighted sum of them is
 ``tensor.level_sum``, so training, generate and the verify suites share one
-arithmetic. The batched seq2seq connector is the pair ``ham_v_levels`` and
-``ham_v_levels_vjp``, which replays the levels in reverse with the
-primitives' exact arithmetic; ``ham_v_context`` wraps it as one tape op and
-the model's fused decoder calls it once per step. The vjp returns the 2d
-contributions to the keys' gradient separately, in the unfused chain's
-order: ``ham_v_context`` lists ``enc`` 2d times among its inputs so that
-Tape.backward adds them one at a time, which gives the same bits as the
-chain of 4d+2 entries. ham_s has no taped form and no gradcheck row, as
+arithmetic. The batched seq2seq connector's forward is ``ham_v_levels``; its
+backward replays the levels in reverse with the primitives' exact arithmetic,
+split at the recurrence: ``ham_v_query_vjp`` pulls the gradient down to the
+query (all the decoder's previous step waits for) and ``ham_v_keys_vjp`` gives
+the 2d contributions to the keys' gradient, in the unfused chain's order, and
+the level-weight sums. ``ham_v_context`` composes them as one tape op listing
+``enc`` 2d times, so that Tape.backward adds the contributions one at a time;
+the fused decoder adds them itself. Either way the bits are the chain's (4d+2
+entries). ham_s has no taped form and no gradcheck row, as
 nothing trains it; the ops a taped ham_s would record (autodiff's
 ``softmax``, ``scale``, ``transpose``, ``weighted_sum``) keep their rows only
 because the benchmark's trace names them.
@@ -80,30 +81,36 @@ def ham_v_levels(keys, q0, pc):
     return level_sum(queries[1:], weights), queries, probs
 
 
-def ham_v_levels_vjp(g, keys, queries, probs, pc):
-    """Backward of ``ham_v_levels`` for a [B,H] context gradient ``g``.
-
-    Returns ``(d_keys, d_q0, d_c)``. ``d_keys`` is the list of the 2d
-    contributions to the keys' gradient in the primitive chain's tape order
-    (combine_d, scores_d, ..., combine_1, scores_1); adding them one at a
-    time, in that order, reproduces the chain's gradient bit for bit.
-    """
+def ham_v_query_vjp(g, keys, probs, pc):
+    """The recurrent half of ``ham_v_levels``' backward for a [B,H] context gradient ``g``, all
+    that the previous decoder step waits for: ``(g_levels, g_scores, d_q0)``, each level's
+    output and score gradients in level order, and the gradient reaching the query ``q0``."""
     inv = float(1.0 / np.sqrt(keys.shape[2]))
     w = pc[0]
-    gw = np.array([np.sum(g * x) for x in queries[1:]])
-    d_c = kernels.softmax_rows_vjp(pc, gw.reshape(1, -1))[0]
-    d_keys = []
+    g_levels, g_scores = [None] * len(probs), [None] * len(probs)
     carry = None  # gradient reaching queries[i] through level i+1's scores
     for i in reversed(range(len(probs))):
-        g_level = w[i] * g
+        g_levels[i] = g_level = w[i] * g
         if carry is not None:
             g_level += carry
-        p = probs[i]
-        d_keys.append(np.einsum("bt,bh->bth", p, g_level))
-        g_scores = kernels.softmax_rows_vjp(p, np.einsum("bh,bth->bt", g_level, keys)) * inv
-        d_keys.append(np.einsum("bt,bh->bth", g_scores, queries[i]))
-        carry = np.einsum("bt,bth->bh", g_scores, keys)
-    return d_keys, carry, d_c
+        g_scores[i] = kernels.softmax_rows_vjp(probs[i], np.einsum("bh,bth->bt", g_level, keys))
+        g_scores[i] *= inv
+        carry = np.einsum("bt,bth->bh", g_scores[i], keys)
+    return g_levels, g_scores, carry
+
+
+def ham_v_keys_vjp(g, queries, probs, g_levels, g_scores):
+    """The rest of ``ham_v_levels``' backward, off the recurrence: ``(parts, gw)``. ``parts``
+    yields the 2d contributions to the keys' gradient as outer products in the primitive chain's
+    tape order (combine_d, scores_d, ..., combine_1, scores_1); added one at a time to a sum that
+    starts from zeros (the chain's einsum computes 0.0 + product) they give the chain's bits.
+    ``gw`` [d] is sum(g * level i), one reduction over [d, B*H] rows."""
+    parts = (
+        a[..., None] * b[..., None, :]
+        for i in reversed(range(len(probs)))
+        for a, b in ((probs[i], g_levels[i]), (g_scores[i], queries[i]))
+    )
+    return parts, np.add.reduce((np.array(queries[1:]) * g).reshape(len(probs), -1), axis=1)
 
 
 def ham_v_context(enc, query, c) -> ad.Variable:
@@ -111,7 +118,8 @@ def ham_v_context(enc, query, c) -> ad.Variable:
 
     ``enc`` is [B,T,H] (each example brings its own keys), ``query`` is
     [B,H] and ``c`` is [d]; returns the [B,H] context as one tape entry
-    whose forward and backward are ``ham_v_levels`` and ``ham_v_levels_vjp``.
+    whose forward is ``ham_v_levels`` and whose backward is its two halves,
+    ``ham_v_query_vjp`` and ``ham_v_keys_vjp``.
     Untaped, all three may carry one leading set axis [R, ...]; the result
     is then [R,B,H], each set with the bits of its own call.
     """
@@ -135,8 +143,10 @@ def ham_v_context(enc, query, c) -> ad.Variable:
     context, queries, probs = ham_v_levels(keys, q0, pc)
 
     def vjp(g):
-        d_keys, d_query, d_c = ham_v_levels_vjp(g, keys, queries, probs, pc)
-        return (*d_keys, d_query, d_c)
+        g_levels, g_scores, d_query = ham_v_query_vjp(g, keys, probs, pc)
+        parts, gw = ham_v_keys_vjp(g, queries, probs, g_levels, g_scores)
+        # + 0.0: the einsum's arithmetic, so a -0.0 product reaches the tape as +0.0
+        return (*(part + 0.0 for part in parts), d_query, kernels.softmax_rows_vjp(pc, gw[None])[0])
 
     # enc is listed once per contribution so that Tape.backward adds them to
     # enc's gradient one at a time, in the primitive chain's order

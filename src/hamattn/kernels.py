@@ -18,27 +18,30 @@ BACKEND = "numpy"
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Stabilized softmax along the last axis of a [..., N, V] array."""
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
 
 
 def softmax_rows_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Pull an upstream gradient back through ``softmax_rows`` output ``p``."""
-    # action of the Jacobian diag(p) - p p^T on g, row-wise
-    inner = (p * g).sum(axis=-1, keepdims=True)
-    return p * (g - inner)
+    # action of the Jacobian diag(p) - p p^T on g, row-wise: p * (g - sum(p * g))
+    out = p * g
+    np.subtract(g, np.add.reduce(out, axis=-1, keepdims=True), out=out)
+    return np.multiply(out, p, out=out)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below.
 
-    Both branches share e = exp(-|x|) <= 1, so no mask or scatter is needed;
-    the result equals the two-branch formula bit for bit on every non-NaN
-    input, -0.0, infinities and subnormals included.
+    The numerator exp(min(x, 0)) is 1 or e^x and the denominator 1 + exp(-|x|), so no
+    mask or scatter is needed and ``x`` is not written; the result equals the two-branch
+    formula bit for bit on every input, -0.0, infinities and subnormals included.
     """
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
+    e += 1.0
+    out = np.exp(np.minimum(x, 0.0))
+    return np.divide(out, e, out=out)
 
 
 def sigmoid_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:

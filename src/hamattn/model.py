@@ -15,7 +15,9 @@ stepped together), one for the whole teacher-forced decoder and the
 cross-entropy. Their hand-written vjps run BPTT with every product that does
 not feed the recurrence (input projections, the output projection, d_x
 where possible, weight gradients) moved out of the time loop, following
-Appleyard, Kocisky & Blunsom 2016 (arXiv:1604.01946). Each number is
+Appleyard, Kocisky & Blunsom 2016 (arXiv:1604.01946); the level weights' vjp
+runs once after the decoder's loop. The GRU cell accumulates into fresh
+temporaries with ``out=`` and ``+=``, in its operation order. Each number is
 computed with the arithmetic of the per-step chain of ``gru_step``,
 ``decode_step_batch`` and the primitives, which stay as the public per-step
 forms, and gradients that several steps feed are added in that chain's tape
@@ -41,7 +43,7 @@ from . import kernels
 from .autodiff import Variable
 from .data import BOS, EOS, MAX_VOCAB, NUM_RESERVED, read_json, write_text
 from .errors import DimensionError, DomainError, check_int
-from .ham import MAX_DEPTH, ham_v_context, ham_v_levels, ham_v_levels_vjp
+from .ham import MAX_DEPTH, ham_v_context, ham_v_keys_vjp, ham_v_levels, ham_v_query_vjp
 from .tensor import token_ids
 
 INIT_SCALE = 0.1
@@ -102,20 +104,22 @@ class GRUParams:
 
 
 def _stack_at(parts, axis: int) -> np.ndarray:
-    """``np.stack(parts, axis=axis)`` for ``axis`` 0 or 1, C-contiguous, at a third of its call cost."""
+    """``np.stack(parts, axis=axis)`` for ``axis`` >= 0, C-contiguous, at a fraction of its call cost."""
     stacked = np.array(parts)
-    return np.ascontiguousarray(stacked.swapaxes(0, axis)) if axis else stacked
+    return np.ascontiguousarray(np.moveaxis(stacked, 0, axis)) if axis else stacked
 
 
 def _stack_gates(p: GRUParams):
     """The cell's weights stacked per gate in z, r, h order: [3, d_in, H], [3, H, H], [3, H],
     after the leading set axis the values carry, if any (see ``_stacked``)."""
-    sets = p.wz.value.ndim - 2
-    return (
-        _stack_at([p.wz.value, p.wr.value, p.wh.value], sets),
-        _stack_at([p.uz.value, p.ur.value, p.uh.value], sets),
-        _stack_at([p.bz.value, p.br.value, p.bh.value], sets),
-    )
+    kinds = [p.FIELDS[k::3] for k in range(3)]  # (wz, wr, wh), (uz, ur, uh), (bz, br, bh)
+    try:
+        return tuple(_stack_at([getattr(p, name).value for name in kind], p.wz.value.ndim - 2) for kind in kinds)
+    except ValueError as e:  # name the weights that disagree with their sibling gates
+        shapes = {name: getattr(p, name).value.shape for name in p.FIELDS}
+        odd = [f"{name} {shapes[name]}" for kind in kinds for name in kind
+               if [shapes[other] for other in kind].count(shapes[name]) == 1]
+        raise DimensionError(f"GRU weights {', '.join(odd)} disagree in shape with their sibling gates") from e
 
 
 def _per_field(dw, du, db) -> tuple:
@@ -143,25 +147,34 @@ class _CellCache(NamedTuple):
 
 def _gru_forward(xw, hv, U, b):
     """h' = (1-z)*h + z*hc; returns (h', cache for ``_gru_backward``)."""
-    hu = np.matmul(hv[..., None, :, :], U[..., :2, :, :])
-    zr = kernels.sigmoid(xw[..., :2, :, :] + hu + b[..., :2, None, :])
+    a = np.matmul(hv[..., None, :, :], U[..., :2, :, :])
+    a += xw[..., :2, :, :]
+    a += b[..., :2, None, :]
+    zr = kernels.sigmoid(a)
     z, r = zr[..., 0, :, :], zr[..., 1, :, :]
     s = r * hv
-    hc = kernels.tanh(xw[..., 2, :, :] + s @ U[..., 2, :, :] + b[..., 2, None, :])
-    return (1.0 - z) * hv + z * hc, _CellCache(hv, z, r, s, hc)
+    a = s @ U[..., 2, :, :]
+    a += xw[..., 2, :, :]
+    a += b[..., 2, None, :]
+    hc = kernels.tanh(a)
+    h = 1.0 - z
+    h *= hv
+    h += np.multiply(z, hc, out=a)
+    return h, _CellCache(hv, z, r, s, hc)
 
 
 def _gru_backward(go, cache, U, d_a):
     """Pull ``go`` back through one cell: fills the pre-activation gradients
     ``d_a`` [..., 3, B, H] and returns d_h."""
     hv, z, r, s, hc = cache
-    d_a[..., 2, :, :] = kernels.tanh_vjp(hc, go * z)
+    t = go * z  # one temporary for the three gates' upstream gradients
+    d_a[..., 2, :, :] = kernels.tanh_vjp(hc, t)
     d_s = d_a[..., 2, :, :] @ U[..., 2, :, :].swapaxes(-1, -2)
-    d_a[..., 1, :, :] = kernels.sigmoid_vjp(r, d_s * hv)
-    d_a[..., 0, :, :] = kernels.sigmoid_vjp(z, go * (hc - hv))
+    d_a[..., 1, :, :] = kernels.sigmoid_vjp(r, np.multiply(d_s, hv, out=t))
+    d_a[..., 0, :, :] = kernels.sigmoid_vjp(z, np.multiply(go, np.subtract(hc, hv, out=t), out=t))
     d_u = d_a[..., :2, :, :] @ U[..., :2, :, :].swapaxes(-1, -2)
     d_h = go * (1.0 - z)
-    d_h += d_s * r
+    d_h += np.multiply(d_s, r, out=d_s)
     d_h += d_u[..., 1, :, :]
     d_h += d_u[..., 0, :, :]
     return d_h
@@ -170,13 +183,16 @@ def _gru_backward(go, cache, U, d_a):
 def _gru_input_grad(d_a, W):
     """d_x from the pre-activation gradients, summed over gates in h, r, z order."""
     p = d_a @ W.swapaxes(-1, -2)
-    return p[..., 2, :, :] + p[..., 1, :, :] + p[..., 0, :, :]
+    d_x = p[..., 2, :, :] + p[..., 1, :, :]
+    return np.add(d_x, p[..., 0, :, :], out=d_x)
 
 
 def _gru_param_grads(x, hv, s, d_a):
     """Per-item weight gradients of the stacked gates: x.T @ d_a, [h, h, r*h].T @ d_a, batch sums."""
     dw = np.matmul(x[..., None, :, :].swapaxes(-1, -2), d_a)
-    du = np.matmul(np.stack([hv, hv, s], axis=-3).swapaxes(-1, -2), d_a)
+    du = np.empty(d_a.shape[:-2] + d_a.shape[-1:] * 2)
+    np.matmul(hv[..., None, :, :].swapaxes(-1, -2), d_a[..., :2, :, :], out=du[..., :2, :, :])
+    np.matmul(s.swapaxes(-1, -2), d_a[..., 2, :, :], out=du[..., 2, :, :])
     return dw, du, d_a.sum(axis=-2)
 
 
@@ -321,7 +337,7 @@ def _encode(tokens: np.ndarray, model: Seq2SeqModel) -> Variable:
     embs = _embed_steps(model.embedding.value, tokens)
     sets = embs.ndim - 3
     W, U, b = (_stack_at(parts, sets) for parts in zip(*map(_stack_gates, cells)))
-    xs = np.stack([embs, embs[::-1]][:nd], axis=-3)  # [n, ..., nd, B, H]
+    xs = _stack_at([embs, embs[::-1]][:nd], sets + 1)  # [n, ..., nd, B, H]
     xw = np.matmul(xs[..., None, :, :], W)
     hs = [np.zeros(xs.shape[1:-1] + U.shape[-1:])]
     caches = []
@@ -329,19 +345,19 @@ def _encode(tokens: np.ndarray, model: Seq2SeqModel) -> Variable:
         h, cache = _gru_forward(xw[k], hs[-1], U, b)
         hs.append(h)
         caches.append(cache)
-    f = np.stack(hs[1:], axis=sets)  # [..., n, nd, B, H]
+    f = _stack_at(hs[1:], sets)  # [..., n, nd, B, H]
     states = f[..., 0, :, :] if nd == 1 else f[..., 0, :, :] + f[..., ::-1, 1, :, :]
 
     def vjp(g):
         gt = np.ascontiguousarray(g.transpose(1, 0, 2))
-        gs = np.stack([gt, gt[::-1]][:nd], axis=1)
+        gs = _stack_at([gt, gt[::-1]][:nd], 1)
         d_a = np.empty(xw.shape)
         carry = None
         for k in reversed(range(len(xs))):
             carry = _gru_backward(gs[k] if carry is None else gs[k] + carry, caches[k], U, d_a[k])
         d_xs = _gru_input_grad(d_a, W)
-        s = np.stack([cache.s for cache in caches])
-        dw, du, db = map(_sum_steps, _gru_param_grads(xs, np.stack(hs[:-1]), s, d_a))
+        s = np.array([cache.s for cache in caches])
+        dw, du, db = map(_sum_steps, _gru_param_grads(xs, np.array(hs[:-1]), s, d_a))
         d_embs = d_xs[:, 0] if nd == 1 else d_xs[::-1, 1] + d_xs[:, 0]
         d_tables = _step_tables(model.embedding.value, tokens, d_embs)[::-1]
         return (*d_tables, *(grad for j in range(nd) for grad in _per_field(dw[j], du[j], db[j])))
@@ -409,7 +425,7 @@ def _decode(enc: Variable, inputs: np.ndarray, model: Seq2SeqModel) -> Variable:
         h, record = _decoder_step(keys, hs[-1], emb, weights)
         hs.append(h)
         records.append(record)
-    h_new = np.stack(hs[1:], axis=sets)  # [..., T, B, H]
+    h_new = _stack_at(hs[1:], sets)  # [..., T, B, H]
     logits = np.matmul(h_new, w_out[..., None, :, :])
 
     def vjp(g):
@@ -417,28 +433,27 @@ def _decode(enc: Variable, inputs: np.ndarray, model: Seq2SeqModel) -> Variable:
         d_h_out = np.matmul(g, w_out.T)
         d_a = np.empty((len(records), 3, *d_h_out.shape[1:]))
         d_embs = np.empty_like(embs)
-        d_c = np.empty((len(records), pc.shape[1]))
-        d_keys = None
+        gw = np.empty((len(records), pc.shape[1]))
+        d_keys = np.zeros(keys.shape)  # see ham_v_keys_vjp
         go = d_h_out[-1]
         for t in reversed(range(len(records))):
-            _, levels, cache = records[t]
+            _, (queries, probs), cache = records[t]
             d_h = _gru_backward(go, cache, U, d_a[t])
             d_x = _gru_input_grad(d_a[t], W)
             d_embs[t] = d_x[:, :hidden]
-            parts, d_query, d_c[t] = ham_v_levels_vjp(d_x[:, hidden:], keys, *levels, pc)
+            g_levels, g_scores, d_query = ham_v_query_vjp(d_x[:, hidden:], keys, probs, pc)
+            parts, gw[t] = ham_v_keys_vjp(d_x[:, hidden:], queries, probs, g_levels, g_scores)
             for part in parts:
-                if d_keys is None:
-                    d_keys = part
-                else:
-                    d_keys += part
+                d_keys += part
             d_h += d_query
             go = d_h + d_h_out[t - 1] if t else d_h
         d_keys[:, -1] += go
-        xs = np.stack([x for x, _, _ in records])
-        s = np.stack([cache.s for _, _, cache in records])
-        grads = map(_sum_steps, _gru_param_grads(xs, np.stack(hs[:-1]), s, d_a))
+        xs = np.array([x for x, _, _ in records])
+        s = np.array([cache.s for _, _, cache in records])
+        grads = map(_sum_steps, _gru_param_grads(xs, np.array(hs[:-1]), s, d_a))
         d_tables = _step_tables(model.embedding.value, inputs, d_embs)[::-1]
         d_w_out = _sum_steps(np.matmul(h_new.swapaxes(-1, -2), g))
+        d_c = kernels.softmax_rows_vjp(pc, gw)  # each step's row has the bits of its own call
         return (d_keys, *d_tables, *_per_field(*grads), d_w_out, _sum_steps(d_c))
 
     params = (*model.dec.variables().values(), model.w_out, model.var_c)

@@ -122,7 +122,7 @@ def adam_step(params, grads, state, config: TrainConfig):
 
 def clip_gradients(grads, max_norm: float) -> float:
     """Scale all gradients in place so their global norm is at most max_norm."""
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    total = float(np.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in grads)))
     if total > max_norm > 0:
         factor = max_norm / total
         for g in grads:

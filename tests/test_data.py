@@ -108,6 +108,15 @@ def test_roundtrip_identity(tmp_path):
     assert len(path.read_text().splitlines()) == 101
 
 
+def test_a_list_pair_is_stored_as_a_tuple_and_round_trips(tmp_path):
+    # a [src, tgt] list pair used to read back as a tuple, unequal to the corpus saved
+    pairs = [[[3], [4]]]
+    corpus = Corpus(8, pairs)
+    assert corpus.pairs == [([3], [4])] and pairs == [[[3], [4]]]  # the caller's list is not rewritten
+    save_corpus(corpus, tmp_path / "c.jsonl")
+    assert load_corpus(tmp_path / "c.jsonl") == corpus
+
+
 def test_header_line(tmp_path):
     corpus = gen_task("reverse", 4, 3, 5, seed=1)
     path = tmp_path / "c.jsonl"
@@ -245,7 +254,8 @@ _SEQS = _mostly(
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(
     vocab_size=_mostly(st.integers(10, 12), st.sampled_from([np.int64(9), 4, MAX_VOCAB, MAX_VOCAB + 1, 2, 10.0, True])),
-    pairs=st.lists(st.tuples(_SEQS, _SEQS), max_size=4),
+    # a pair may be a (src, tgt) tuple or a [src, tgt] list
+    pairs=st.lists(st.one_of(st.tuples(_SEQS, _SEQS), st.lists(_SEQS, min_size=2, max_size=2)), max_size=4),
     task=_mostly(st.text(max_size=4), st.one_of(st.none(), st.integers(0, 2), st.just(["copy"]))),
     strict=st.booleans(),
 )

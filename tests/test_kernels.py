@@ -43,10 +43,23 @@ def test_sigmoid_is_bitwise_the_two_branch_formula():
     special = [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 5e-324, -5e-324, tiny / 3, -tiny / 3,
                tiny, -tiny, 36.7, -36.7, 745.2, -745.2]
     x = np.concatenate([gen.normal(0.0, 8.0, 20_000), gen.uniform(-900, 900, 2_000), special])
+    # the stacked gate operand of the benchmark's bidirectional encoder: [directions, gates, B, H]
+    stacked = x[: 2 * 2 * 32 * 16].reshape(2, 2, 32, 16)
+    x_before = x.copy()
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         got = kernels.sigmoid(x)
         got_2d = kernels.sigmoid(x[:32 * 16].reshape(32, 16))
+        got_4d = kernels.sigmoid(stacked)
+    np.testing.assert_array_equal(x.view(np.uint64), x_before.view(np.uint64))  # the input is not written
     want = _two_branch_sigmoid(x)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     np.testing.assert_array_equal(got_2d, want[:32 * 16].reshape(32, 16))
+    np.testing.assert_array_equal(got_4d.view(np.uint64), want[: stacked.size].reshape(stacked.shape).view(np.uint64))
     assert got.min() >= 0.0 and got.max() <= 1.0
+
+
+def test_sigmoid_keeps_nan():
+    x = np.array([np.nan, -np.nan, 0.5, -0.5, np.nan])
+    got = kernels.sigmoid(x)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(x))
+    np.testing.assert_array_equal(got[2:4], _two_branch_sigmoid(x[2:4]))

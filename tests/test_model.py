@@ -32,6 +32,7 @@ from json_fragments import JSON_FRAGMENTS, RAW
 
 # the package re-exports the train() function under the module's name
 training = importlib.import_module("hamattn.train")
+model_module = importlib.import_module("hamattn.model")
 
 
 def _stack_values(variables, rng, sets):
@@ -102,6 +103,43 @@ def test_gru_step_shape_error():
     cell.uh.value = cell.uh.value[0]
     with pytest.raises(DimensionError, match="set axes"):
         gru_step(x, h, cell)
+
+
+def test_gru_weights_that_disagree_with_their_sibling_gates_are_named():
+    # a 5 x 5 uh in a 3 -> 4 cell used to escape as numpy's "inhomogeneous shape" ValueError
+    cell = GRUParams(np.random.default_rng(0), 3, 4)
+    cell.uh.value = np.zeros((5, 5))
+    message = r"^GRU weights uh \(5, 5\) disagree in shape with their sibling gates$"
+    with pytest.raises(DimensionError, match=message):
+        gru_step(np.zeros((2, 3)), np.zeros((2, 4)), cell)
+    cell.wz.value = np.zeros((3, 5))
+    with pytest.raises(DimensionError, match=r"weights wz \(3, 5\), uh \(5, 5\) disagree"):
+        gru_step(np.zeros((2, 3)), np.zeros((2, 4)), cell)
+    for name in ("enc_fwd", "enc_bwd", "dec"):
+        model = _model(hidden=4)
+        getattr(model, name).br.value = np.zeros(5)
+        with pytest.raises(DimensionError, match=r"weights br \(5,\) disagree"):
+            sequence_loss(model, [[3, 4]], [[4, 3]])
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (6, 2)])
+def test_gru_cell_helpers_leave_their_inputs_unchanged(lead):
+    # leading axes as the cell meets them: none, directions, steps x directions
+    rng = np.random.default_rng(len(lead))
+    W, U, b = (np.broadcast_to(a, lead + a.shape).copy() for a in model_module._stack_gates(GRUParams(rng, 5, 16)))
+    xw = rng.normal(size=lead + (32, 5))[..., None, :, :] @ W
+    hv, go = rng.normal(size=(2, *lead, 32, 16))
+    inputs = (xw, hv, U, b, go)
+    before = [a.copy() for a in inputs]
+    h, cache = model_module._gru_forward(xw, hv, U, b)
+    saved = [a.copy() for a in cache]
+    d_a = np.empty(xw.shape)
+    d_h = model_module._gru_backward(go, cache, U, d_a)
+    for a, want in zip((*inputs, *cache), (*before, *saved)):
+        np.testing.assert_array_equal(a, want)
+    # the outputs are fresh arrays, not views of an input or of the cache
+    for out in (h, d_h):
+        assert not any(np.shares_memory(out, a) for a in (*inputs, *cache))
 
 
 @pytest.mark.parametrize("d_in, hidden", [(1, 1), (3, 4), (32, 16)])
@@ -384,6 +422,8 @@ def _loss_and_grads(loss_fn, model, src, tgt):
         (2, False, 1, 12, 2, 7),
         (5, True, 7, 5, 12, 1),
         (5, False, 64, 3, 5, 4),
+        # the depth-5 benchmark cell's shapes: BLAS picks its kernel by shape
+        (5, True, 32, 6, 6, 16),
     ],
 )
 def test_sequence_loss_is_bit_identical_to_per_step_chain(

@@ -1,5 +1,8 @@
 import gc
+import hashlib
 import importlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from hamattn.train import (
 
 # the package re-exports the train() function under the module's name
 training_module = importlib.import_module("hamattn.train")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_config_validation():
@@ -121,6 +125,42 @@ def test_identical_seeds_give_bitwise_identical_trajectories():
     assert runs[0][0] == runs[1][0]
     for name in runs[0][1]:
         np.testing.assert_array_equal(runs[0][1][name], runs[1][1][name])
+
+
+def _bench_cell_digest(monkeypatch, max_grad_norm: float) -> str:
+    """sha256 of the epoch losses, every step's gradient norm before clipping and the
+    final parameters of 2 epochs at the benchmark's depth-5 cell shapes (512 copy pairs
+    of length 6, hidden 16, bidirectional, batch 32, adam at 1e-2, seed 0), with
+    ``max_grad_norm`` in place of MAX_GRAD_NORM."""
+    norms = []
+    clip = training_module.clip_gradients
+
+    def recording_clip(grads, max_norm):
+        norms.append(clip(grads, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(training_module, "clip_gradients", recording_clip)
+    monkeypatch.setattr(training_module, "MAX_GRAD_NORM", max_grad_norm)
+    corpus = gen_task("copy", 512, 6, 8, seed=0)
+    model = Seq2SeqModel(ModelConfig(corpus.vocab_size, 16, 5, True), np.random.default_rng(0))
+    _, losses = train(model, corpus, TrainConfig(learning_rate=1e-2, optimizer="adam", epochs=2, batch_size=32))
+    digest = hashlib.sha256(json.dumps([losses, norms]).encode())
+    for name, var in model.parameters().items():
+        digest.update(name.encode())
+        digest.update(var.value.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("max_grad_norm", [MAX_GRAD_NORM, 0.25])
+def test_bench_cell_training_matches_committed_digest(monkeypatch, max_grad_norm):
+    """Two epochs at the benchmark's depth-5 shapes, bit for bit. This pins
+    ``clip_gradients`` and adam, which the per-step-chain oracle shares with the
+    fused path and so cannot check. The norms stay under MAX_GRAD_NORM there
+    (at most 0.63), so a second run at 0.25 makes clipping fire. Regenerate
+    the file with ``_bench_cell_digest`` only for a deliberate numeric change,
+    and record the move in CHANGES.md."""
+    pinned = dict(line.split()[::-1] for line in (GOLDEN / "train_bench.sha256").read_text().splitlines())
+    assert _bench_cell_digest(monkeypatch, max_grad_norm) == pinned[f"max_grad_norm={max_grad_norm}"]
 
 
 def test_training_leaves_no_tape_to_the_cyclic_collector():
