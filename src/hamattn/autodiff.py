@@ -408,9 +408,9 @@ def cross_entropy_logits(logits, targets) -> Variable:
 # central-difference step: truncation error ~h^2 and float64 rounding ~1e-16/h
 # both stay near 1e-10
 FD_STEP = 1e-5
-# most perturbed points one stacked forward of ``check_gradients`` evaluates, so
-# a chunk holds at most this many copies of the variables; the gradcheck table's
-# seq2seq rows have 520 ("tiny") and 860 ("small") points: 3 and 4 forwards
+# most perturbed points one chunk of ``check_gradients`` holds, so a chunk is at
+# most this many copies of the variables; the gradcheck table's seq2seq rows have
+# 520 ("tiny") and 860 ("small") points: 3 and 4 stacked forwards
 FD_CHUNK = 256
 
 
@@ -420,34 +420,16 @@ class GradCheckResult(NamedTuple):
     worst_coord: tuple
 
 
-def _point_losses(build_loss, variables) -> list:
-    """The loss at every central-difference point, one build per point.
+def _fd_losses(build_loss, variables, stacked: bool) -> list:
+    """The loss at every central-difference point, ``FD_CHUNK`` points at a time.
 
-    Points run variable by variable and coordinate by coordinate in C
-    order, ``+FD_STEP`` before ``-FD_STEP``; each coordinate is restored
-    after its build, also when the build raises.
-    """
-    losses = []
-    for v in variables:
-        for i in range(v.value.size):
-            idx = np.unravel_index(i, v.value.shape)
-            orig = v.value[idx]
-            try:
-                for step in (FD_STEP, -FD_STEP):
-                    v.value[idx] = orig + step
-                    losses.append(float(build_loss().value))
-            finally:
-                v.value[idx] = orig
-    return losses
-
-
-def _stacked_losses(build_loss, variables) -> list:
-    """``_point_losses`` through stacked builds of at most ``FD_CHUNK`` points each.
-
-    For a chunk of R points every variable's value is swapped for a fresh
-    C-contiguous stack [R, ...] of copies of it, with set r's one coordinate
-    moved to ``orig ± FD_STEP``; ``build_loss`` returns the R losses. The
-    original arrays are put back after the call, also when a build raises.
+    Points run variable by variable and coordinate by coordinate in C order,
+    ``+FD_STEP`` before ``-FD_STEP``. For a chunk of R points every variable's
+    value is swapped for a fresh C-contiguous stack [R, ...] of copies of it,
+    with set r's one coordinate moved to ``orig ± FD_STEP``. A stacked build
+    scores the chunk in one call and returns the R losses; any other build is
+    called once per set, with every variable bound to ``stack[r, ...]``. The
+    original arrays are put back afterwards, also when a build raises.
     """
     originals = [v.value for v in variables]
     points = [(vi, i, step) for vi, v in enumerate(originals) for i in range(v.size)
@@ -459,12 +441,18 @@ def _stacked_losses(build_loss, variables) -> list:
             stacks = [np.repeat(v[None], len(chunk), axis=0) for v in originals]
             for r, (vi, i, step) in enumerate(chunk):
                 stacks[vi].reshape(len(chunk), -1)[r, i] = originals[vi].flat[i] + step
-            for v, stack in zip(variables, stacks):
-                v.value = stack
-            out = build_loss().value
-            if out.shape != (len(chunk),):
-                raise DimensionError(f"a stacked build of {len(chunk)} sets returned shape {out.shape}")
-            losses.extend(out.tolist())
+            if stacked:
+                for v, stack in zip(variables, stacks):
+                    v.value = stack
+                out = build_loss().value
+                if out.shape != (len(chunk),):
+                    raise DimensionError(f"a stacked build of {len(chunk)} sets returned shape {out.shape}")
+                losses.extend(out.tolist())
+            else:
+                for r in range(len(chunk)):
+                    for v, stack in zip(variables, stacks):
+                        v.value = stack[r, ...]
+                    losses.append(float(build_loss().value))
     finally:
         for v, orig in zip(variables, originals):
             v.value = orig
@@ -475,36 +463,33 @@ def check_gradients(build_loss, variables, stacked: bool = False) -> GradCheckRe
     """Compare reverse-mode against central finite differences of step ``FD_STEP``.
 
     ``build_loss`` recomputes the scalar loss from the current values of
-    ``variables`` (leaf Variables perturbed in place), so one call checks the
-    gradient of every coordinate of every listed variable. The result carries
-    the max over coordinates of |analytic - numeric| / max(1, |analytic|),
-    plus which variable/coordinate attained it (the first one, in variable
-    and C order, on a tie). A NaN error, from the analytic gradient or from a
-    finite-difference loss, counts as infinite, so a NaN fails every check.
+    ``variables`` (leaf Variables whose values ``_fd_losses`` swaps for
+    perturbed copies), so one call checks the gradient of every coordinate of
+    every listed variable. The result carries the max over coordinates of
+    |analytic - numeric| / max(1, |analytic|), plus which variable/coordinate
+    attained it (the first one, in variable and C order, on a tie). A NaN
+    error, from the analytic gradient or from a finite-difference loss, counts
+    as infinite, so a NaN fails every check.
 
     ``stacked=True`` declares a build that also takes every variable as a
     stack [R, ...] of R values and then returns R losses, each with the bits
-    of its own unstacked build: the 2N perturbed points are then evaluated
-    ``FD_CHUNK`` at a time (see ``_stacked_losses``), with the same result.
+    of its own unstacked build: each chunk of points is then scored in one
+    call instead of one call per point, with the same result.
     """
     variables = list(variables)
     with Tape() as tape:
         loss = build_loss()
     tape.backward(loss)
-    analytic = [v.grad.copy() for v in variables]
-    losses = iter((_stacked_losses if stacked else _point_losses)(build_loss, variables))
-
-    max_rel = 0.0
-    worst = (0, ())
-    for vi, (v, a) in enumerate(zip(variables, analytic)):
-        for i in range(v.value.size):
-            idx = np.unravel_index(i, v.value.shape)
-            fp, fm = next(losses), next(losses)
-            numeric = (fp - fm) / (2.0 * FD_STEP)
-            rel = abs(a[idx] - numeric) / max(1.0, abs(a[idx]))
-            if np.isnan(rel):
-                rel = np.inf
-            if rel > max_rel:
-                max_rel = rel
-                worst = (vi, idx)
-    return GradCheckResult(max_rel, worst[0], worst[1])
+    # every coordinate of every variable, in variable and C order
+    analytic = np.concatenate([np.zeros(0), *(v.grad.ravel() for v in variables)])
+    fp, fm = np.reshape(_fd_losses(build_loss, variables, stacked), (-1, 2)).T
+    numeric = (fp - fm) / (2.0 * FD_STEP)
+    rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
+    rel[np.isnan(rel)] = np.inf
+    if not rel.any():
+        return GradCheckResult(0.0, 0, ())
+    worst = int(np.argmax(rel))  # the first maximum
+    sizes = [v.value.size for v in variables]
+    vi = int(np.searchsorted(np.cumsum(sizes), worst, side="right"))
+    coord = np.unravel_index(worst - sum(sizes[:vi]), variables[vi].value.shape)
+    return GradCheckResult(rel[worst], vi, coord)

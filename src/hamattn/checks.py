@@ -284,13 +284,14 @@ def gradcheck_table(scale: str = "tiny", seed: int = 0, instances: int = 30) -> 
     Each case draws its leaves and returns ``(leaves, build)``. Rows marked
     projected then draw a random linear functional ``w`` of the output, fixed
     per instance, and check ``sum(w * build())``; the others build a scalar loss.
-    Rows marked stacked evaluate their finite differences in stacked forwards,
+    Every row's finite differences run in ``check_gradients``' one chunked
+    loop. Rows marked stacked score a chunk in one forward,
     ``check_gradients(..., stacked=True)``, as their ops take a leading
     parameter-set axis: ``add``, ``sub``, ``mul``, ``scale``, ``softmax_vec``,
     ``tanh``, ``sigmoid``, ``cross_entropy``, ``ham_v`` (``ham_v_context``),
     ``gru_chain`` (``gru_step``) and ``seq2seq_loss`` (``sequence_loss``); a
     projected row's stacked output is reduced per set by ``_projected``. Every
-    other row builds one point at a time. Both give the same bits.
+    other row builds once per point of the chunk. Both give the same bits.
     """
     instances = check_int("instances", instances, 1, MAX_GRADCHECK_INSTANCES)
     if not isinstance(scale, str) or scale not in _SCALES:

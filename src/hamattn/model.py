@@ -567,8 +567,10 @@ def load_checkpoint(path) -> Seq2SeqModel:
     payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DomainError(f"not a {CHECKPOINT_FORMAT} file: {path}")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise DomainError(f"unsupported checkpoint version {payload.get('version')}")
+    version = payload.get("version")
+    # an int, not a bool or a float: in Python True == 1 == 1.0
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise DomainError(f"unsupported checkpoint version {version!r}")
     stored_config = payload.get("config")
     if not isinstance(stored_config, dict):
         raise DomainError(f"checkpoint config must be an object, got {stored_config!r}")

@@ -152,12 +152,16 @@ def train(model: Seq2SeqModel, corpus: Corpus, config: TrainConfig, frozen=()):
     """Teacher-forced training; returns (model, per-epoch mean token losses).
 
     Parameters named in ``frozen`` stay out of clipping and the optimizer and
-    keep their values.
+    keep their values; a name that is not a parameter raises DomainError.
     """
     if len(corpus) == 0:
         raise DomainError("cannot train on an empty corpus")
+    named = model.parameters()
+    unknown = [name for name in frozen if name not in named]
+    if unknown:
+        raise DomainError(f"frozen names that are not parameters of the model: {unknown}")
     rng = np.random.default_rng(config.seed)
-    params = [p for name, p in model.parameters().items() if name not in frozen]
+    params = [p for name, p in named.items() if name not in frozen]
     state = init_adam_state(params) if config.optimizer == "adam" else None
     step = adam_step if config.optimizer == "adam" else sgd_step
 

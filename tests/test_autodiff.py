@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hamattn import autodiff as ad
-from hamattn.autodiff import Tape, Variable, check_gradients
+from hamattn.autodiff import FD_STEP, Tape, Variable, check_gradients
 from hamattn.errors import DimensionError, DomainError
 
 
@@ -184,6 +184,27 @@ def _seq2seq_case(scale, seed=0):
     return list(model.parameters().values()), lambda: sequence_loss(model, src, tgt)
 
 
+def _point_losses(build_loss, variables) -> list:
+    """The loss at every central-difference point, one build per point.
+
+    Points run variable by variable and coordinate by coordinate in C
+    order, ``+FD_STEP`` before ``-FD_STEP``; each coordinate is restored
+    after its build, also when the build raises.
+    """
+    losses = []
+    for v in variables:
+        for i in range(v.value.size):
+            idx = np.unravel_index(i, v.value.shape)
+            orig = v.value[idx]
+            try:
+                for step in (FD_STEP, -FD_STEP):
+                    v.value[idx] = orig + step
+                    losses.append(float(build_loss().value))
+            finally:
+                v.value[idx] = orig
+    return losses
+
+
 # the gradcheck rows whose finite differences run in stacked forwards
 STACKED_ROWS = {
     "add", "sub", "mul", "scale", "softmax_vec", "tanh", "sigmoid",
@@ -193,10 +214,11 @@ STACKED_ROWS = {
 
 @pytest.mark.parametrize("scale", ["tiny", "small"])
 def test_stacked_finite_differences_match_the_point_loop(scale):
-    """Every stacked row, on the table's own instances (the draws of
+    """Every row, on the table's own instances (the draws of
     ``gradcheck_table(scale, seed, instances=1)`` at seeds 0-2), gives each
-    finite-difference loss and so the check result of the point-by-point path,
-    bit for bit."""
+    finite-difference loss of the in-place point loop ``_point_losses``, bit
+    for bit, from point builds and, on the stacked rows, from stacked builds;
+    so the check results agree too."""
     from hamattn import checks
 
     for seed in range(3):
@@ -207,17 +229,46 @@ def test_stacked_finite_differences_match_the_point_loop(scale):
         ]
         assert {name for name, stacked, *_ in instances if stacked} == STACKED_ROWS
         for name, stacked, leaves, loss in instances:
-            if not stacked:
-                continue
             originals = [v.value for v in leaves]
             saved = [v.value.copy() for v in leaves]
-            assert ad._stacked_losses(loss, leaves) == ad._point_losses(loss, leaves), name
-            assert check_gradients(loss, leaves, stacked=True) == check_gradients(loss, leaves), name
+            oracle = _point_losses(loss, leaves)
+            assert ad._fd_losses(loss, leaves, stacked=False) == oracle, name
+            if stacked:
+                assert ad._fd_losses(loss, leaves, stacked=True) == oracle, name
+                assert check_gradients(loss, leaves, stacked=True) == check_gradients(loss, leaves), name
             assert all(v.value is orig for v, orig in zip(leaves, originals))
             for v, value in zip(leaves, saved):
                 np.testing.assert_array_equal(v.value, value)
             if name == "seq2seq_loss":  # the one row of several chunks
                 assert 2 * sum(v.size for v in saved) > ad.FD_CHUNK
+
+
+def test_point_builds_across_several_chunks_match_the_point_loop():
+    leaves, build = _seq2seq_case("small")
+    calls = []
+
+    def counted():
+        calls.append(None)
+        return build()
+
+    points = 2 * sum(v.value.size for v in leaves)
+    assert points == 860 and -(-points // ad.FD_CHUNK) == 4
+    assert ad._fd_losses(counted, leaves, stacked=False) == _point_losses(build, leaves)
+    assert len(calls) == points
+
+
+def test_point_builds_bind_a_0d_variable_as_a_0d_array():
+    x, y = Variable(np.array(0.5)), Variable(np.array([1.0, -2.0]))
+    seen = []
+
+    def build():
+        seen.append((type(x.value), x.value.shape, type(y.value), y.value.shape))
+        return ad.add(ad.mul(x, x), ad.sum_all(y))
+
+    result = check_gradients(build, [x, y])
+    assert result.max_rel_error < 1e-8
+    # the taped build, then six perturbed points
+    assert seen == [(np.ndarray, (), np.ndarray, (2,))] * 7
 
 
 @pytest.mark.parametrize("stacked", [True, False])

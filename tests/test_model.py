@@ -646,6 +646,9 @@ def test_checkpoint_rejects_bad_config_and_nonfinite_tensors(tmp_path):
         ("bidirectional", lambda p: p["config"].update(bidirectional=1)),
         ("w_out", lambda p: p["params"]["w_out"]["data"].__setitem__(0, float("nan"))),
         ("embedding", lambda p: p["params"]["embedding"]["data"].__setitem__(3, float("inf"))),
+        # equal to 1 in Python, but not the integer version
+        ("version True", lambda p: p.update(version=True)),
+        ("version 1.0", lambda p: p.update(version=1.0)),
     ]
     for name, edit in cases:
         corrupt(edit)

@@ -279,6 +279,15 @@ def test_frozen_parameters_keep_their_values():
     assert not np.array_equal(model.embedding.value, embedding)
 
 
+def test_unknown_frozen_names_raise_before_the_first_batch(monkeypatch):
+    corpus, model = _tiny_setup()
+    batches = []
+    monkeypatch.setattr(training_module, "sequence_loss", lambda *args: batches.append(args))
+    with pytest.raises(DomainError, match=r"\['hamc', 'dec\.zz'\]"):
+        train(model, corpus, TrainConfig(epochs=1, batch_size=3, seed=0), frozen=("hamc", "ham_c", "dec.zz"))
+    assert batches == []
+
+
 def test_depth_sweep_rejects_unsorted_depths():
     corpus = gen_task("copy", 4, 3, 5, seed=0)
     cfg = TrainConfig(epochs=1, restarts=1)
