@@ -11,25 +11,21 @@ largest consecutive-depth ratio implies, rounded up to two decimals
 (``SWEEP_TOLERANCE`` in ``hamattn.train``).
 
 Usage:
-    python benchmarks/null_sweep.py [--roots 0 1 2 3 4] [--jobs 2] [--out null.json]
+    python benchmarks/null_sweep.py [--roots 0 1 2 3 4] [--out null.json]
 
-Each root takes about as long as the pinned sweep: about 4 minutes
-(232-246 s) on one core of a 2-core x86_64 host. ``--jobs`` must lie in
-[1, cores]; it starts at most one worker process per root. A bad ``--jobs``,
-root or ``--out`` exits 2 with one ``error:`` line, ``--jobs`` before any
-process starts.
+The roots run one after another; ``depth_sweep`` spreads each root's cells
+over the usable CPUs. Roots 0-4 took 709 s on a 2-core x86_64 host, about
+140 s per root. A bad root or ``--out`` exits 2 with one ``error:`` line.
 """
 
 import argparse
 import json
 import math
-import multiprocessing
-import os
 import sys
 
 from hamattn.cli import SWEEP_DEFAULTS, run_sweep
 from hamattn.data import write_text
-from hamattn.errors import DomainError, check_int
+from hamattn.errors import DomainError
 
 
 def null_sweep(root: int) -> dict:
@@ -48,7 +44,6 @@ def null_sweep(root: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--roots", type=int, nargs="+", default=[0, 1, 2, 3, 4])
-    parser.add_argument("--jobs", type=int, default=1, help="roots run in parallel, at most one per core")
     parser.add_argument("--out", help="also write the rows as JSON to this file")
     args = parser.parse_args(argv)
     try:
@@ -60,9 +55,7 @@ def main(argv=None) -> int:
 
 
 def run(args) -> None:
-    jobs = check_int("--jobs", args.jobs, 1, os.cpu_count() or 1)
-    with multiprocessing.get_context("spawn").Pool(min(jobs, len(args.roots))) as pool:
-        rows = pool.map(null_sweep, args.roots)
+    rows = [null_sweep(root) for root in args.roots]
     depths = rows[0]["depths"]
     head = [f"best d={d}" for d in depths] + [f"d={a}->{b}" for a, b in zip(depths, depths[1:])]
     print("| root | " + " | ".join(head) + " |")

@@ -20,6 +20,7 @@ depth computes the depth-1 function, so only that spread separates the depths.
 
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -49,7 +50,7 @@ MAX_GRAD_NORM = 5.0  # single fixed safeguard, not a tunable schedule
 # Loop counts of one run: an epoch of the pinned protocol (512 pairs, batch 32,
 # hidden 16) takes about 0.1 s at depth 5 on a 2-core host, so MAX_EPOCHS is
 # about 17 minutes per cell, and a pinned sweep (3 depths x 200 epochs, about
-# 50 s per restart) at MAX_RESTARTS about 1.4 hours.
+# 50 s per restart) at MAX_RESTARTS about 1.4 hours on one CPU.
 MAX_EPOCHS = 10_000
 MAX_RESTARTS = 100
 
@@ -260,24 +261,72 @@ def sweep_plan(
     return SweepPlan(depths, config.restarts, config.seed, cells)
 
 
+def _train_cell(train_corpus: Corpus, eval_corpus: Corpus, cell: SweepCell) -> SweepRecord:
+    """Train and score one cell; its wall time is measured where it trains."""
+    start = time.perf_counter()
+    model = Seq2SeqModel(cell.model, np.random.default_rng(cell.train.seed))
+    if cell.frozen:  # a null cell
+        model.var_c.value[1:] = NULL_LEVEL_LOGIT
+    _, losses = train(model, train_corpus, cell.train, cell.frozen)
+    metric = _exact_match(model, eval_corpus) if len(eval_corpus) else 0.0
+    wall = time.perf_counter() - start
+    return SweepRecord(cell.model.ham_depth, cell.train.seed, losses[-1], metric, wall)
+
+
+# The (train corpus, eval corpus, plan) of the sweep a worker process serves. The
+# pool's initializer sets it in each forked worker; the calling process never does.
+_worker_sweep = None
+
+
+def _serve(sweep) -> None:
+    global _worker_sweep
+    _worker_sweep = sweep
+
+
+def _train_cell_at(index: int) -> SweepRecord:
+    train_corpus, eval_corpus, plan = _worker_sweep
+    return _train_cell(train_corpus, eval_corpus, plan.cells[index])
+
+
 def depth_sweep(train_corpus: Corpus, eval_corpus: Corpus, plan: SweepPlan):
     """Train a ``sweep_plan``'s cells; return (records, summary). The summary maps
     each depth to its best-over-restarts final loss and states whether the
-    sequence is non-increasing within SWEEP_TOLERANCE."""
+    sequence is non-increasing within SWEEP_TOLERANCE.
+
+    The cells train in forked worker processes, one per usable CPU (see
+    ``os.sched_getaffinity``; ``taskset`` narrows it) and at most one per cell,
+    deepest cells first. A cell's numbers do not depend on where it trains, so
+    the records, returned in plan order, are the same bytes for any worker
+    count. With one usable CPU, a one-cell plan, or no ``fork`` or
+    ``sched_getaffinity`` (not Linux), the cells train in this process and no
+    process starts. Forking is safe only in a process that runs no other
+    threads; hamattn starts none. An exception a cell raises reaches the
+    caller with its type and message, and no worker outlives the call.
+    """
     vocab = plan.cells[0].model.vocab_size  # every cell's
     for name, corpus in (("train", train_corpus), ("eval", eval_corpus)):
         if corpus.vocab_size != vocab:
             raise DomainError(f"vocab_size: the {name} corpus has {corpus.vocab_size}, the plan {vocab}")
-    records = []
-    for cell in plan.cells:
-        start = time.perf_counter()
-        model = Seq2SeqModel(cell.model, np.random.default_rng(cell.train.seed))
-        if cell.frozen:  # a null cell
-            model.var_c.value[1:] = NULL_LEVEL_LOGIT
-        _, losses = train(model, train_corpus, cell.train, cell.frozen)
-        metric = _exact_match(model, eval_corpus) if len(eval_corpus) else 0.0
-        wall = time.perf_counter() - start
-        records.append(SweepRecord(cell.model.ham_depth, cell.train.seed, losses[-1], metric, wall))
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    workers = min(len(plan.cells), len(os.sched_getaffinity(0))) if can_fork else 1
+    if workers == 1:
+        records = [_train_cell(train_corpus, eval_corpus, cell) for cell in plan.cells]
+    else:
+        # imported here: they take 15-30 ms to import, which ``import hamattn`` need not pay
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Forked workers inherit the corpora and the plan, so only a cell index goes
+        # in and a record comes out. Unlike multiprocessing.Pool, the executor
+        # raises BrokenProcessPool when a worker is killed instead of waiting for
+        # its cell forever. The deepest cells, the slowest, start first, so
+        # the sweep does not end waiting on one long cell.
+        order = sorted(range(len(plan.cells)), key=lambda i: -plan.cells[i].model.ham_depth)
+        fork = multiprocessing.get_context("fork")
+        sweep = (train_corpus, eval_corpus, plan)
+        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_serve, initargs=(sweep,)) as pool:
+            by_cell = dict(zip(order, pool.map(_train_cell_at, order)))
+        records = [by_cell[i] for i in range(len(plan.cells))]
     best = {d: min(r.final_loss for r in records if r.depth == d) for d in plan.depths}
     monotone = all(
         best[b] <= best[a] * (1.0 + SWEEP_TOLERANCE) for a, b in zip(plan.depths, plan.depths[1:])

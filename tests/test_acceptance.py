@@ -6,7 +6,10 @@ depth-sweep criterion trains 15 models and dominates the runtime.
 """
 
 import json
+import os
+import re
 import time
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -166,21 +169,23 @@ def test_criterion_7_multi_head_degeneracy():
     assert worst_sdp <= 1e-12
 
 
+CRITERION_8_SWEEP = {
+    "pairs": 24,
+    "seq_len": 4,
+    "payload_vocab": 6,
+    "eval_pairs": 8,
+    "depths": [1, 2],
+    "restarts": 2,
+    "epochs": 3,
+    "batch_size": 8,
+    "seed": 9,
+    "hidden": 8,
+}
+
+
 def test_criterion_8_sweep_determinism(tmp_path):
-    config = {
-        "pairs": 24,
-        "seq_len": 4,
-        "payload_vocab": 6,
-        "eval_pairs": 8,
-        "depths": [1, 2],
-        "restarts": 2,
-        "epochs": 3,
-        "batch_size": 8,
-        "seed": 9,
-        "hidden": 8,
-    }
     cfg_path = tmp_path / "sweep.json"
-    cfg_path.write_text(json.dumps(config))
+    cfg_path.write_text(json.dumps(CRITERION_8_SWEEP))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     code_a = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out_a)])
     code_b = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out_b)])
@@ -189,3 +194,30 @@ def test_criterion_8_sweep_determinism(tmp_path):
     ok = csv_a == csv_b and code_a == code_b
     _report("8 sweep determinism", ok, f"{len(csv_a)} byte CSVs identical: {csv_a == csv_b}")
     assert csv_a == csv_b
+
+
+def test_criterion_8_sweep_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys):
+    """One usable CPU trains the cells in this process, two in two forked workers;
+    sweep.csv, sweep_summary.json (wall times aside) and stdout are the same bytes."""
+    real_pool = futures.ProcessPoolExecutor
+    pools = []
+
+    def counted_pool(workers, *args, **kwargs):
+        pools.append(workers)
+        return real_pool(workers, *args, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", counted_pool)
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(CRITERION_8_SWEEP))
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        out = tmp_path / f"cpus{cpus}"
+        code = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+        summary = re.sub(rb'\n *"wall_time_s": [^\n]*', b"", (out / "sweep_summary.json").read_bytes())
+        runs.append((code, (out / "sweep.csv").read_bytes(), summary, capsys.readouterr().out))
+    assert pools == [2]
+    assert b"wall_time_s" not in runs[0][2] and runs[0][2].count(b'"final_loss"') == 4
+    same = runs[0] == runs[1]
+    _report("8 sweep bytes across worker counts", same, f"1 and 2 CPUs: identical outputs {same}")
+    assert same

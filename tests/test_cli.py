@@ -4,6 +4,8 @@ import hashlib
 import importlib
 import io
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 import tempfile
@@ -19,7 +21,7 @@ from hamattn.cli import SWEEP_DEFAULTS, TRAIN_DEFAULTS, _merge_config, build_par
 from hamattn.data import (
     MAX_PAIRS, MAX_SEQ_LEN, MAX_VOCAB, NUM_RESERVED, TASKS, gen_task, load_corpus, save_corpus,
 )
-from hamattn.errors import DomainError
+from hamattn.errors import DomainError, TrainingDiverged
 from hamattn.ham import MAX_DEPTH, MAX_REDUCTION_INSTANCES, MAX_TRIALS
 from hamattn.model import MAX_HIDDEN
 from hamattn.train import MAX_EPOCHS, MAX_RESTARTS, OPTIMIZERS
@@ -207,6 +209,24 @@ def test_sweep_tiny_and_rerun_is_byte_identical(tmp_path, capsys):
     summary = json.loads((out_a / "sweep_summary.json").read_text())
     assert summary["depths"] == [1, 2]
     assert len(summary["records"]) == 2
+
+
+@pytest.mark.parametrize("error, code", [(TrainingDiverged("non-finite loss at epoch 0, batch 1"), 1),
+                                         (DomainError("hidden must be an integer >= 1, got 0"), 2)])
+def test_sweep_exit_codes_hold_for_an_error_in_a_worker(error, code, tmp_path, capsys, monkeypatch):
+    caller = os.getpid()
+
+    def fail_in_a_worker(*args, **kwargs):
+        assert os.getpid() != caller, "a cell trained in the calling process"
+        raise error
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(importlib.import_module("hamattn.train"), "train", fail_in_a_worker)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(TINY_SWEEP))
+    assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert multiprocessing.active_children() == []
 
 
 def test_outputs_match_committed_golden(tmp_path, capsys):

@@ -2,6 +2,12 @@ import gc
 import hashlib
 import importlib
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +274,82 @@ def test_one_cell_of_a_plan_reproduces_alone():
             model.var_c.value[1:] = NULL_LEVEL_LOGIT
         _, losses = train(model, corpus, cell.train, cell.frozen)
         assert (cell.train.seed, losses[-1]) == (record.seed, record.final_loss)
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(training_module.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _train_in_workers_only(monkeypatch, fail):
+    """Patch ``train`` so that a depth-2 cell calls ``fail()`` and the others train;
+    any cell trained in the calling process fails the test."""
+    caller, real_train = os.getpid(), training_module.train
+
+    def fake_train(model, corpus, config, frozen=()):
+        assert os.getpid() != caller, "a cell trained in the calling process"
+        if model.config.ham_depth == 2:
+            fail()
+        return real_train(model, corpus, config, frozen)
+
+    monkeypatch.setattr(training_module, "train", fake_train)
+
+
+@pytest.mark.parametrize("error", [TrainingDiverged("non-finite loss at epoch 1, batch 0"),
+                                   DomainError("depths[1] must be an integer in [1, 64], got 0")])
+def test_a_cell_error_in_a_worker_reaches_the_caller_and_no_worker_outlives_it(error, monkeypatch):
+    def fail():
+        raise error
+
+    _usable_cpus(monkeypatch, 2)
+    _train_in_workers_only(monkeypatch, fail)
+    corpus = gen_task("copy", 8, 3, 5, seed=0)
+    plan = sweep_plan(corpus.vocab_size, [1, 2], TrainConfig(epochs=1, batch_size=4, restarts=2), hidden=5)
+    with pytest.raises(type(error)) as raised:
+        depth_sweep(corpus, corpus, plan)
+    assert (type(raised.value), str(raised.value)) == (type(error), str(error))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_killed_worker_raises_instead_of_hanging(monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    _train_in_workers_only(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    corpus = gen_task("copy", 8, 3, 5, seed=0)
+    plan = sweep_plan(corpus.vocab_size, [1, 2], TrainConfig(epochs=1, batch_size=4), hidden=5)
+
+    def hung(signum, frame):
+        raise TimeoutError("the sweep still waits on a killed worker after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            depth_sweep(corpus, corpus, plan)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+def test_one_usable_cpu_or_one_cell_starts_no_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was built")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    corpus = gen_task("copy", 8, 3, 5, seed=0)
+    for cpus, depths, restarts in ((1, [1, 2, 5], 2), (4, [2], 1)):
+        _usable_cpus(monkeypatch, cpus)
+        cfg = TrainConfig(epochs=1, batch_size=4, restarts=restarts)
+        records, _ = depth_sweep(corpus, corpus, sweep_plan(corpus.vocab_size, depths, cfg, hidden=5))
+        assert len(records) == len(depths) * restarts
+
+
+def test_importing_the_package_leaves_out_multiprocessing():
+    # depth_sweep imports them only when it starts workers: they take 15-30 ms to import
+    code = "import sys, hamattn; print(sorted(m for m in ('multiprocessing', 'concurrent') if m in sys.modules))"
+    src = str(Path(training_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_frozen_parameters_keep_their_values():
