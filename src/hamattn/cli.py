@@ -61,7 +61,7 @@ SWEEP_DEFAULTS = {
 
 def _int_list(text: str) -> list:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",")]
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from e
 
@@ -234,30 +234,35 @@ def cmd_train(args) -> int:
     return 0
 
 
-def run_sweep(cfg: dict, null: bool = False):
-    """Run the sweep a ``SWEEP_DEFAULTS``-shaped dict describes: check the eval
-    corpus size and build the ``sweep_plan`` before any corpus work, then make
-    the train corpus from the root seed and the held-out one from root+1 and
-    return ``depth_sweep``'s (records, summary). ``hamattn sweep``, the null
-    sweep and acceptance criterion 5 all go through here, so the band and the
-    criterion are measured on one protocol."""
-    check_corpus_size(cfg["eval_pairs"], cfg["seq_len"], "eval_pairs")  # before the train corpus
-    train_config = _train_config(cfg)
-    vocab = task_vocab(cfg["payload_vocab"])
-    plan = sweep_plan(vocab, cfg["depths"], train_config, cfg["hidden"], cfg["bidirectional"], null)
-    train_corpus = gen_task(
-        cfg["task"], cfg["pairs"], cfg["seq_len"], cfg["payload_vocab"], cfg["seed"]
-    )
-    eval_corpus = gen_task(
-        cfg["task"], cfg["eval_pairs"], cfg["seq_len"], cfg["payload_vocab"], cfg["seed"] + 1
-    )
-    return depth_sweep(train_corpus, eval_corpus, plan)
+def run_sweep(cfgs, null: bool = False):
+    """Run the sweeps a list of ``SWEEP_DEFAULTS``-shaped dicts describes and
+    return one (records, summary) per dict. Every dict's eval corpus size is
+    checked and its ``sweep_plan`` built before any corpus is made; then each
+    sweep's train corpus is made from its root seed and its held-out corpus
+    from root+1, and one ``depth_sweep`` call trains every cell in one pool.
+    ``hamattn sweep`` and acceptance criterion 5 pass one dict, the null sweep
+    one per root, so the band and the criterion are measured on one protocol."""
+    plans = []
+    for cfg in cfgs:
+        check_corpus_size(cfg["eval_pairs"], cfg["seq_len"], "eval_pairs")  # before the train corpus
+        train_config = _train_config(cfg)
+        vocab = task_vocab(cfg["payload_vocab"])
+        plans.append(sweep_plan(vocab, cfg["depths"], train_config, cfg["hidden"], cfg["bidirectional"], null))
+    sweeps = [
+        (
+            gen_task(cfg["task"], cfg["pairs"], cfg["seq_len"], cfg["payload_vocab"], cfg["seed"]),
+            gen_task(cfg["task"], cfg["eval_pairs"], cfg["seq_len"], cfg["payload_vocab"], cfg["seed"] + 1),
+            plan,
+        )
+        for cfg, plan in zip(cfgs, plans)
+    ]
+    return depth_sweep(sweeps)
 
 
 def cmd_sweep(args) -> int:
     out = _out_dir(args.out)
     cfg = _merge_config(SWEEP_DEFAULTS, args.config, args)
-    records, summary = run_sweep(cfg)
+    [(records, summary)] = run_sweep([cfg])
 
     out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(records, out / "sweep.csv")

@@ -3,7 +3,8 @@
 Every number a run records is determined by (seed, config, corpus): model
 init, batch shuffling and the optimizer are all driven by numpy Generators
 seeded from one root. ``sweep_plan`` builds and checks every cell of a sweep
-before ``depth_sweep`` runs it. The plan fans the root seed out with
+before ``depth_sweep`` runs it; one ``depth_sweep`` call runs several sweeps,
+say one per root, in one worker pool. The plan fans the root seed out with
 cell_seed(root, depth, restart) = root*1_000_000 + depth*1_000 + restart and
 pairs its cells: restart r of every depth trains from cell_seed(root,
 depths[0], r), so the depths of one restart share their init draws and batch
@@ -273,65 +274,26 @@ def _train_cell(train_corpus: Corpus, eval_corpus: Corpus, cell: SweepCell) -> S
     return SweepRecord(cell.model.ham_depth, cell.train.seed, losses[-1], metric, wall)
 
 
-# The (train corpus, eval corpus, plan) of the sweep a worker process serves. The
-# pool's initializer sets it in each forked worker; the calling process never does.
-_worker_sweep = None
+# The (train corpus, eval corpus, cell) jobs a worker process serves. The pool's
+# initializer sets them in each forked worker; the calling process never does.
+_worker_jobs = None
 
 
-def _serve(sweep) -> None:
-    global _worker_sweep
-    _worker_sweep = sweep
+def _serve(jobs) -> None:
+    global _worker_jobs
+    _worker_jobs = jobs
 
 
 def _train_cell_at(index: int) -> SweepRecord:
-    train_corpus, eval_corpus, plan = _worker_sweep
-    return _train_cell(train_corpus, eval_corpus, plan.cells[index])
+    return _train_cell(*_worker_jobs[index])
 
 
-def depth_sweep(train_corpus: Corpus, eval_corpus: Corpus, plan: SweepPlan):
-    """Train a ``sweep_plan``'s cells; return (records, summary). The summary maps
-    each depth to its best-over-restarts final loss and states whether the
-    sequence is non-increasing within SWEEP_TOLERANCE.
-
-    The cells train in forked worker processes, one per usable CPU (see
-    ``os.sched_getaffinity``; ``taskset`` narrows it) and at most one per cell,
-    deepest cells first. A cell's numbers do not depend on where it trains, so
-    the records, returned in plan order, are the same bytes for any worker
-    count. With one usable CPU, a one-cell plan, or no ``fork`` or
-    ``sched_getaffinity`` (not Linux), the cells train in this process and no
-    process starts. Forking is safe only in a process that runs no other
-    threads; hamattn starts none. An exception a cell raises reaches the
-    caller with its type and message, and no worker outlives the call.
-    """
-    vocab = plan.cells[0].model.vocab_size  # every cell's
-    for name, corpus in (("train", train_corpus), ("eval", eval_corpus)):
-        if corpus.vocab_size != vocab:
-            raise DomainError(f"vocab_size: the {name} corpus has {corpus.vocab_size}, the plan {vocab}")
-    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    workers = min(len(plan.cells), len(os.sched_getaffinity(0))) if can_fork else 1
-    if workers == 1:
-        records = [_train_cell(train_corpus, eval_corpus, cell) for cell in plan.cells]
-    else:
-        # imported here: they take 15-30 ms to import, which ``import hamattn`` need not pay
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Forked workers inherit the corpora and the plan, so only a cell index goes
-        # in and a record comes out. Unlike multiprocessing.Pool, the executor
-        # raises BrokenProcessPool when a worker is killed instead of waiting for
-        # its cell forever. The deepest cells, the slowest, start first, so
-        # the sweep does not end waiting on one long cell.
-        order = sorted(range(len(plan.cells)), key=lambda i: -plan.cells[i].model.ham_depth)
-        fork = multiprocessing.get_context("fork")
-        sweep = (train_corpus, eval_corpus, plan)
-        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_serve, initargs=(sweep,)) as pool:
-            by_cell = dict(zip(order, pool.map(_train_cell_at, order)))
-        records = [by_cell[i] for i in range(len(plan.cells))]
+def _summary(plan: SweepPlan, records) -> dict:
     best = {d: min(r.final_loss for r in records if r.depth == d) for d in plan.depths}
     monotone = all(
         best[b] <= best[a] * (1.0 + SWEEP_TOLERANCE) for a, b in zip(plan.depths, plan.depths[1:])
     )
-    summary = {
+    return {
         "depths": plan.depths,
         "restarts": plan.restarts,
         "seed": plan.seed,
@@ -339,7 +301,55 @@ def depth_sweep(train_corpus: Corpus, eval_corpus: Corpus, plan: SweepPlan):
         "tolerance": SWEEP_TOLERANCE,
         "monotone_within_tolerance": monotone,
     }
-    return records, summary
+
+
+def depth_sweep(sweeps):
+    """Train the cells of several ``sweep_plan``s; return one (records, summary)
+    per (train corpus, eval corpus, plan) in ``sweeps``. A summary maps each
+    depth to its best-over-restarts final loss and states whether the sequence
+    is non-increasing within SWEEP_TOLERANCE.
+
+    Every sweep's corpora are checked against its plan before any cell trains.
+    All the cells then train in one pool of forked worker processes, one per
+    usable CPU (see ``os.sched_getaffinity``; ``taskset`` narrows it) and at
+    most one per cell, deepest cells first across the sweeps. A cell's numbers
+    do not depend on where or beside what it trains, so each sweep's records,
+    returned in plan order, are the same bytes as when it runs alone, for any
+    worker count. With one usable CPU, one cell in all, or no ``fork`` or
+    ``sched_getaffinity`` (not Linux), the cells train in this process and no
+    process starts. Forking is safe only in a process that runs no other
+    threads; hamattn starts none. An exception a cell raises reaches the
+    caller with its type and message, and no worker outlives the call.
+    """
+    jobs = []
+    for train_corpus, eval_corpus, plan in sweeps:
+        vocab = plan.cells[0].model.vocab_size  # every cell's
+        for name, corpus in (("train", train_corpus), ("eval", eval_corpus)):
+            if corpus.vocab_size != vocab:
+                raise DomainError(f"vocab_size: the {name} corpus has {corpus.vocab_size}, the plan {vocab}")
+        jobs += [(train_corpus, eval_corpus, cell) for cell in plan.cells]
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    workers = min(len(jobs), len(os.sched_getaffinity(0))) if can_fork else 1
+    if workers <= 1:
+        records = [_train_cell(*job) for job in jobs]
+    else:
+        # imported here: they take 15-30 ms to import, which ``import hamattn`` need not pay
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Forked workers inherit the jobs, so only a job index goes in and a
+        # record comes out. Unlike multiprocessing.Pool, the executor raises
+        # BrokenProcessPool when a worker is killed instead of waiting for its
+        # cell forever. The deepest cells, the slowest, start first, so the
+        # sweeps do not end waiting on one long cell.
+        order = sorted(range(len(jobs)), key=lambda i: -jobs[i][2].model.ham_depth)
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_serve, initargs=(jobs,)) as pool:
+            by_job = dict(zip(order, pool.map(_train_cell_at, order)))
+        records = [by_job[i] for i in range(len(jobs))]
+    records = iter(records)
+    per_sweep = [[next(records) for _ in plan.cells] for _, _, plan in sweeps]
+    return [(part, _summary(plan, part)) for part, (_, _, plan) in zip(per_sweep, sweeps)]
 
 
 def write_sweep_csv(records, path) -> None:

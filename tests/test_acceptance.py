@@ -113,7 +113,7 @@ def test_criterion_5_depth_sweep_monotone_within_tolerance():
     one ``hamattn sweep`` and the null sweep run.
     """
     start = time.perf_counter()
-    _, summary = run_sweep(SWEEP_DEFAULTS)
+    [(_, summary)] = run_sweep([SWEEP_DEFAULTS])
     elapsed = time.perf_counter() - start
     best = summary["best_loss"]
     depths = summary["depths"]

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,42 @@ def test_sweep_exit_codes_hold_for_an_error_in_a_worker(error, code, tmp_path, c
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("null", [False, True])
+def test_two_roots_in_one_call_give_each_root_its_sweep_alone(null, monkeypatch):
+    """``run_sweep([cfg_a, cfg_b])`` trains every cell in at most one pool, of
+    min(cells, CPUs) workers, and gives each root the records (by float.hex) and
+    summary of ``run_sweep([cfg])`` alone, at one usable CPU and at two."""
+    real_pool = futures.ProcessPoolExecutor
+    pools = []
+
+    def counted_pool(workers, *args, **kwargs):
+        pools.append(workers)
+        return real_pool(workers, *args, **kwargs)
+
+    def bits(records, summary):
+        return [(r.depth, r.seed, r.final_loss.hex(), r.metric.hex()) for r in records], summary
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", counted_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    cfgs = [{**SWEEP_DEFAULTS, **TINY_SWEEP, "seed": root} for root in (3, 8)]
+    alone = [bits(*cli.run_sweep([cfg], null)[0]) for cfg in cfgs]
+    cells = 2 * len(TINY_SWEEP["depths"]) * TINY_SWEEP["restarts"]
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        pools.clear()
+        assert [bits(*sweep) for sweep in cli.run_sweep(cfgs, null)] == alone, cpus
+        assert pools == ([min(cells, cpus)] if cpus > 1 else []), cpus
+
+
+@pytest.mark.parametrize("depths", ["1,,2", "5,"])
+def test_an_empty_list_item_exits_2(depths, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--depths", depths, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"--depths: expected comma-separated integers: {depths!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_outputs_match_committed_golden(tmp_path, capsys):
     """The tiny sweep's CSV and a tiny train run's checkpoint, byte for byte.
 
@@ -303,7 +340,7 @@ def test_sweep_checks_every_model_config_before_any_corpus(tmp_path, capsys, mon
         _one_line_error(capsys, field)
         assert not out.exists()
     with pytest.raises(DomainError, match="null sweep starts at depth 1"):
-        cli.run_sweep({**SWEEP_DEFAULTS, "depths": [2, 5]}, null=True)
+        cli.run_sweep([{**SWEEP_DEFAULTS, "depths": [2, 5]}], null=True)
 
 
 def test_train_checks_every_model_value_before_reading_the_corpus(tmp_path, capsys, monkeypatch):

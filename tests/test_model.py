@@ -413,6 +413,22 @@ def _loss_and_grads(loss_fn, model, src, tgt):
     return loss.value, {name: var.grad.copy() for name, var in model.parameters().items()}
 
 
+def _assert_sequence_loss_matches_chain(depth, bidirectional, batch, src_len, tgt_len, hidden):
+    """``sequence_loss``'s loss and every parameter gradient equal the per-step
+    chain's bit for bit."""
+    vocab = 11
+    model = _model(vocab, hidden, depth, bidirectional, seed=20 + depth)
+    model.var_c.value[...] = np.linspace(-1.0, 1.0, depth)
+    rng = np.random.default_rng(batch)
+    src = rng.integers(0, vocab, (batch, src_len))
+    tgt = rng.integers(0, vocab, (batch, tgt_len))
+    loss, grads = _loss_and_grads(sequence_loss, model, src, tgt)
+    ref_loss, ref_grads = _loss_and_grads(_per_step_sequence_loss, model, src, tgt)
+    np.testing.assert_array_equal(loss, ref_loss)
+    for name, grad in ref_grads.items():
+        np.testing.assert_array_equal(grads[name], grad, err_msg=name)
+
+
 @pytest.mark.parametrize(
     "depth, bidirectional, batch, src_len, tgt_len, hidden",
     [
@@ -429,17 +445,22 @@ def _loss_and_grads(loss_fn, model, src, tgt):
 def test_sequence_loss_is_bit_identical_to_per_step_chain(
     depth, bidirectional, batch, src_len, tgt_len, hidden
 ):
-    vocab = 11
-    model = _model(vocab, hidden, depth, bidirectional, seed=20 + depth)
-    model.var_c.value[...] = np.linspace(-1.0, 1.0, depth)
-    rng = np.random.default_rng(batch)
-    src = rng.integers(0, vocab, (batch, src_len))
-    tgt = rng.integers(0, vocab, (batch, tgt_len))
-    loss, grads = _loss_and_grads(sequence_loss, model, src, tgt)
-    ref_loss, ref_grads = _loss_and_grads(_per_step_sequence_loss, model, src, tgt)
-    np.testing.assert_array_equal(loss, ref_loss)
-    for name, grad in ref_grads.items():
-        np.testing.assert_array_equal(grads[name], grad, err_msg=name)
+    _assert_sequence_loss_matches_chain(depth, bidirectional, batch, src_len, tgt_len, hidden)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    depth=st.integers(1, 6),
+    bidirectional=st.booleans(),
+    batch=st.integers(1, 9),
+    src_len=st.integers(1, 8),
+    tgt_len=st.integers(1, 8),
+    hidden=st.integers(1, 9),
+)
+def test_sequence_loss_is_bit_identical_to_per_step_chain_at_drawn_shapes(
+    depth, bidirectional, batch, src_len, tgt_len, hidden
+):
+    _assert_sequence_loss_matches_chain(depth, bidirectional, batch, src_len, tgt_len, hidden)
 
 
 @pytest.mark.parametrize("bidirectional", [True, False])

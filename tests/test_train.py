@@ -220,7 +220,7 @@ def test_depth_sweep_single_depth_trivially_monotone():
     corpus = gen_task("copy", 8, 3, 5, seed=0)
     eval_corpus = gen_task("copy", 4, 3, 5, seed=1)
     cfg = TrainConfig(epochs=2, batch_size=4, seed=0, restarts=2)
-    records, summary = depth_sweep(corpus, eval_corpus, sweep_plan(corpus.vocab_size, [1], cfg, hidden=5))
+    records, summary = depth_sweep([(corpus, eval_corpus, sweep_plan(corpus.vocab_size, [1], cfg, hidden=5))])[0]
     assert summary["monotone_within_tolerance"] is True
     assert len(records) == 2
     assert all(r.final_loss > 0 for r in records)
@@ -228,7 +228,7 @@ def test_depth_sweep_single_depth_trivially_monotone():
 
     # paired: restart r of every depth trains from cell_seed(root, 1, r), and
     # the depth-1 records are those of the depth-1 sweep alone
-    paired, _ = depth_sweep(corpus, eval_corpus, sweep_plan(corpus.vocab_size, [1, 2], cfg, hidden=5))
+    paired, _ = depth_sweep([(corpus, eval_corpus, sweep_plan(corpus.vocab_size, [1, 2], cfg, hidden=5))])[0]
     for restart in range(2):
         cells = [r for r in paired if r.seed == cell_seed(0, 1, restart)]
         assert [r.depth for r in cells] == [1, 2]
@@ -240,7 +240,8 @@ def test_depth_sweep_repeated_depth_is_deterministic():
     corpus = gen_task("copy", 8, 3, 5, seed=0)
     eval_corpus = gen_task("copy", 4, 3, 5, seed=1)
     cfg = TrainConfig(epochs=2, batch_size=4, seed=0, restarts=1)
-    records, summary = depth_sweep(corpus, eval_corpus, sweep_plan(corpus.vocab_size, [2, 2], cfg, hidden=5))
+    plan = sweep_plan(corpus.vocab_size, [2, 2], cfg, hidden=5)
+    records, summary = depth_sweep([(corpus, eval_corpus, plan)])[0]
     assert records[0].final_loss == records[1].final_loss
     assert records[0].metric == records[1].metric
 
@@ -250,7 +251,7 @@ def test_null_sweep_tracks_depth_one():
     eval_corpus = gen_task("copy", 4, 3, 5, seed=1)
     cfg = TrainConfig(epochs=3, batch_size=4, seed=0, restarts=2)
     plan = sweep_plan(corpus.vocab_size, [1, 2, 5], cfg, hidden=5, null=True)
-    records, _ = depth_sweep(corpus, eval_corpus, plan)
+    records, _ = depth_sweep([(corpus, eval_corpus, plan)])[0]
     d1 = [r.final_loss for r in records if r.depth == 1]
     for depth in (2, 5):
         deeper = [r.final_loss for r in records if r.depth == depth]
@@ -266,7 +267,7 @@ def test_one_cell_of_a_plan_reproduces_alone():
     cfg = TrainConfig(epochs=2, batch_size=4, seed=1, restarts=2)
     for null in (False, True):
         plan = sweep_plan(corpus.vocab_size, [1, 2], cfg, hidden=5, null=null)
-        records, _ = depth_sweep(corpus, eval_corpus, plan)
+        records, _ = depth_sweep([(corpus, eval_corpus, plan)])[0]
         cell, record = plan.cells[3], records[3]  # depth 2, restart 1
         assert (cell.model.ham_depth, cell.frozen) == (2, ("ham_c",) if null else ())
         model = Seq2SeqModel(cell.model, np.random.default_rng(cell.train.seed))
@@ -305,7 +306,7 @@ def test_a_cell_error_in_a_worker_reaches_the_caller_and_no_worker_outlives_it(e
     corpus = gen_task("copy", 8, 3, 5, seed=0)
     plan = sweep_plan(corpus.vocab_size, [1, 2], TrainConfig(epochs=1, batch_size=4, restarts=2), hidden=5)
     with pytest.raises(type(error)) as raised:
-        depth_sweep(corpus, corpus, plan)
+        depth_sweep([(corpus, corpus, plan)])
     assert (type(raised.value), str(raised.value)) == (type(error), str(error))
     assert multiprocessing.active_children() == []
 
@@ -323,7 +324,7 @@ def test_a_killed_worker_raises_instead_of_hanging(monkeypatch):
     signal.alarm(60)
     try:
         with pytest.raises(BrokenProcessPool):
-            depth_sweep(corpus, corpus, plan)
+            depth_sweep([(corpus, corpus, plan)])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -339,7 +340,7 @@ def test_one_usable_cpu_or_one_cell_starts_no_process(monkeypatch):
     for cpus, depths, restarts in ((1, [1, 2, 5], 2), (4, [2], 1)):
         _usable_cpus(monkeypatch, cpus)
         cfg = TrainConfig(epochs=1, batch_size=4, restarts=restarts)
-        records, _ = depth_sweep(corpus, corpus, sweep_plan(corpus.vocab_size, depths, cfg, hidden=5))
+        records, _ = depth_sweep([(corpus, corpus, sweep_plan(corpus.vocab_size, depths, cfg, hidden=5))])[0]
         assert len(records) == len(depths) * restarts
 
 
@@ -386,7 +387,7 @@ def test_depth_sweep_caps_depths_before_training(monkeypatch):
     monkeypatch.setattr(training_module, "train", no_training)
     corpus = gen_task("copy", 4, 3, 5, seed=0)
     with pytest.raises(DomainError, match="depths"):
-        depth_sweep(corpus, corpus, sweep_plan(corpus.vocab_size, [1, 10**30], TrainConfig(epochs=1, restarts=1)))
+        sweep_plan(corpus.vocab_size, [1, 10**30], TrainConfig(epochs=1, restarts=1))
 
 
 def test_depth_sweep_refuses_a_train_corpus_of_another_vocab(monkeypatch):
@@ -398,7 +399,7 @@ def test_depth_sweep_refuses_a_train_corpus_of_another_vocab(monkeypatch):
     corpus = gen_task("copy", 4, 3, 5, seed=0)
     for vocab in (corpus.vocab_size - 1, corpus.vocab_size + 1):
         with pytest.raises(DomainError, match="vocab_size"):
-            depth_sweep(corpus, corpus, sweep_plan(vocab, [1], TrainConfig()))
+            depth_sweep([(corpus, corpus, sweep_plan(vocab, [1], TrainConfig()))])
 
 
 def test_depth_sweep_refuses_an_eval_corpus_of_another_vocab(monkeypatch):
@@ -412,7 +413,7 @@ def test_depth_sweep_refuses_an_eval_corpus_of_another_vocab(monkeypatch):
     for payload in (4, 6):
         eval_corpus = gen_task("copy", 4, 3, payload, seed=1)
         with pytest.raises(DomainError, match="vocab_size: the eval corpus"):
-            depth_sweep(corpus, eval_corpus, plan)
+            depth_sweep([(corpus, eval_corpus, plan)])
 
 
 def test_cell_seed_fanout_rule():
