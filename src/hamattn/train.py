@@ -87,38 +87,30 @@ class SweepRecord:
 
 
 # ---------------------------------------------------------------------------
-# optimizers
+# optimizers: each updates a flat parameter vector in place, in one operation
 
 
-def sgd_step(params, grads, state, config: TrainConfig):
-    for p, g in zip(params, grads):
-        p.value -= config.learning_rate * g
+def sgd_step(params, grad, state, config: TrainConfig):
+    params -= config.learning_rate * grad
     return params, state
 
 
 def init_adam_state(params) -> dict:
-    """Adam moments as one flat buffer each, parameters laid end to end."""
-    size = sum(p.value.size for p in params)
-    return {"t": 0, "m": np.zeros(size), "v": np.zeros(size)}
+    """Adam moments laid out like the flat parameter vector."""
+    return {"t": 0, "m": np.zeros_like(params), "v": np.zeros_like(params)}
 
 
-def adam_step(params, grads, state, config: TrainConfig):
-    state["t"] += 1
-    t = state["t"]
+def adam_step(params, grad, state, config: TrainConfig):
+    state["t"] = t = state["t"] + 1
     b1, b2 = ADAM_BETAS
-    g = np.concatenate([np.ravel(g) for g in grads])
     m, v = state["m"], state["v"]
     m *= b1
-    m += (1.0 - b1) * g
+    m += (1.0 - b1) * grad
     v *= b2
-    v += (1.0 - b2) * g * g
+    v += (1.0 - b2) * grad * grad
     m_hat = m / (1.0 - b1**t)
     v_hat = v / (1.0 - b2**t)
-    update = config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    start = 0
-    for p in params:
-        p.value -= update[start : start + p.value.size].reshape(p.value.shape)
-        start += p.value.size
+    params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 
@@ -153,8 +145,9 @@ def _batches(corpus: Corpus, order, batch_size: int):
 def train(model: Seq2SeqModel, corpus: Corpus, config: TrainConfig, frozen=()):
     """Teacher-forced training; returns (model, per-epoch mean token losses).
 
-    Parameters named in ``frozen`` stay out of clipping and the optimizer and
-    keep their values; a name that is not a parameter raises DomainError.
+    Each trained parameter's value becomes a view of one flat vector, which
+    the optimizer updates in one operation; parameters named in ``frozen``
+    stay out of it and keep their values. An unknown name raises DomainError.
     """
     if len(corpus) == 0:
         raise DomainError("cannot train on an empty corpus")
@@ -164,7 +157,13 @@ def train(model: Seq2SeqModel, corpus: Corpus, config: TrainConfig, frozen=()):
         raise DomainError(f"frozen names that are not parameters of the model: {unknown}")
     rng = np.random.default_rng(config.seed)
     params = [p for name, p in named.items() if name not in frozen]
-    state = init_adam_state(params) if config.optimizer == "adam" else None
+    ends = np.cumsum([0] + [p.value.size for p in params])
+    flat, grad = np.empty(ends[-1]), np.empty(ends[-1])
+    for p, a, b in zip(params, ends, ends[1:]):
+        flat[a:b] = p.value.ravel()
+        p.value = flat[a:b].reshape(p.shape)
+    grads = [grad[a:b].reshape(p.shape) for p, a, b in zip(params, ends, ends[1:])]
+    state = init_adam_state(flat) if config.optimizer == "adam" else None
     step = adam_step if config.optimizer == "adam" else sgd_step
 
     losses = []
@@ -183,9 +182,10 @@ def train(model: Seq2SeqModel, corpus: Corpus, config: TrainConfig, frozen=()):
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
             tape.backward(loss)
-            grads = [p.grad for p in params]
+            if params:  # numpy concatenates no empty list
+                np.concatenate([p.grad for p in params], axis=None, out=grad)
             clip_gradients(grads, MAX_GRAD_NORM)
-            step(params, grads, state, config)
+            step(flat, grad, state, config)
             tokens = src.shape[0] * (tgt.shape[1] + 1)
             loss_sum += loss_value * tokens
             token_count += tokens

@@ -514,25 +514,64 @@ def test_stacked_parameters_are_forward_only():
         sequence_loss(model, src, src)
 
 
-def _per_array_adam_state(params):
-    return {"t": 0, "m": [np.zeros_like(p.value) for p in params],
-            "v": [np.zeros_like(p.value) for p in params]}
+def _per_array_adam_state(shapes):
+    return {"t": 0, "m": [np.zeros(shape) for shape in shapes],
+            "v": [np.zeros(shape) for shape in shapes]}
 
 
-def _per_array_adam_step(params, grads, state, config):
-    # adam as it stood with one moment array per parameter
+def _per_array_adam_step(params, grad, state, config):
+    # adam as it stood with one moment array per parameter; the flat vectors
+    # are cut into per-parameter arrays by the moments' shapes
     state["t"] += 1
     t = state["t"]
     b1, b2 = training.ADAM_BETAS
-    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+    start = 0
+    for m, v in zip(state["m"], state["v"]):
+        p = params[start : start + m.size].reshape(m.shape)
+        g = grad[start : start + m.size].reshape(m.shape)
+        start += m.size
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        p.value -= config.learning_rate * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
+        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
+    assert start == params.size == grad.size
     return params, state
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    sizes=st.lists(st.integers(0, 20), max_size=4),
+    steps=st.integers(1, 4),
+    lr=st.sampled_from([0.0, 1e-3, 0.05, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_optimizers_match_per_array_reference(sizes, steps, lr, seed):
+    # the flat adam_step and sgd_step against one array (and one pair of
+    # moments) per parameter, bit for bit, over a few steps of random gradients
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3) for n in sizes]
+    grads = [[rng.normal(size=n) * 10.0 ** rng.uniform(-6, 4) for n in sizes] for _ in range(steps)]
+    config = training.TrainConfig(learning_rate=lr)
+    flat_start = np.concatenate([np.empty(0), *arrays])
+    adam, sgd = flat_start.copy(), flat_start.copy()
+    state = training.init_adam_state(adam)
+    ref_adam, ref_sgd = flat_start.copy(), [a.copy() for a in arrays]
+    ref_state = _per_array_adam_state([a.shape for a in arrays])
+    for step_grads in grads:
+        grad = np.concatenate([np.empty(0), *step_grads])
+        assert training.adam_step(adam, grad, state, config)[0] is adam
+        assert training.sgd_step(sgd, grad, None, config)[0] is sgd
+        _per_array_adam_step(ref_adam, grad, ref_state, config)
+        for p, g in zip(ref_sgd, step_grads):
+            p -= lr * g
+    assert state["t"] == ref_state["t"] == steps
+    np.testing.assert_array_equal(adam, ref_adam)
+    np.testing.assert_array_equal(state["m"], np.concatenate([np.empty(0), *ref_state["m"]]))
+    np.testing.assert_array_equal(state["v"], np.concatenate([np.empty(0), *ref_state["v"]]))
+    np.testing.assert_array_equal(sgd, np.concatenate([np.empty(0), *ref_sgd]))
 
 
 @pytest.mark.parametrize("depth", [1, 5])
@@ -541,10 +580,11 @@ def test_training_is_bit_identical_to_per_step_chain(depth, monkeypatch):
     config = training.TrainConfig(learning_rate=0.05, epochs=2, batch_size=5, seed=depth)
     fused = _model(corpus.vocab_size, 5, depth, seed=depth)
     _, losses = training.train(fused, corpus, config)
-    monkeypatch.setattr(training, "sequence_loss", _per_step_sequence_loss)
-    monkeypatch.setattr(training, "init_adam_state", _per_array_adam_state)
-    monkeypatch.setattr(training, "adam_step", _per_array_adam_step)
     chain = _model(corpus.vocab_size, 5, depth, seed=depth)
+    shapes = [var.value.shape for var in chain.parameters().values()]
+    monkeypatch.setattr(training, "sequence_loss", _per_step_sequence_loss)
+    monkeypatch.setattr(training, "init_adam_state", lambda params: _per_array_adam_state(shapes))
+    monkeypatch.setattr(training, "adam_step", _per_array_adam_step)
     _, ref_losses = training.train(chain, corpus, config)
     assert losses == ref_losses
     for name, var in chain.parameters().items():

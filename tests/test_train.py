@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from hamattn import autodiff as ad
-from hamattn.autodiff import Tape, Variable
+from hamattn.autodiff import Tape
 from hamattn.data import BOS, EOS, gen_task
 from hamattn.errors import DomainError, TrainingDiverged
 from hamattn.model import ModelConfig, Seq2SeqModel, encode_batch, generate, gru_step, sequence_loss
 from hamattn.train import (
     MAX_GRAD_NORM,
     NULL_LEVEL_LOGIT,
+    OPTIMIZERS,
     SWEEP_CSV_HEADER,
     TrainConfig,
     adam_step,
@@ -68,29 +69,28 @@ def test_config_validation():
 
 def test_sgd_on_half_square():
     # f(x) = x^2/2, grad = x; lr 0.1 from x0 = 1 lands on 0.9
-    x = Variable(np.array(1.0))
-    sgd_step([x], [np.array(1.0)], None, TrainConfig(learning_rate=0.1, optimizer="sgd"))
-    assert float(x.value) == pytest.approx(0.9, abs=1e-15)
+    x = np.array([1.0])
+    sgd_step(x, np.array([1.0]), None, TrainConfig(learning_rate=0.1, optimizer="sgd"))
+    assert float(x[0]) == pytest.approx(0.9, abs=1e-15)
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
     cfg = TrainConfig(learning_rate=0.5)
-    x = Variable(np.array([1.0, -2.0]))
-    sgd_step([x], [np.zeros(2)], None, TrainConfig(learning_rate=0.5, optimizer="sgd"))
-    np.testing.assert_array_equal(x.value, [1.0, -2.0])
-    state = init_adam_state([x])
-    adam_step([x], [np.zeros(2)], state, cfg)
-    np.testing.assert_array_equal(x.value, [1.0, -2.0])
+    x = np.array([1.0, -2.0])
+    sgd_step(x, np.zeros(2), None, TrainConfig(learning_rate=0.5, optimizer="sgd"))
+    np.testing.assert_array_equal(x, [1.0, -2.0])
+    adam_step(x, np.zeros(2), init_adam_state(x), cfg)
+    np.testing.assert_array_equal(x, [1.0, -2.0])
 
 
 @pytest.mark.parametrize("g", [1e-6, 0.3, 7.0, 1e4])
 def test_adam_first_step_magnitude_is_about_lr(g):
     # bias-corrected first step: lr * g / (|g| + eps) ~ lr * sign(g)
     cfg = TrainConfig(learning_rate=0.01)
-    x = Variable(np.array(0.0))
-    adam_step([x], [np.array(g)], init_adam_state([x]), cfg)
-    assert abs(float(x.value)) == pytest.approx(0.01, rel=1e-2)
-    assert float(x.value) < 0  # moves against the gradient
+    x = np.zeros(1)
+    adam_step(x, np.array([g]), init_adam_state(x), cfg)
+    assert abs(float(x[0])) == pytest.approx(0.01, rel=1e-2)
+    assert float(x[0]) < 0  # moves against the gradient
 
 
 def test_clip_gradients():
@@ -362,6 +362,19 @@ def test_frozen_parameters_keep_their_values():
     assert not np.array_equal(model.embedding.value, embedding)
 
 
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_every_parameter_frozen_trains_an_empty_vector(optimizer):
+    # nothing to lay end to end: both optimizers run on an empty vector
+    corpus, model = _tiny_setup()
+    before = {name: var.value.copy() for name, var in model.parameters().items()}
+    cfg = TrainConfig(optimizer=optimizer, epochs=2, batch_size=3, seed=0)
+    _, losses = train(model, corpus, cfg, frozen=tuple(model.parameters()))
+    for name, var in model.parameters().items():
+        np.testing.assert_array_equal(var.value, before[name], err_msg=name)
+    # epoch means differ only by the summation order of the reshuffled batches
+    np.testing.assert_allclose(losses, losses[0], rtol=1e-12)
+
+
 def test_unknown_frozen_names_raise_before_the_first_batch(monkeypatch):
     corpus, model = _tiny_setup()
     batches = []
@@ -437,14 +450,14 @@ def test_sweep_csv_schema_and_determinism(tmp_path):
     assert lines[1] == "1,1000,0.5,0.25,"
 
 
-def test_onehot_frozen_ham_trains_like_multilevel_connector():
+def test_onehot_frozen_ham_trains_like_multilevel_connector(monkeypatch):
     """Reduction at the training level.
 
     Model A: standard ham connector with c frozen one-hot on the deepest
     level. Model B: identical weights driven through an independent,
-    test-local multi-level connector (last level only, no mixing). Their
-    training trajectories under the same optimizer and batches must agree up
-    to the one-hot softmax tail.
+    test-local multi-level connector (last level only, no mixing). Both train
+    through ``train`` with ``ham_c`` frozen; their per-step losses under the
+    same optimizer and batches must agree up to the one-hot softmax tail.
     """
     depth = 3
     corpus = gen_task("copy", 12, 3, 5, seed=4)
@@ -472,31 +485,20 @@ def test_onehot_frozen_ham_trains_like_multilevel_connector():
         return ad.cross_entropy_logits(ad.concat(step_logits, axis=0), targets.T.ravel())
 
     losses = {}
-    for variant in ("ham_frozen", "multilevel"):
+    for variant, loss_fn in (("ham_frozen", sequence_loss), ("multilevel", multilevel_loss)):
         model = Seq2SeqModel(
             ModelConfig(corpus.vocab_size, 6, depth, True), np.random.default_rng(11)
         )
         model.var_c.value[...] = 0.0
         model.var_c.value[depth - 1] = 40.0  # effectively one-hot
-        params = [v for k, v in model.parameters().items() if k != "ham_c"]
-        state = init_adam_state(params)
-        rng = np.random.default_rng(cfg.seed)
-        track = []
-        for _ in range(cfg.epochs):
-            order = rng.permutation(len(corpus))
-            for start in range(0, len(corpus), cfg.batch_size):
-                idxs = order[start : start + cfg.batch_size]
-                src = np.array([corpus.pairs[i][0] for i in idxs])
-                tgt = np.array([corpus.pairs[i][1] for i in idxs])
-                with Tape() as tape:
-                    if variant == "ham_frozen":
-                        loss = sequence_loss(model, src, tgt)
-                    else:
-                        loss = multilevel_loss(model, src, tgt)
-                tape.backward(loss)
-                grads = [p.grad for p in params]
-                clip_gradients(grads, MAX_GRAD_NORM)
-                adam_step(params, grads, state, cfg)
-                track.append(float(loss.value))
-        losses[variant] = track
+        track = losses[variant] = []
+
+        def recording_loss(model, src, tgt, loss_fn=loss_fn, track=track):
+            loss = loss_fn(model, src, tgt)
+            track.append(float(loss.value))
+            return loss
+
+        monkeypatch.setattr(training_module, "sequence_loss", recording_loss)
+        train(model, corpus, cfg, frozen=("ham_c",))
+    assert len(losses["ham_frozen"]) == cfg.epochs * len(corpus) // cfg.batch_size
     np.testing.assert_allclose(losses["ham_frozen"], losses["multilevel"], atol=1e-6)
