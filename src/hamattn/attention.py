@@ -11,7 +11,8 @@ function is the scaled dot product <k,q>/sqrt(dk) throughout.
 ``level_forward`` is the one level recursion. The training connector
 (``ham.ham_v_levels``) runs it, and so do ``attention_levels``,
 ``vanilla_attention`` and ``attention_distribution`` once ``_rows`` has
-checked their shapes and copied the keys to its row layout.
+checked their shapes and copied the keys to its row layout; ``attention_levels``
+also passes on an additive score mask for keys padded to a common count.
 ``self_attention_levels`` is the one self-attention recursion.
 """
 
@@ -80,17 +81,25 @@ def scaled_dot_score(k, q) -> float:
     return float(k @ q / np.sqrt(k.size))
 
 
-def level_forward(keys, q0, depth: int):
+def level_forward(keys, q0, depth: int, mask=None):
     """The level recursion of every ham_v path: ``keys`` [..., B, n, dk] (C-contiguous), ``q0`` [..., B, dk].
 
     Returns ``(queries, probs)``; ``queries[1:]`` are the level outputs and ``probs[t]`` level
     t+1's weights. Each instance of a batch, and each index of the leading axes, gets the bits
-    of its own call."""
+    of its own call.
+
+    ``mask`` [..., B, n], if given, is added to the scaled scores: 0.0 on a real key and -inf on
+    a padding key, which then gets probability exactly 0.0 (every row needs one real key). Keys
+    zero-padded to a common n so give each instance its unpadded levels but for the order of
+    the softmax's and the combination's sums, within about 2e-12 at depth 10; an instance with
+    one real key still gets that key, bit for bit."""
     inv = float(1.0 / np.sqrt(keys.shape[-1]))
     queries, probs = [q0], []
     for _ in range(depth):
         scores = np.einsum("...th,...h->...t", keys, queries[-1])
         scores *= inv
+        if mask is not None:
+            scores += mask
         probs.append(kernels.softmax_rows(scores))
         queries.append(np.einsum("...th,...t->...h", keys, probs[-1]))
     return queries, probs
@@ -123,15 +132,21 @@ def vanilla_attention(q, K) -> np.ndarray:
     return level_forward(keys, q0, 1)[0][1].reshape(np.shape(q))
 
 
-def attention_levels(q, K, depth: int) -> np.ndarray:
+def attention_levels(q, K, depth: int, mask=None) -> np.ndarray:
     """Iterated attention outputs q_1..q_depth, each the next level's query.
 
     ``q`` is [..., dk] and ``K`` [..., dk, n], with or without batch axes;
-    returns [..., depth, dk], row t-1 being the level-t output.
+    returns [..., depth, dk], row t-1 being the level-t output. ``mask`` [..., n] is
+    ``level_forward``'s additive score mask, for key columns padded to a common n.
     """
     depth = check_int("depth", depth, 1)
     keys, q0 = _rows(q, K)
-    levels = np.stack(level_forward(keys, q0, depth)[0][1:], axis=1)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        if mask.shape != np.shape(K)[:-2] + np.shape(K)[-1:]:
+            raise DimensionError(f"mask shape {mask.shape} does not match keys {np.shape(K)}")
+        mask = mask.reshape(-1, keys.shape[1])
+    levels = np.stack(level_forward(keys, q0, depth, mask)[0][1:], axis=1)
     return levels.reshape(*np.shape(q)[:-1], depth, keys.shape[2])
 
 

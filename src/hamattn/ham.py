@@ -11,8 +11,9 @@ level d).
 
 The levels come from ``attention.level_forward`` (ham_v) and
 ``attention.self_attention_levels`` (ham_s); every weighted sum of them is
-``tensor.level_sum``, so training, generate and the verify suites share one
-arithmetic. The batched seq2seq connector's forward is ``ham_v_levels``; its
+``tensor.level_sum``, so training, generate and the reduction report share one
+arithmetic; the norm-bound suite runs the same recursion on zero-padded keys
+under a score mask. The batched seq2seq connector's forward is ``ham_v_levels``; its
 backward replays the levels in reverse with the primitives' exact arithmetic,
 split at the recurrence: ``ham_v_query_vjp`` pulls the gradient down to the
 query (all the decoder's previous step waits for) and ``ham_v_keys_vjp`` gives
@@ -43,8 +44,12 @@ MAX_TRIALS = 1_000_000
 MAX_REDUCTION_INSTANCES = 100_000
 # norm_bound_suite's inclusive ranges of key dimension and key count, and of K and q entries
 NORM_BOUND_DK, NORM_BOUND_N, NORM_BOUND_ENTRY = (2, 16), (1, 32), 3.0
+# norm_bound_suite pads the key counts of one dk to the top of their range of this width
+# (1-8, 9-16, ...) and runs each range as one masked batch
+NORM_BOUND_BUCKET = 8
 REDUCTION_HOT = 20.0  # reduction_report's scalar on the hot level; the rest are zero
-# reduction_report's drawn instances held at a time, about 1 MB of them
+# reduction_report's drawn instances held at a time, about 1 MB of them; also the most
+# instances in one of norm_bound_suite's masked batches
 REDUCTION_CHUNK = 1024
 
 
@@ -189,30 +194,29 @@ def norm_bound_suite(trials: int, seed: int = 0, max_depth: int = 10) -> dict:
     Sampling is shape first: all ``trials`` key dimensions, then all key
     counts; then, for each distinct (dk, n) in sorted order, that group's
     keys [g, dk, n], queries [g, dk] and level logits [g, max_depth], each
-    drawn as one batch and run through one ``attention_levels`` call. Only
-    one group's instances are held at a time, and "first" violation means
-    first in this order. Returns a plain dict, ``verify --out``'s
-    ``norm_bounds``; the suite passes when its ``upper_violations`` is 0.
+    drawn as one batch. The instances run in masked batches
+    (``_norm_bound_batches``), one ``attention_levels`` call each; "first"
+    violation means first in the draw order, and its record comes from the
+    instance's own unpadded call, so it replays exactly. The padding moves a
+    level by up to about 2e-12, far under ``BOUND_TOL``, and the tests check that the
+    report is the one-instance-at-a-time loop's. Returns a plain dict,
+    ``verify --out``'s ``norm_bounds``; the suite passes when its
+    ``upper_violations`` is 0.
     """
     trials = check_int("trials", trials, 1, MAX_TRIALS)
     max_depth = check_int("max_depth", max_depth, 1, MAX_DEPTH)
     rng = np.random.default_rng(check_int("seed", seed, 0))
-    dks = rng.integers(NORM_BOUND_DK[0], NORM_BOUND_DK[1] + 1, size=trials)
-    ns = rng.integers(NORM_BOUND_N[0], NORM_BOUND_N[1] + 1, size=trials)
-    # one integer per shape, ordered as (dk, n) pairs are: n is at most NORM_BOUND_N[1]
-    keys, counts = np.unique(dks * (NORM_BOUND_N[1] + 1) + ns, return_counts=True)
     upper_violations = 0
     lower_violations = 0
     first_upper = None
-    for key, g in zip(keys.tolist(), counts.tolist()):
-        dk, n = divmod(key, NORM_BOUND_N[1] + 1)
-        K = rng.uniform(-NORM_BOUND_ENTRY, NORM_BOUND_ENTRY, size=(g, dk, n))
-        q = rng.uniform(-NORM_BOUND_ENTRY, NORM_BOUND_ENTRY, size=(g, dk))
+    for keys, mask, q, logits in _norm_bound_batches(rng, trials, max_depth):
         # random level weighting: a convex combination must obey the same bound
-        alpha = kernels.softmax_rows(rng.uniform(-2.0, 2.0, size=(g, max_depth)))
-        key_norms = np.linalg.norm(K, axis=1)
-        hi, lo = key_norms.max(axis=1), key_norms.min(axis=1)
-        levels = attention_levels(q, K, max_depth)
+        alpha = kernels.softmax_rows(logits)
+        key_norms = np.linalg.norm(keys, axis=2)
+        # padding keys have norm 0.0, and - mask makes them +inf for the min
+        hi, lo = key_norms.max(axis=1), (key_norms - mask).min(axis=1)
+        # the key columns as a view of the rows, which attention_levels then uses uncopied
+        levels = attention_levels(q, keys.swapaxes(1, 2), max_depth, mask)
         norms = np.linalg.norm(levels, axis=2)
         ham_norms = np.linalg.norm(level_sum(np.moveaxis(levels, 1, 0), alpha.T[..., None]), axis=1)
         lower_violations += int(np.sum(norms < lo[:, None] - BOUND_TOL))
@@ -220,12 +224,13 @@ def norm_bound_suite(trials: int, seed: int = 0, max_depth: int = 10) -> dict:
         upper_violations += int(np.sum(bad)) + int(np.sum(ham_norms > hi + BOUND_TOL))
         if first_upper is None and bad.any():
             i, level = np.argwhere(bad)[0]
+            K, q = np.ascontiguousarray(keys[i][mask[i] == 0.0].T), q[i]
             first_upper = {
-                "K_columns": K[i].T.tolist(),
-                "q": q[i].tolist(),
+                "K_columns": K.T.tolist(),
+                "q": q.tolist(),
                 "level": int(level + 1),
-                "output_norm": float(norms[i, level]),
-                "max_key_norm": float(hi[i]),
+                "output_norm": float(np.linalg.norm(attention_levels(q, K, level + 1), axis=1)[-1]),
+                "max_key_norm": float(np.linalg.norm(K, axis=0).max()),
             }
     return {
         "trials": trials,
@@ -237,6 +242,44 @@ def norm_bound_suite(trials: int, seed: int = 0, max_depth: int = 10) -> dict:
         "first_upper_violation": first_upper,
         "lower_bound_counterexample": _counterexample_record(),
     }
+
+
+def _norm_bound_batches(rng, trials, max_depth):
+    """Draw ``norm_bound_suite``'s instances and yield them as ``(keys, mask, q, logits)`` batches.
+
+    The groups of one dk whose n share a ``NORM_BOUND_BUCKET``-wide range form a bucket: its
+    keys are stored as rows, zero-padded to the range's top, [b, width, dk], and ``mask``
+    [b, width] is 0.0 on a real key and -inf on padding. A batch holds at most
+    ``REDUCTION_CHUNK`` instances of one bucket, in draw order; at most one group's draws and
+    one batch are held while the caller checks it.
+    """
+    dks = rng.integers(NORM_BOUND_DK[0], NORM_BOUND_DK[1] + 1, size=trials)
+    ns = rng.integers(NORM_BOUND_N[0], NORM_BOUND_N[1] + 1, size=trials)
+    # one integer per shape, ordered as (dk, n) pairs are: n is at most NORM_BOUND_N[1]
+    shapes, counts = np.unique(dks * (NORM_BOUND_N[1] + 1) + ns, return_counts=True)
+    buckets = {}  # (dk, range index) -> [(n, g)], in sorted shape order
+    for shape, g in zip(shapes.tolist(), counts.tolist()):
+        dk, n = divmod(shape, NORM_BOUND_N[1] + 1)
+        buckets.setdefault((dk, (n - 1) // NORM_BOUND_BUCKET), []).append((n, g))
+    for (dk, index), groups in buckets.items():
+        width = (index + 1) * NORM_BOUND_BUCKET
+        batch, size = [], 0
+        for j, (n, g) in enumerate(groups):
+            keys = np.zeros((g, width, dk))
+            keys[:, :n] = rng.uniform(-NORM_BOUND_ENTRY, NORM_BOUND_ENTRY, size=(g, dk, n)).swapaxes(1, 2)
+            mask = np.full((g, width), -np.inf)
+            mask[:, :n] = 0.0
+            q = rng.uniform(-NORM_BOUND_ENTRY, NORM_BOUND_ENTRY, size=(g, dk))
+            draws = [keys, mask, q, rng.uniform(-2.0, 2.0, size=(g, max_depth))]
+            while len(draws[0]):
+                take = REDUCTION_CHUNK - size
+                batch.append([a[:take] for a in draws])
+                draws = [a[take:] for a in draws]
+                size += len(batch[-1][0])
+                if size == REDUCTION_CHUNK or (j == len(groups) - 1 and not len(draws[0])):
+                    out = [np.concatenate(column) for column in zip(*batch)]
+                    batch, size = [], 0
+                    yield out
 
 
 def reduction_report(instances: int, seed: int = 0) -> dict:

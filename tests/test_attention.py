@@ -7,6 +7,7 @@ from hamattn.attention import (
     MultiHeadParams,
     attention_distribution,
     attention_levels,
+    level_forward,
     multi_head,
     multi_level_attention,
     scaled_dot_score,
@@ -279,6 +280,31 @@ def test_attention_levels_batch_matches_single_instance_loop_bitwise(batch):
             np.testing.assert_allclose(got[idx], _levels_matmul(q[idx], K[idx], depth), atol=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_masked_level_forward_on_padded_keys_matches_the_unpadded_levels(seed):
+    rng = np.random.default_rng(seed)
+    dk, width, depth = int(rng.integers(1, 17)), int(rng.integers(1, 33)), 10
+    ns = rng.integers(1, width + 1, size=12)
+    ns[0] = 1
+    keys = np.zeros((ns.size, width, dk))
+    for i, n in enumerate(ns):
+        keys[i, :n] = rng.uniform(-3, 3, (n, dk))
+    q0 = rng.uniform(-3, 3, (ns.size, dk))
+    mask = np.where(np.arange(width) < ns[:, None], 0.0, -np.inf)
+    queries, probs = level_forward(keys, q0, depth, mask)
+    for i, n in enumerate(ns):
+        for p in probs:
+            assert np.all(p[i, n:] == 0.0)
+        want = attention_levels(q0[i], keys[i, :n].T, depth)
+        np.testing.assert_allclose(np.array(queries[1:])[:, i], want, rtol=0, atol=1e-12)
+    # one real key: every level is that key, bit for bit
+    for level in queries[1:]:
+        np.testing.assert_array_equal(level[0], keys[0, 0])
+    np.testing.assert_array_equal(
+        attention_levels(q0, np.swapaxes(keys, 1, 2), depth, mask), np.stack(queries[1:], axis=1)
+    )
+
+
 def test_attention_levels_shape_errors():
     K = np.ones((4, 3, 5))
     with pytest.raises(DimensionError):
@@ -292,6 +318,9 @@ def test_attention_levels_shape_errors():
             attention_levels(np.ones(empty.shape[:-1]), empty, 2)
     with pytest.raises(DomainError):
         attention_levels(np.ones((4, 3)), K, 0)
+    for mask in (np.zeros(5), np.zeros((4, 3))):
+        with pytest.raises(DimensionError, match="mask"):
+            attention_levels(np.ones((4, 3)), K, 2, mask)
 
 
 def test_self_attention_singleton_and_identical_rows():

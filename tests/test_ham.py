@@ -286,24 +286,64 @@ def _suite_reference(trials, seed, max_depth=10, dk_range=(2, 16), n_range=(1, 3
     }
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_norm_bound_suite_matches_per_instance_reference(seed):
-    report = norm_bound_suite(600, seed=seed, max_depth=6)
-    assert report == _suite_reference(600, seed, max_depth=6)
+@pytest.mark.parametrize("trials, seed, max_depth", [
+    pytest.param(600, 0, 6, id="0"),
+    pytest.param(600, 1, 6, id="1"),
+    pytest.param(3_000, 2, 10, id="bucket_edges"),
+])
+def test_norm_bound_suite_matches_per_instance_reference(trials, seed, max_depth):
+    report = norm_bound_suite(trials, seed=seed, max_depth=max_depth)
+    assert report == _suite_reference(trials, seed, max_depth=max_depth)
     assert report["upper_violations"] == 0 and report["first_upper_violation"] is None
+    if trials == 3_000:
+        # every dk has a key count on both sides of every bucket edge, and the top count
+        rng = np.random.default_rng(seed)
+        shapes = set(zip(rng.integers(2, 17, size=trials).tolist(), rng.integers(1, 33, size=trials).tolist()))
+        assert all((dk, n) in shapes for dk in range(2, 17) for n in (8, 9, 16, 17, 24, 25, 32))
+
+
+def _batch_sizes(monkeypatch) -> list:
+    """Record the instance count of each ``attention_levels`` call that ``ham`` makes."""
+    sizes = []
+
+    def recording(*args):
+        sizes.append(len(args[0]))
+        return attention_levels(*args)
+
+    monkeypatch.setattr(ham_module, "attention_levels", recording)
+    return sizes
+
+
+def test_norm_bound_suite_runs_at_most_60_masked_batches_at_10k_trials(monkeypatch):
+    sizes = _batch_sizes(monkeypatch)
+    report = norm_bound_suite(10_000, seed=0, max_depth=10)
+    # 15 key dimensions x 4 key-count buckets; one call per exact (dk, n) shape would be 480
+    assert report["upper_violations"] == 0 and sum(sizes) == 10_000
+    assert len(sizes) <= 60
+
+
+def test_norm_bound_suite_report_does_not_depend_on_the_batch_cap(monkeypatch):
+    want = norm_bound_suite(2_000, seed=5, max_depth=10)
+    monkeypatch.setattr(ham_module, "REDUCTION_CHUNK", 7)
+    sizes = _batch_sizes(monkeypatch)
+    assert norm_bound_suite(2_000, seed=5, max_depth=10) == want
+    assert sum(sizes) == 2_000 and max(sizes) == 7
 
 
 def test_norm_bound_suite_records_first_upper_violation(monkeypatch):
     # a negative tolerance makes every level count as an upper-bound violation
     monkeypatch.setattr(ham_module, "BOUND_TOL", -1e3)
-    report = norm_bound_suite(300, seed=3, max_depth=4)
-    assert report == _suite_reference(300, 3, max_depth=4)
-    assert report["upper_violations"] == 300 * 5
-    recorded = report["first_upper_violation"]
-    K = np.array(recorded["K_columns"]).T
-    levels = attention_levels(np.array(recorded["q"]), K, recorded["level"])
-    assert np.linalg.norm(levels, axis=1)[-1] == recorded["output_norm"]
-    assert np.linalg.norm(K, axis=0).max() == recorded["max_key_norm"]
+    # the first instance has one key, then seven keys padded to a bucket of eight
+    for trials, seed, max_depth, first_n in ((300, 3, 4, 1), (100, 2, 10, 7)):
+        report = norm_bound_suite(trials, seed=seed, max_depth=max_depth)
+        assert report == _suite_reference(trials, seed, max_depth=max_depth)
+        assert report["upper_violations"] == trials * (max_depth + 1)
+        recorded = report["first_upper_violation"]
+        assert len(recorded["K_columns"]) == first_n
+        K = np.array(recorded["K_columns"]).T
+        levels = attention_levels(np.array(recorded["q"]), K, recorded["level"])
+        assert np.linalg.norm(levels, axis=1)[-1] == recorded["output_norm"]
+        assert np.linalg.norm(K, axis=0).max() == recorded["max_key_norm"]
 
 
 def test_norm_bound_suite_deterministic_and_validated():
@@ -374,15 +414,9 @@ def test_reduction_report_matches_per_instance_ham_v_and_ham_s(instances, seed):
 
 @pytest.mark.parametrize("chunk", [1, 7, REDUCTION_CHUNK])
 def test_reduction_report_holds_at_most_a_chunk_of_instances(monkeypatch, chunk):
-    seen = []
-
-    def recording(q, K, depth):
-        seen.append(len(q))
-        return attention_levels(q, K, depth)
-
     want = reduction_report(300, seed=4)
     monkeypatch.setattr(ham_module, "REDUCTION_CHUNK", chunk)
-    monkeypatch.setattr(ham_module, "attention_levels", recording)
+    seen = _batch_sizes(monkeypatch)
     # the maxima do not depend on how the instances are grouped
     assert reduction_report(300, seed=4) == want
     assert sum(seen) == 300
