@@ -137,7 +137,9 @@ def attention_levels(q, K, depth: int, mask=None) -> np.ndarray:
 
     ``q`` is [..., dk] and ``K`` [..., dk, n], with or without batch axes;
     returns [..., depth, dk], row t-1 being the level-t output. ``mask`` [..., n] is
-    ``level_forward``'s additive score mask, for key columns padded to a common n.
+    ``level_forward``'s additive score mask, for key columns padded to a common n:
+    every entry 0.0 (a real key) or -inf (padding), with a real key in every row,
+    else DomainError.
     """
     depth = check_int("depth", depth, 1)
     keys, q0 = _rows(q, K)
@@ -146,6 +148,8 @@ def attention_levels(q, K, depth: int, mask=None) -> np.ndarray:
         if mask.shape != np.shape(K)[:-2] + np.shape(K)[-1:]:
             raise DimensionError(f"mask shape {mask.shape} does not match keys {np.shape(K)}")
         mask = mask.reshape(-1, keys.shape[1])
+        if not np.isin(mask, (0.0, -np.inf)).all() or (mask == -np.inf).all(axis=1).any():
+            raise DomainError("mask: every entry must be 0.0 or -inf, with a 0.0 in every row")
     levels = np.stack(level_forward(keys, q0, depth, mask)[0][1:], axis=1)
     return levels.reshape(*np.shape(q)[:-1], depth, keys.shape[2])
 

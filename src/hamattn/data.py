@@ -3,9 +3,10 @@
 Token ids 0..2 are reserved in every vocabulary (PAD, BOS, EOS) and never
 appear inside payloads. Corpora are stored as JSONL: a header line
 ``{"vocab": V, "task": tag}`` followed by one ``{"src": [...], "tgt": [...]}``
-object per pair; token ids are JSON integers and the task a string. Each
-input format has one check: JSON text goes through ``parse_json``, and every
-corpus, built in code or read from a file, through ``Corpus.validate``'s.
+object per pair, each line ended by a line feed alone; token ids are JSON
+integers and the task a string. Each input format has one check: JSON text
+goes through ``parse_json``, and every corpus, built in code or read from a
+file, through ``Corpus.validate``'s.
 """
 
 import itertools
@@ -187,8 +188,9 @@ def load_corpus(path, strict: bool = True) -> Corpus:
     the first bad line in file order is the one reported. ``strict=False``
     permits reserved ids inside payloads, for files of raw model generations.
     """
-    lines = read_text(path).splitlines()
-    if not lines or all(not ln.strip() for ln in lines):
+    # not splitlines: it also breaks at U+2028, U+2029 and U+0085, which JSON strings may hold raw
+    lines = read_text(path).split("\n")
+    if all(not ln.strip() for ln in lines):
         return Corpus(vocab_size=NUM_RESERVED, pairs=[], task="file")
     header = parse_json(lines[0], path, CorpusError, line=1)
     if not isinstance(header, dict) or "vocab" not in header:

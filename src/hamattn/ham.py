@@ -195,7 +195,8 @@ def norm_bound_suite(trials: int, seed: int = 0, max_depth: int = 10) -> dict:
     counts; then, for each distinct (dk, n) in sorted order, that group's
     keys [g, dk, n], queries [g, dk] and level logits [g, max_depth], each
     drawn as one batch. The instances run in masked batches
-    (``_norm_bound_batches``), one ``attention_levels`` call each; "first"
+    (``_norm_bound_batches``), one ``attention_levels`` call each, and each
+    instance's key-norm bounds come from its real keys alone; "first"
     violation means first in the draw order, and its record comes from the
     instance's own unpadded call, so it replays exactly. The padding moves a
     level by up to about 2e-12, far under ``BOUND_TOL``, and the tests check that the
@@ -209,12 +210,9 @@ def norm_bound_suite(trials: int, seed: int = 0, max_depth: int = 10) -> dict:
     upper_violations = 0
     lower_violations = 0
     first_upper = None
-    for keys, mask, q, logits in _norm_bound_batches(rng, trials, max_depth):
+    for keys, mask, q, logits, hi, lo in _norm_bound_batches(rng, trials, max_depth):
         # random level weighting: a convex combination must obey the same bound
         alpha = kernels.softmax_rows(logits)
-        key_norms = np.linalg.norm(keys, axis=2)
-        # padding keys have norm 0.0, and - mask makes them +inf for the min
-        hi, lo = key_norms.max(axis=1), (key_norms - mask).min(axis=1)
         # the key columns as a view of the rows, which attention_levels then uses uncopied
         levels = attention_levels(q, keys.swapaxes(1, 2), max_depth, mask)
         norms = np.linalg.norm(levels, axis=2)
@@ -245,13 +243,14 @@ def norm_bound_suite(trials: int, seed: int = 0, max_depth: int = 10) -> dict:
 
 
 def _norm_bound_batches(rng, trials, max_depth):
-    """Draw ``norm_bound_suite``'s instances and yield them as ``(keys, mask, q, logits)`` batches.
+    """Draw ``norm_bound_suite``'s instances; yield ``(keys, mask, q, logits, hi, lo)`` batches.
 
     The groups of one dk whose n share a ``NORM_BOUND_BUCKET``-wide range form a bucket: its
     keys are stored as rows, zero-padded to the range's top, [b, width, dk], and ``mask``
-    [b, width] is 0.0 on a real key and -inf on padding. A batch holds at most
-    ``REDUCTION_CHUNK`` instances of one bucket, in draw order; at most one group's draws and
-    one batch are held while the caller checks it.
+    [b, width] is 0.0 on a real key and -inf on padding. ``hi`` and ``lo`` [b] are each
+    instance's largest and smallest key norm, over its real keys only. A batch holds at most
+    ``REDUCTION_CHUNK`` instances of one bucket, in draw order, and is filled in place as the
+    groups are drawn: at most one group's draws and one batch are held while the caller checks it.
     """
     dks = rng.integers(NORM_BOUND_DK[0], NORM_BOUND_DK[1] + 1, size=trials)
     ns = rng.integers(NORM_BOUND_N[0], NORM_BOUND_N[1] + 1, size=trials)
@@ -263,23 +262,27 @@ def _norm_bound_batches(rng, trials, max_depth):
         buckets.setdefault((dk, (n - 1) // NORM_BOUND_BUCKET), []).append((n, g))
     for (dk, index), groups in buckets.items():
         width = (index + 1) * NORM_BOUND_BUCKET
-        batch, size = [], 0
-        for j, (n, g) in enumerate(groups):
-            keys = np.zeros((g, width, dk))
-            keys[:, :n] = rng.uniform(-NORM_BOUND_ENTRY, NORM_BOUND_ENTRY, size=(g, dk, n)).swapaxes(1, 2)
-            mask = np.full((g, width), -np.inf)
-            mask[:, :n] = 0.0
-            q = rng.uniform(-NORM_BOUND_ENTRY, NORM_BOUND_ENTRY, size=(g, dk))
-            draws = [keys, mask, q, rng.uniform(-2.0, 2.0, size=(g, max_depth))]
-            while len(draws[0]):
-                take = REDUCTION_CHUNK - size
-                batch.append([a[:take] for a in draws])
-                draws = [a[take:] for a in draws]
-                size += len(batch[-1][0])
-                if size == REDUCTION_CHUNK or (j == len(groups) - 1 and not len(draws[0])):
-                    out = [np.concatenate(column) for column in zip(*batch)]
-                    batch, size = [], 0
-                    yield out
+        left, at = sum(g for _, g in groups), 0  # instances left to batch, rows filled in this batch
+        for n, g in groups:
+            keys_g = rng.uniform(-NORM_BOUND_ENTRY, NORM_BOUND_ENTRY, size=(g, dk, n)).swapaxes(1, 2)
+            q_g = rng.uniform(-NORM_BOUND_ENTRY, NORM_BOUND_ENTRY, size=(g, dk))
+            logits_g = rng.uniform(-2.0, 2.0, size=(g, max_depth))
+            done = 0
+            while done < g:
+                if at == 0:
+                    size = min(REDUCTION_CHUNK, left)
+                    keys, mask = np.zeros((size, width, dk)), np.full((size, width), -np.inf)
+                    q, logits, (hi, lo) = np.empty((size, dk)), np.empty((size, max_depth)), np.empty((2, size))
+                take = min(g - done, size - at)
+                rows, drawn = slice(at, at + take), slice(done, done + take)
+                keys[rows, :n], mask[rows, :n] = keys_g[drawn], 0.0
+                q[rows], logits[rows] = q_g[drawn], logits_g[drawn]
+                norms = np.linalg.norm(keys[rows, :n], axis=2)
+                hi[rows], lo[rows] = norms.max(axis=1), norms.min(axis=1)
+                at, done, left = at + take, done + take, left - take
+                if at == size:
+                    at = 0
+                    yield keys, mask, q, logits, hi, lo
 
 
 def reduction_report(instances: int, seed: int = 0) -> dict:

@@ -3,8 +3,9 @@
 Every number a run records is determined by (seed, config, corpus): model
 init, batch shuffling and the optimizer are all driven by numpy Generators
 seeded from one root. ``sweep_plan`` builds and checks every cell of a sweep
-before ``depth_sweep`` runs it; one ``depth_sweep`` call runs several sweeps,
-say one per root, in one worker pool. The plan fans the root seed out with
+before ``depth_sweep`` runs it; one ``depth_sweep`` call maps the cells of
+several sweeps, say one per root, deepest first over one pool of forked
+workers, each cell's job pickled. The plan fans the root seed out with
 cell_seed(root, depth, restart) = root*1_000_000 + depth*1_000 + restart and
 pairs its cells: restart r of every depth trains from cell_seed(root,
 depths[0], r), so the depths of one restart share their init draws and batch
@@ -262,8 +263,9 @@ def sweep_plan(
     return SweepPlan(depths, config.restarts, config.seed, cells)
 
 
-def _train_cell(train_corpus: Corpus, eval_corpus: Corpus, cell: SweepCell) -> SweepRecord:
-    """Train and score one cell; its wall time is measured where it trains."""
+def _train_cell(job) -> SweepRecord:
+    """Train and score one (train corpus, eval corpus, cell) job, timed where it trains."""
+    train_corpus, eval_corpus, cell = job
     start = time.perf_counter()
     model = Seq2SeqModel(cell.model, np.random.default_rng(cell.train.seed))
     if cell.frozen:  # a null cell
@@ -272,20 +274,6 @@ def _train_cell(train_corpus: Corpus, eval_corpus: Corpus, cell: SweepCell) -> S
     metric = _exact_match(model, eval_corpus) if len(eval_corpus) else 0.0
     wall = time.perf_counter() - start
     return SweepRecord(cell.model.ham_depth, cell.train.seed, losses[-1], metric, wall)
-
-
-# The (train corpus, eval corpus, cell) jobs a worker process serves. The pool's
-# initializer sets them in each forked worker; the calling process never does.
-_worker_jobs = None
-
-
-def _serve(jobs) -> None:
-    global _worker_jobs
-    _worker_jobs = jobs
-
-
-def _train_cell_at(index: int) -> SweepRecord:
-    return _train_cell(*_worker_jobs[index])
 
 
 def _summary(plan: SweepPlan, records) -> dict:
@@ -310,16 +298,17 @@ def depth_sweep(sweeps):
     is non-increasing within SWEEP_TOLERANCE.
 
     Every sweep's corpora are checked against its plan before any cell trains.
-    All the cells then train in one pool of forked worker processes, one per
-    usable CPU (see ``os.sched_getaffinity``; ``taskset`` narrows it) and at
-    most one per cell, deepest cells first across the sweeps. A cell's numbers
-    do not depend on where or beside what it trains, so each sweep's records,
-    returned in plan order, are the same bytes as when it runs alone, for any
-    worker count. With one usable CPU, one cell in all, or no ``fork`` or
-    ``sched_getaffinity`` (not Linux), the cells train in this process and no
-    process starts. Forking is safe only in a process that runs no other
-    threads; hamattn starts none. An exception a cell raises reaches the
-    caller with its type and message, and no worker outlives the call.
+    Each cell is then one (train corpus, eval corpus, cell) job, and the jobs,
+    deepest first across the sweeps, are mapped over ``_train_cell``: pickled
+    to a pool of forked workers, one per usable CPU (``os.sched_getaffinity``;
+    ``taskset`` narrows it) and at most one per cell, or by the builtin ``map``
+    in this process, where no process starts, with one usable CPU, at most one
+    cell, or no ``fork`` or ``sched_getaffinity`` (not Linux). A cell seeds
+    itself, so each sweep's records, returned in plan order, are the same bytes
+    as when it runs alone, for any worker count. Forking is safe only in a
+    process that runs no other threads; hamattn starts none. An exception a
+    cell raises reaches the caller with its type and message, and no worker
+    outlives the call.
     """
     jobs = []
     for train_corpus, eval_corpus, plan in sweeps:
@@ -328,26 +317,23 @@ def depth_sweep(sweeps):
             if corpus.vocab_size != vocab:
                 raise DomainError(f"vocab_size: the {name} corpus has {corpus.vocab_size}, the plan {vocab}")
         jobs += [(train_corpus, eval_corpus, cell) for cell in plan.cells]
+    # The deepest cells, the slowest, start first, so the sweeps do not end waiting on one long cell.
+    order = sorted(range(len(jobs)), key=lambda i: -jobs[i][2].model.ham_depth)
+    deepest_first = [jobs[i] for i in order]
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     workers = min(len(jobs), len(os.sched_getaffinity(0))) if can_fork else 1
     if workers <= 1:
-        records = [_train_cell(*job) for job in jobs]
+        done = list(map(_train_cell, deepest_first))
     else:
         # imported here: they take 15-30 ms to import, which ``import hamattn`` need not pay
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # Forked workers inherit the jobs, so only a job index goes in and a
-        # record comes out. Unlike multiprocessing.Pool, the executor raises
-        # BrokenProcessPool when a worker is killed instead of waiting for its
-        # cell forever. The deepest cells, the slowest, start first, so the
-        # sweeps do not end waiting on one long cell.
-        order = sorted(range(len(jobs)), key=lambda i: -jobs[i][2].model.ham_depth)
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_serve, initargs=(jobs,)) as pool:
-            by_job = dict(zip(order, pool.map(_train_cell_at, order)))
-        records = [by_job[i] for i in range(len(jobs))]
-    records = iter(records)
+        # Unlike multiprocessing.Pool, the executor raises BrokenProcessPool when a worker
+        # is killed instead of waiting for its cell forever.
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            done = list(pool.map(_train_cell, deepest_first))
+    records = (record for _, record in sorted(zip(order, done)))  # back in plan order
     per_sweep = [[next(records) for _ in plan.cells] for _, _, plan in sweeps]
     return [(part, _summary(plan, part)) for part, (_, _, plan) in zip(per_sweep, sweeps)]
 

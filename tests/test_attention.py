@@ -323,6 +323,26 @@ def test_attention_levels_shape_errors():
             attention_levels(np.ones((4, 3)), K, 2, mask)
 
 
+@pytest.mark.parametrize("row", [
+    pytest.param([-np.inf] * 5, id="all_padding"),
+    pytest.param([0.0, np.nan, 0.0, -np.inf, -np.inf], id="nan"),
+    pytest.param([0.0, 0.0, np.inf, -np.inf, -np.inf], id="plus_inf"),
+    pytest.param([0.0, -1.0, 0.0, -np.inf, -np.inf], id="finite_nonzero"),
+])
+def test_attention_levels_refuses_a_mask_off_its_contract(row):
+    # every entry 0.0 or -inf and a 0.0 in every row; unchecked, the first three rows give NaN levels
+    rng = np.random.default_rng(3)
+    K, q = rng.uniform(-3, 3, (4, 3, 5)), rng.uniform(-3, 3, (4, 3))
+    mask = np.where(np.arange(5) < 3, 0.0, -np.inf) * np.ones((4, 1))
+    good = attention_levels(q, K, 2, mask)
+    assert np.isfinite(good).all()
+    mask[2] = row
+    with pytest.raises(DomainError, match="mask"):
+        attention_levels(q, K, 2, mask)
+    mask[2] = -0.0  # a negative zero is a real key
+    np.testing.assert_array_equal(attention_levels(q, K, 2, mask)[2], attention_levels(q[2], K[2], 2))
+
+
 def test_self_attention_singleton_and_identical_rows():
     x = np.array([[1.0, 2.0, 3.0]])
     np.testing.assert_allclose(self_attention_layer(x), x, atol=1e-15)

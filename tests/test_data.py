@@ -140,6 +140,20 @@ def test_malformed_line_names_line_number(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"], ids=["U+2028", "U+2029", "U+0085"])
+def test_a_raw_line_separator_inside_a_string_ends_no_record(separator, newline, tmp_path):
+    # JSON allows U+2028, U+2029 and U+0085 unescaped in a string; only "\n" ends a record
+    task = f"copy{separator}v2"
+    header = json.dumps({"vocab": 10, "task": task}, ensure_ascii=False)
+    path = tmp_path / "c.jsonl"
+    path.write_text(f'{header}\n{{"src": [3], "tgt": [4]}}\n', encoding="utf-8", newline=newline)
+    assert load_corpus(path) == Corpus(10, [([3], [4])], task)
+    path.write_text(f'{header}\n{{"src": [3], "tgt": [4]}}\n{{"src": [3]}}\n', encoding="utf-8", newline=newline)
+    with pytest.raises(CorpusError, match=re.escape(f"{path}: line 3: expected an object")):
+        load_corpus(path)
+
+
 def test_non_integer_token_rejected(tmp_path):
     path = tmp_path / "bad2.jsonl"
     path.write_text('{"vocab": 10}\n{"src": [3.5], "tgt": [4]}\n')

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,6 +322,20 @@ def test_norm_bound_suite_runs_at_most_60_masked_batches_at_10k_trials(monkeypat
     # 15 key dimensions x 4 key-count buckets; one call per exact (dk, n) shape would be 480
     assert report["upper_violations"] == 0 and sum(sizes) == 10_000
     assert len(sizes) <= 60
+
+
+def test_norm_bound_suite_traced_peak_at_10k_trials_is_at_most_2_2_mb():
+    # 2.52 MB when each batch was concatenated from padded per-group pieces and its key norms
+    # taken over a squared copy of the whole batch
+    norm_bound_suite(100)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        report = norm_bound_suite(10_000, seed=0, max_depth=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["upper_violations"] == 0
+    assert peak <= 2.2e6
 
 
 def test_norm_bound_suite_report_does_not_depend_on_the_batch_cap(monkeypatch):

@@ -342,6 +342,10 @@ def test_one_usable_cpu_or_one_cell_starts_no_process(monkeypatch):
         cfg = TrainConfig(epochs=1, batch_size=4, restarts=restarts)
         records, _ = depth_sweep([(corpus, corpus, sweep_plan(corpus.vocab_size, depths, cfg, hidden=5))])[0]
         assert len(records) == len(depths) * restarts
+    # no sweep at all maps over no job
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        assert depth_sweep([]) == []
 
 
 def test_importing_the_package_leaves_out_multiprocessing():
