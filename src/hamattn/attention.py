@@ -11,9 +11,9 @@ function is the scaled dot product <k,q>/sqrt(dk) throughout.
 ``level_forward`` is the one level recursion. The training connector
 (``ham.ham_v_levels``) runs it, and so do ``attention_levels``,
 ``vanilla_attention`` and ``attention_distribution`` once ``_rows`` has
-checked their shapes and copied the keys to its row layout; ``attention_levels``
-also passes on an additive score mask for keys padded to a common count.
-``self_attention_levels`` is the one self-attention recursion.
+checked their shapes and copied the keys to its row layout. Its additive
+score mask, for keys padded to a common count, is passed only by the
+norm-bound suite. ``self_attention_levels`` is the one self-attention recursion.
 """
 
 from dataclasses import dataclass
@@ -89,10 +89,11 @@ def level_forward(keys, q0, depth: int, mask=None):
     of its own call.
 
     ``mask`` [..., B, n], if given, is added to the scaled scores: 0.0 on a real key and -inf on
-    a padding key, which then gets probability exactly 0.0 (every row needs one real key). Keys
-    zero-padded to a common n so give each instance its unpadded levels but for the order of
-    the softmax's and the combination's sums, within about 2e-12 at depth 10; an instance with
-    one real key still gets that key, bit for bit."""
+    a padding key, which then gets probability exactly 0.0. Every row needs one real key, and
+    nothing checks it: an all -inf row, a NaN or a +inf gives NaN levels. Keys zero-padded to a
+    common n so give each instance its unpadded levels but for the order of the softmax's and
+    the combination's sums, within about 2e-12 at depth 10; an instance with one real key still
+    gets that key, bit for bit."""
     inv = float(1.0 / np.sqrt(keys.shape[-1]))
     queries, probs = [q0], []
     for _ in range(depth):
@@ -132,25 +133,15 @@ def vanilla_attention(q, K) -> np.ndarray:
     return level_forward(keys, q0, 1)[0][1].reshape(np.shape(q))
 
 
-def attention_levels(q, K, depth: int, mask=None) -> np.ndarray:
+def attention_levels(q, K, depth: int) -> np.ndarray:
     """Iterated attention outputs q_1..q_depth, each the next level's query.
 
     ``q`` is [..., dk] and ``K`` [..., dk, n], with or without batch axes;
-    returns [..., depth, dk], row t-1 being the level-t output. ``mask`` [..., n] is
-    ``level_forward``'s additive score mask, for key columns padded to a common n:
-    every entry 0.0 (a real key) or -inf (padding), with a real key in every row,
-    else DomainError.
+    returns [..., depth, dk], row t-1 being the level-t output.
     """
     depth = check_int("depth", depth, 1)
     keys, q0 = _rows(q, K)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != np.shape(K)[:-2] + np.shape(K)[-1:]:
-            raise DimensionError(f"mask shape {mask.shape} does not match keys {np.shape(K)}")
-        mask = mask.reshape(-1, keys.shape[1])
-        if not np.isin(mask, (0.0, -np.inf)).all() or (mask == -np.inf).all(axis=1).any():
-            raise DomainError("mask: every entry must be 0.0 or -inf, with a 0.0 in every row")
-    levels = np.stack(level_forward(keys, q0, depth, mask)[0][1:], axis=1)
+    levels = np.stack(level_forward(keys, q0, depth)[0][1:], axis=1)
     return levels.reshape(*np.shape(q)[:-1], depth, keys.shape[2])
 
 

@@ -12,8 +12,9 @@ level d).
 The levels come from ``attention.level_forward`` (ham_v) and
 ``attention.self_attention_levels`` (ham_s); every weighted sum of them is
 ``tensor.level_sum``, so training, generate and the reduction report share one
-arithmetic; the norm-bound suite runs the same recursion on zero-padded keys
-under a score mask. The batched seq2seq connector's forward is ``ham_v_levels``; its
+arithmetic; the norm-bound suite calls ``level_forward`` itself, on zero-padded
+keys under a score mask. The batched seq2seq connector's forward is
+``ham_v_levels``, and ``ham_v`` is that forward on its keys' rows; its
 backward replays the levels in reverse with the primitives' exact arithmetic,
 split at the recurrence: ``ham_v_query_vjp`` pulls the gradient down to the
 query (all the decoder's previous step waits for) and ``ham_v_keys_vjp`` gives
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import kernels
-from .attention import attention_levels, level_forward, self_attention_levels, vanilla_attention
+from .attention import _rows, attention_levels, level_forward, self_attention_levels, vanilla_attention
 from .errors import DimensionError, DomainError, check_int
 from .tensor import l2_norm, level_sum, softmax_vec
 
@@ -55,9 +56,9 @@ REDUCTION_CHUNK = 1024
 
 def ham_v(q, K, c) -> np.ndarray:
     """Weighted sum of the d iterated vanilla-attention outputs of q against K, d = len(c)."""
-    alpha = softmax_vec(c)
-    levels = attention_levels(q, K, len(alpha))
-    return level_sum(np.moveaxis(levels, -2, 0), alpha)
+    pc = softmax_vec(c)[None]
+    keys, q0 = _rows(q, K)
+    return ham_v_levels(keys, q0, pc)[0].reshape(np.shape(q))
 
 
 def ham_s(X, c) -> np.ndarray:
@@ -195,7 +196,7 @@ def norm_bound_suite(trials: int, seed: int = 0, max_depth: int = 10) -> dict:
     counts; then, for each distinct (dk, n) in sorted order, that group's
     keys [g, dk, n], queries [g, dk] and level logits [g, max_depth], each
     drawn as one batch. The instances run in masked batches
-    (``_norm_bound_batches``), one ``attention_levels`` call each, and each
+    (``_norm_bound_batches``), one ``level_forward`` call each, and each
     instance's key-norm bounds come from its real keys alone; "first"
     violation means first in the draw order, and its record comes from the
     instance's own unpadded call, so it replays exactly. The padding moves a
@@ -206,17 +207,18 @@ def norm_bound_suite(trials: int, seed: int = 0, max_depth: int = 10) -> dict:
     """
     trials = check_int("trials", trials, 1, MAX_TRIALS)
     max_depth = check_int("max_depth", max_depth, 1, MAX_DEPTH)
-    rng = np.random.default_rng(check_int("seed", seed, 0))
+    seed = check_int("seed", seed, 0)
+    rng = np.random.default_rng(seed)
     upper_violations = 0
     lower_violations = 0
     first_upper = None
     for keys, mask, q, logits, hi, lo in _norm_bound_batches(rng, trials, max_depth):
         # random level weighting: a convex combination must obey the same bound
         alpha = kernels.softmax_rows(logits)
-        # the key columns as a view of the rows, which attention_levels then uses uncopied
-        levels = attention_levels(q, keys.swapaxes(1, 2), max_depth, mask)
-        norms = np.linalg.norm(levels, axis=2)
-        ham_norms = np.linalg.norm(level_sum(np.moveaxis(levels, 1, 0), alpha.T[..., None]), axis=1)
+        levels = level_forward(keys, q, max_depth, mask)[0][1:]
+        # [b, max_depth], instance-major: argwhere's first row is the first violation in draw order
+        norms = np.linalg.norm(np.stack(levels, axis=1), axis=2)
+        ham_norms = np.linalg.norm(level_sum(levels, alpha.T[..., None]), axis=1)
         lower_violations += int(np.sum(norms < lo[:, None] - BOUND_TOL))
         bad = norms > hi[:, None] + BOUND_TOL
         upper_violations += int(np.sum(bad)) + int(np.sum(ham_norms > hi + BOUND_TOL))
@@ -230,6 +232,8 @@ def norm_bound_suite(trials: int, seed: int = 0, max_depth: int = 10) -> dict:
                 "output_norm": float(np.linalg.norm(attention_levels(q, K, level + 1), axis=1)[-1]),
                 "max_key_norm": float(np.linalg.norm(K, axis=0).max()),
             }
+        # free this batch before the generator fills the next one
+        del keys, mask, q, logits, hi, lo, alpha, levels, norms, ham_norms, bad
     return {
         "trials": trials,
         "max_depth": max_depth,
@@ -300,7 +304,8 @@ def reduction_report(instances: int, seed: int = 0) -> dict:
     one-at-a-time loop.
     """
     instances = check_int("instances", instances, 1, MAX_REDUCTION_INSTANCES)
-    rng = np.random.default_rng(check_int("seed", seed, 0))
+    seed = check_int("seed", seed, 0)
+    rng = np.random.default_rng(seed)
     worst = dict.fromkeys(
         ("ham_v_onehot_max_err", "ham_v_d1_max_err", "ham_s_onehot_max_err", "ham_s_d1_max_err"), 0.0
     )  # in report order

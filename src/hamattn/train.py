@@ -72,10 +72,11 @@ class TrainConfig:
             raise DomainError(f"learning_rate: the learning rate must be a finite real number >= 0, got {lr!r}")
         if not isinstance(self.optimizer, str) or self.optimizer not in OPTIMIZERS:
             raise DomainError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        check_int("epochs", self.epochs, 1, MAX_EPOCHS)
-        check_int("batch_size", self.batch_size, 1)
-        check_int("restarts", self.restarts, 1, MAX_RESTARTS)
-        check_int("seed", self.seed, 0)
+        # ints, not numpy ints: the seed and restarts reach the sweep's JSON summary
+        self.epochs = check_int("epochs", self.epochs, 1, MAX_EPOCHS)
+        self.batch_size = check_int("batch_size", self.batch_size, 1)
+        self.restarts = check_int("restarts", self.restarts, 1, MAX_RESTARTS)
+        self.seed = check_int("seed", self.seed, 0)
 
 
 @dataclass

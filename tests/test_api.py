@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 
 import hamattn
@@ -7,7 +10,7 @@ from hamattn.data import MAX_PAIRS, MAX_SEQ_LEN, MAX_VOCAB, NUM_RESERVED, Corpus
 from hamattn.errors import DomainError
 from hamattn.ham import MAX_DEPTH, MAX_REDUCTION_INSTANCES, MAX_TRIALS, norm_bound_suite, reduction_report
 from hamattn.model import MAX_HIDDEN, ModelConfig, Seq2SeqModel, generate
-from hamattn.train import MAX_EPOCHS, MAX_RESTARTS, TrainConfig, sweep_plan
+from hamattn.train import MAX_EPOCHS, MAX_RESTARTS, TrainConfig, depth_sweep, sweep_plan
 
 
 def test_every_public_name_resolves_once():
@@ -72,3 +75,22 @@ def test_integer_inputs_refuse_bools_floats_strings_and_values_out_of_range():
     check_corpus_size(np.int64(2), np.int32(3))
     assert reduction_report(np.int64(1))["instances"] == 1
     assert len(generate([3, 4], MODEL, max_len=np.int64(2))) <= 2
+
+
+def test_numpy_integer_inputs_give_plain_json_outputs():
+    # a numpy seed used to reach the reports and the sweep summary as itself, which json refuses
+    report = verify_report(trials=10, seed=np.int64(0), reduction_instances=np.int64(5))[0]
+    assert json.dumps(report) == json.dumps(verify_report(trials=10, seed=0, reduction_instances=5)[0])
+    numpy_cfg = TrainConfig(epochs=np.int64(1), batch_size=np.int32(4), seed=np.int64(3), restarts=np.uint8(2))
+    plain_cfg = TrainConfig(epochs=1, batch_size=4, seed=3, restarts=2)
+    assert all(type(getattr(numpy_cfg, f)) is int for f in ("epochs", "batch_size", "seed", "restarts"))
+    corpus, eval_corpus = gen_task("copy", 4, 2, 3, seed=0), gen_task("copy", 2, 2, 3, seed=1)
+    sweeps = depth_sweep([
+        (corpus, eval_corpus, sweep_plan(corpus.vocab_size, [np.int64(1), 2], cfg, hidden=4))
+        for cfg in (numpy_cfg, plain_cfg)
+    ])
+    dumps = [
+        json.dumps({**summary, "records": [{**asdict(r), "wall_time_s": 0.0} for r in records]})
+        for records, summary in sweeps
+    ]
+    assert dumps[0] == dumps[1]
