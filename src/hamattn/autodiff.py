@@ -97,8 +97,6 @@ class Tape:
             if g is None:
                 continue
             for v, dv in zip(inputs, vjp(g)):
-                if dv is None:
-                    continue
                 if v._grad is None:
                     # adopt fresh arrays; copy anything aliasing g or a view
                     v._grad = dv.copy() if (dv is g or dv.base is not None) else dv

@@ -17,13 +17,14 @@ from .attention import (
     vanilla_attention,
 )
 from .autodiff import Variable, check_gradients
+from .data import NUM_RESERVED
 from .errors import DomainError, check_int
 from .ham import MAX_REDUCTION_INSTANCES, ham_v_context, reduction_report, norm_bound_suite
-from .model import GRUParams, ModelConfig, Seq2SeqModel, gru_step, sequence_loss
+# sequence_loss runs in no row; perfbench's reference clock stamps checks.sequence_loss
+from .model import ModelConfig, Seq2SeqModel, _decode, _encode, sequence_loss  # noqa: F401
 from .tensor import softmax_vec
 
-PRIMITIVE_TOL = 1e-5
-END_TO_END_TOL = 1e-4
+PRIMITIVE_TOL = 1e-5  # every gradcheck row's threshold
 REDUCTION_ONEHOT_TOL = 1e-7
 REDUCTION_D1_TOL = 1e-12
 PROPERTY_TOL = 1e-12
@@ -179,7 +180,7 @@ def _projected(out: Variable, w: np.ndarray) -> Variable:
 
 
 def _gradcheck_cases(d: dict, rng: np.random.Generator) -> list:
-    """The gradcheck table's rows ``(name, case, threshold, projected, stacked)``
+    """The gradcheck table's rows ``(name, case, projected, stacked)``
     at the operand sizes ``d`` (one of ``_SCALES``); every case draws from ``rng``."""
     v, r, c, k, b, h = (d[key] for key in ("vec", "rows", "cols", "inner", "batch", "hidden"))
 
@@ -208,53 +209,46 @@ def _gradcheck_cases(d: dict, rng: np.random.Generator) -> list:
         logits, targets = u(r, v), rng.integers(0, v, size=r)
         return [logits], lambda: ad.cross_entropy_logits(logits, targets)
 
-    def gru_chain_case():
-        cell = GRUParams(rng, h, h)
-        xs = [u(1, h) for _ in range(3)]
-        h0 = u(1, h)
+    def model_and_ids():  # a depth-2 model and a [b, steps] id matrix drawn after it
+        model = Seq2SeqModel(ModelConfig(NUM_RESERVED + 4, h, ham_depth=2), rng)
+        return model, rng.integers(0, model.config.vocab_size, size=(b, d["steps"]))
 
-        def forward():
-            state = h0
-            for x in xs:
-                state = gru_step(x, state, cell)
-            return state
+    def encoder_case():  # the fused encoder with its embedding gather, both directions
+        model, tokens = model_and_ids()
+        leaves = [var for name, var in model.parameters().items() if name == "embedding" or name.startswith("enc_")]
+        return leaves, lambda: _encode(tokens, model)
 
-        return [*cell.variables().values(), *xs, h0], forward
+    def decoder_case():  # the fused decoder at ham depth 2, its keys a leaf
+        (model, inputs), keys = model_and_ids(), u(b, d["steps"], h)
+        leaves = [keys, *(var for name, var in model.parameters().items() if not name.startswith("enc_"))]
+        return leaves, lambda: _decode(keys, inputs, model)
 
-    def seq2seq_case():
-        vocab = 4 + 3
-        model = Seq2SeqModel(ModelConfig(vocab, h, ham_depth=2), rng)
-        src = rng.integers(3, vocab, size=(b, d["steps"]))
-        tgt = rng.integers(3, vocab, size=(b, d["steps"]))
-        return list(model.parameters().values()), lambda: sequence_loss(model, src, tgt)
-
-    P = PRIMITIVE_TOL
-    # (name, case, threshold, projected, stacked); the two unprojected rows build
-    # scalar losses, and the stacked rows' builds also score stacked parameter sets
+    # (name, case, projected, stacked); the unprojected row builds a scalar loss,
+    # and the stacked rows' builds also score stacked parameter sets
     return [
-        ("add", on(ad.add, (r, c), (r, c)), P, True, True),
-        ("sub", on(ad.sub, (r, c), (r, c)), P, True, True),
-        ("mul", on(ad.mul, (r, c), (r, c)), P, True, True),
-        ("scale", scale_case, P, True, True),
-        ("add_bias", on(ad.add_bias, (r, c), (c,)), P, True, False),
-        ("matmul", on(ad.matmul, (r, k), (k, c)), P, True, False),
-        ("dot", on(ad.dot, (v,), (v,)), P, True, False),
-        ("concat", on(lambda x, y: ad.concat([x, y], axis=1), (r, c), (r, c + 1)), P, True, False),
-        ("softmax_vec", on(ad.softmax, (v,)), P, True, True),
-        ("softmax_rows", on(ad.softmax, (r, c)), P, True, False),
-        ("tanh", on(ad.tanh, (r, c)), P, True, True),
-        ("sigmoid", on(ad.sigmoid, (r, c)), P, True, True),
-        ("gather_rows", gather_case, P, True, False),
-        ("attend_scores", on(ad.attend_scores, (b, r, c), (b, c)), P, True, False),
-        ("attend_combine", on(ad.attend_combine, (b, r, c), (b, r)), P, True, False),
-        ("weighted_sum", weighted_sum_case, P, True, False),
-        ("cross_entropy", cross_entropy_case, P, False, True),
+        ("add", on(ad.add, (r, c), (r, c)), True, True),
+        ("sub", on(ad.sub, (r, c), (r, c)), True, True),
+        ("mul", on(ad.mul, (r, c), (r, c)), True, True),
+        ("scale", scale_case, True, True),
+        ("add_bias", on(ad.add_bias, (r, c), (c,)), True, False),
+        ("matmul", on(ad.matmul, (r, k), (k, c)), True, False),
+        ("dot", on(ad.dot, (v,), (v,)), True, False),
+        ("concat", on(lambda x, y: ad.concat([x, y], axis=1), (r, c), (r, c + 1)), True, False),
+        ("softmax_vec", on(ad.softmax, (v,)), True, True),
+        ("softmax_rows", on(ad.softmax, (r, c)), True, False),
+        ("tanh", on(ad.tanh, (r, c)), True, True),
+        ("sigmoid", on(ad.sigmoid, (r, c)), True, True),
+        ("gather_rows", gather_case, True, False),
+        ("attend_scores", on(ad.attend_scores, (b, r, c), (b, c)), True, False),
+        ("attend_combine", on(ad.attend_combine, (b, r, c), (b, r)), True, False),
+        ("weighted_sum", weighted_sum_case, True, False),
+        ("cross_entropy", cross_entropy_case, False, True),
         # one example through the batched connector: [1, k] query, [1, r, k] keys
-        ("ham_v", on(lambda q, K, cc: ham_v_context(K, q, cc), (1, k), (1, r, k), (3,)), P, True, True),
-        ("gru_chain", gru_chain_case, P, True, True),
-        ("seq2seq_loss", seq2seq_case, END_TO_END_TOL, False, True),
-        ("reshape", on(lambda x: ad.reshape(x, (b * r, c)), (b, r, c)), P, True, False),
-        ("transpose", on(ad.transpose, (r, c)), P, True, False),
+        ("ham_v", on(lambda q, K, cc: ham_v_context(K, q, cc), (1, k), (1, r, k), (3,)), True, True),
+        ("encoder", encoder_case, True, True),
+        ("decoder", decoder_case, True, True),
+        ("reshape", on(lambda x: ad.reshape(x, (b * r, c)), (b, r, c)), True, False),
+        ("transpose", on(ad.transpose, (r, c)), True, False),
     ]
 
 
@@ -272,8 +266,8 @@ def gradcheck_table(scale: str = "tiny", seed: int = 0, instances: int = 30) -> 
     """Max relative finite-difference error per differentiable op of the library.
 
     Returns rows ``{name, max_err, threshold, passed, worst}`` of plain Python
-    values: one per primitive, the batched ham_v connector, a chained GRU and
-    the full seq2seq loss (checked against all model parameters at once).
+    values, one per case of ``_gradcheck_cases``, each against
+    ``PRIMITIVE_TOL``: every op a training step records has its own row.
     ``sum_all`` and ``mul`` are in every projected row; ``affine``,
     ``mean_all``, ``slice_1d`` and ``stack`` have no row, as nothing calls them.
     Of the primitive rows, only ``mul`` (the projection) and the model's
@@ -287,18 +281,16 @@ def gradcheck_table(scale: str = "tiny", seed: int = 0, instances: int = 30) -> 
     Every row's finite differences run in ``check_gradients``' one chunked
     loop. Rows marked stacked score a chunk in one forward,
     ``check_gradients(..., stacked=True)``, as their ops take a leading
-    parameter-set axis: ``add``, ``sub``, ``mul``, ``scale``, ``softmax_vec``,
-    ``tanh``, ``sigmoid``, ``cross_entropy``, ``ham_v`` (``ham_v_context``),
-    ``gru_chain`` (``gru_step``) and ``seq2seq_loss`` (``sequence_loss``); a
-    projected row's stacked output is reduced per set by ``_projected``. Every
-    other row builds once per point of the chunk. Both give the same bits.
+    parameter-set axis; a projected row's stacked output is reduced per set
+    by ``_projected``. Every other row builds once per point of the chunk.
+    Both give the same bits.
     """
     instances = check_int("instances", instances, 1, MAX_GRADCHECK_INSTANCES)
     if not isinstance(scale, str) or scale not in _SCALES:
         raise DomainError(f"scale must be one of {tuple(_SCALES)}, got {scale!r}")
     rng = np.random.default_rng(check_int("seed", seed, 0))
     rows = []
-    for name, case, tol, projected, stacked in _gradcheck_cases(_SCALES[scale], rng):
+    for name, case, projected, stacked in _gradcheck_cases(_SCALES[scale], rng):
         worst_err, worst_at = 0.0, None
         for _ in range(instances):
             leaves, loss = _instance(case, projected, rng)
@@ -307,6 +299,7 @@ def gradcheck_table(scale: str = "tiny", seed: int = 0, instances: int = 30) -> 
                 worst_err = float(result.max_rel_error)
                 worst_at = [int(result.worst_variable), [int(i) for i in result.worst_coord]]
         rows.append(
-            {"name": name, "max_err": worst_err, "threshold": tol, "passed": worst_err < tol, "worst": worst_at}
+            {"name": name, "max_err": worst_err, "threshold": PRIMITIVE_TOL, "passed": worst_err < PRIMITIVE_TOL,
+             "worst": worst_at}
         )
     return rows

@@ -296,8 +296,17 @@ def cmd_eval(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 2 with one ``error:`` line
+    and no usage block; ``add_subparsers`` makes the subcommands' parsers of
+    this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hamattn",
         description="hierarchical attention library: verification suites, training and sweeps",
     )

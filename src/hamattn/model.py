@@ -23,9 +23,9 @@ computed with the arithmetic of the per-step chain of ``gru_step``,
 forms, and gradients that several steps feed are added in that chain's tape
 order, so the fused ops reproduce its loss and gradients bit for bit.
 The forward halves also take every parameter stacked on a leading set axis
-``[R, ...]``: untaped, ``sequence_loss`` (and likewise ``gru_step``) then
-scores R parameter sets in one pass, each with the bits of its own call,
-which is how the gradient checks evaluate their finite-difference points.
+``[R, ...]``: untaped, ``sequence_loss`` then scores R parameter sets in one
+pass, each with the bits of its own call, and the gradient checks' encoder
+and decoder rows score their finite-difference points the same way.
 
 Checkpoints are versioned JSON containers of named parameter tensors; see
 ``save_checkpoint``.
@@ -212,28 +212,24 @@ def _gru_cell(x: Variable, h: Variable, p: GRUParams) -> Variable:
     """Fused GRU transition recorded as a single tape entry.
 
     Folding the whole cell into one op with a hand-written vjp keeps the tape
-    short; the gradcheck suite pins its correctness against central
-    differences like any other primitive. The forward also takes every
-    value stacked on one leading set axis (x [R, B, d_in], h [R, B, H], each
-    weight [R, ...]) and returns [R, B, H], each set with the bits of its own
-    call; stacks are forward-only, so a tape refuses them.
+    short. The fused encoder and decoder reproduce its bits, and the
+    gradcheck table's ``encoder`` and ``decoder`` rows pin theirs against
+    central differences.
     """
     xv, hv = x.value, h.value
-    if xv.ndim not in (2, 3) or hv.ndim != xv.ndim or xv.shape[:-1] != hv.shape[:-1]:
-        raise DimensionError(f"gru_step expects matching batches, got x {xv.shape}, h {hv.shape}")
-    sets = xv.shape[:-2]
-    lead = [v.value.shape[: v.value.ndim - (1 if name[0] == "b" else 2)] for name, v in p.variables().items()]
-    if any(shape != sets for shape in lead):
-        raise DimensionError(f"gru_step weights must carry the inputs' set axes {sets}, got {lead}")
-    if sets and ad._current_tape() is not None:
-        raise DimensionError("stacked parameters are forward-only; a tape takes one parameter set")
-    if xv.shape[-1] != p.wz.value.shape[-2] or hv.shape[-1] != p.uz.value.shape[-2]:
+    stacked = [name for name, v in p.variables().items() if v.value.ndim != (1 if name[0] == "b" else 2)]
+    if xv.ndim != 2 or hv.ndim != 2 or stacked:
         raise DimensionError(
-            f"gru_step shapes {xv.shape}, {hv.shape} do not match weights "
+            f"gru_step takes one parameter set: x [batch, d_in], h [batch, hidden] and unstacked weights, "
+            f"got x {xv.shape}, h {hv.shape}" + (f" and stacked {stacked}" if stacked else "")
+        )
+    if len(xv) != len(hv) or xv.shape[1] != p.wz.value.shape[0] or hv.shape[1] != p.uz.value.shape[0]:
+        raise DimensionError(
+            f"gru_step shapes {xv.shape}, {hv.shape} do not match each other or weights "
             f"{p.wz.value.shape}, {p.uz.value.shape}"
         )
     W, U, b = _stack_gates(p)
-    out, cache = _gru_forward(xv[..., None, :, :] @ W, hv, U, b)
+    out, cache = _gru_forward(xv[None] @ W, hv, U, b)
 
     def vjp(go):
         d_a = np.empty((3, *go.shape))
@@ -245,8 +241,7 @@ def _gru_cell(x: Variable, h: Variable, p: GRUParams) -> Variable:
 
 
 def gru_step(x, h_prev, params: GRUParams) -> Variable:
-    """One GRU transition of a [batch, d_in] input and a [batch, hidden] state
-    (untaped, also of R stacked sets: [R, batch, ...] and every weight [R, ...])."""
+    """One GRU transition of a [batch, d_in] input and a [batch, hidden] state."""
     return _gru_cell(ad.as_variable(x), ad.as_variable(h_prev), params)
 
 

@@ -172,7 +172,7 @@ def test_a_nan_finite_difference_loss_fails_the_check():
 
 
 def _seq2seq_case(scale, seed=0):
-    """The gradcheck table's seq2seq_loss case at ``scale``: (leaves, build)."""
+    """A depth-2 model's full loss at ``scale``'s sizes, against every parameter: (leaves, build)."""
     from hamattn.checks import _SCALES
     from hamattn.model import ModelConfig, Seq2SeqModel, sequence_loss
 
@@ -208,7 +208,7 @@ def _point_losses(build_loss, variables) -> list:
 # the gradcheck rows whose finite differences run in stacked forwards
 STACKED_ROWS = {
     "add", "sub", "mul", "scale", "softmax_vec", "tanh", "sigmoid",
-    "cross_entropy", "ham_v", "gru_chain", "seq2seq_loss",
+    "cross_entropy", "ham_v", "encoder", "decoder",
 }
 
 
@@ -225,7 +225,7 @@ def test_stacked_finite_differences_match_the_point_loop(scale):
         rng = np.random.default_rng(seed)
         instances = [
             (name, stacked, *checks._instance(case, projected, rng))
-            for name, case, _, projected, stacked in checks._gradcheck_cases(checks._SCALES[scale], rng)
+            for name, case, projected, stacked in checks._gradcheck_cases(checks._SCALES[scale], rng)
         ]
         assert {name for name, stacked, *_ in instances if stacked} == STACKED_ROWS
         for name, stacked, leaves, loss in instances:
@@ -239,7 +239,7 @@ def test_stacked_finite_differences_match_the_point_loop(scale):
             assert all(v.value is orig for v, orig in zip(leaves, originals))
             for v, value in zip(leaves, saved):
                 np.testing.assert_array_equal(v.value, value)
-            if name == "seq2seq_loss":  # the one row of several chunks
+            if name in ("encoder", "decoder"):  # the rows of several chunks
                 assert 2 * sum(v.size for v in saved) > ad.FD_CHUNK
 
 
@@ -291,44 +291,31 @@ def test_finite_differences_restore_values_after_a_build_raises(stacked):
         np.testing.assert_array_equal(v.value, value)
 
 
-def test_seq2seq_row_makes_one_stacked_forward_per_chunk(monkeypatch):
+def test_encoder_and_decoder_rows_make_one_stacked_forward_per_chunk(monkeypatch):
     from hamattn import checks
 
-    shapes = []
+    calls = {"_encode": [], "_decode": []}
 
-    def counted(model, src, tgt):
-        shapes.append(model.embedding.value.shape)
-        return checks_sequence_loss(model, src, tgt)
+    def counted(name, op):
+        def wrapper(*args):
+            model = args[-1]
+            calls[name].append((model.embedding.value.shape[:-2], ad._current_tape() is not None))
+            return op(*args)
+        return wrapper
 
-    checks_sequence_loss = checks.sequence_loss
-    monkeypatch.setattr(checks, "sequence_loss", counted)
-    for scale, points in (("tiny", 520), ("small", 860)):
-        shapes.clear()
+    for name in calls:
+        monkeypatch.setattr(checks, name, counted(name, getattr(checks, name)))
+    for scale, points in (("tiny", (294, 292)), ("small", (488, 500))):
+        for seen in calls.values():
+            seen.clear()
         checks.gradcheck_table(scale, instances=1)
-        chunks = -(-points // ad.FD_CHUNK)
-        last = points - ad.FD_CHUNK * (chunks - 1)
-        # one taped build for the analytic gradient, then one stacked forward per chunk
-        assert len(shapes) == 1 + chunks and len(shapes[0]) == 2
-        assert [shape[0] for shape in shapes[1:]] == [ad.FD_CHUNK] * (chunks - 1) + [last]
-
-
-def test_gru_chain_row_makes_one_stacked_forward(monkeypatch):
-    from hamattn import checks
-
-    calls = []
-
-    def counted(x, h, cell):
-        calls.append((cell.wz.value.shape[:-2], ad._current_tape() is not None))
-        return checks_gru_step(x, h, cell)
-
-    checks_gru_step = checks.gru_step
-    monkeypatch.setattr(checks, "gru_step", counted)
-    for scale, points in (("tiny", 150), ("small", 248)):
-        calls.clear()
-        checks.gradcheck_table(scale, instances=1)
-        # three steps each: the build that draws the projection, one taped
-        # build for the analytic gradient, then one stacked forward of every point
-        assert calls == [((), False)] * 3 + [((), True)] * 3 + [((points,), False)] * 3
+        for name, row_points in zip(calls, points):
+            chunks = -(-row_points // ad.FD_CHUNK)
+            last = row_points - ad.FD_CHUNK * (chunks - 1)
+            # the build that draws the projection, one taped build for the
+            # analytic gradient, then one stacked forward per chunk
+            stacked = [((ad.FD_CHUNK,), False)] * (chunks - 1) + [((last,), False)]
+            assert chunks == 2 and calls[name] == [((), False), ((), True), *stacked], name
 
 
 def test_gradcheck_bench_tables_match_committed_digests():
@@ -388,6 +375,31 @@ def test_gradcheck_rows_are_plain_json_values(tiny_gradcheck_rows):
     for row in rows:
         assert type(row["max_err"]) is float and type(row["passed"]) is bool
         assert all(type(i) is int for i in [row["worst"][0], *row["worst"][1]])
+
+
+# the gradcheck row of each op a training step records, by its vjp's __qualname__
+TAPE_ROWS = {
+    "_encode.<locals>.vjp": "encoder",
+    "_decode.<locals>.vjp": "decoder",
+    "cross_entropy_logits.<locals>.vjp": "cross_entropy",
+}
+
+
+def test_every_op_a_training_step_records_has_a_primitive_row(tiny_gradcheck_rows):
+    """Reverse mode needs a checked vjp for each op the program records: every
+    tape entry of a training step maps to its own passing row at PRIMITIVE_TOL."""
+    from hamattn.checks import PRIMITIVE_TOL
+    from hamattn.model import ModelConfig, Seq2SeqModel, sequence_loss
+
+    model = Seq2SeqModel(ModelConfig(9, 4, ham_depth=3), np.random.default_rng(0))
+    src, tgt = np.array([[3, 4, 5], [6, 7, 8]]), np.array([[5, 4], [8, 3]])
+    with Tape() as tape:
+        sequence_loss(model, src, tgt)
+    names = [TAPE_ROWS[entry.vjp.__qualname__] for entry in tape.entries]
+    assert names == ["encoder", "decoder", "cross_entropy"]
+    for name in names:
+        row = tiny_gradcheck_rows[name]
+        assert row["threshold"] == PRIMITIVE_TOL and row["passed"], row
 
 
 def test_gradcheck_table_matches_committed_golden():

@@ -78,7 +78,7 @@ def test_verify_rejects_zero_trials(tmp_path, capsys):
 def test_gradcheck_small_run(capsys):
     assert run(["gradcheck", "--scale", "tiny", "--seed", "1", "--instances", "2"]) == 0
     out = capsys.readouterr().out
-    assert "seq2seq_loss" in out
+    assert "decoder" in out
     assert "FAIL" not in out
 
 
@@ -263,6 +263,26 @@ def test_an_empty_list_item_exits_2(depths, tmp_path, capsys):
         run(["sweep", "--depths", depths, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert f"--depths: expected comma-separated integers: {depths!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["train", "--corpus", "c.jsonl", "--epochs", "abc"], "--epochs"),  # a bad int
+        (["gendata", "--task", "shuffle", "--pairs", "1"], "--task"),  # a bad choice
+        (["train", "--epochs", "2"], "--corpus"),  # a missing required flag
+        (["gradcheck", "--scales", "tiny"], "--scales"),  # an unknown flag
+        (["sweep", "--depths", "1,,2"], "--depths"),  # an empty list item
+    ],
+)
+def test_a_usage_error_exits_2_with_one_line_naming_the_flag(argv, flag, tmp_path, capsys):
+    """argparse's own errors end as every other bad input does: no usage block."""
+    out = [] if argv[0] == "gradcheck" else ["--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, *out])
+    assert exc.value.code == 2
+    _one_line_error(capsys, flag)
     assert not (tmp_path / "out").exists()
 
 
