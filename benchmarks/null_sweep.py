@@ -20,18 +20,17 @@ and ``--out`` are checked before any cell trains, so a bad one exits 2 at
 once with one ``error:`` line.
 """
 
-import argparse
 import json
 import math
 import sys
 
-from hamattn.cli import SWEEP_DEFAULTS, _out_file, run_sweep
+from hamattn.cli import SWEEP_DEFAULTS, _out_file, _Parser, run_sweep
 from hamattn.data import write_text
 from hamattn.errors import DomainError
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--roots", type=int, nargs="+", default=[0, 1, 2, 3, 4])
     parser.add_argument("--out", help="also write the rows as JSON to this file")
     args = parser.parse_args(argv)

@@ -5,9 +5,9 @@ gradient of the same shape. While a :class:`Tape` is active (as a context
 manager), every primitive op appends one entry -- ``(inputs, output, vjp)``
 -- in execution order, so the entry list is already topologically sorted.
 ``Tape.backward`` zeroes every touched gradient, seeds the scalar loss with 1 and
-replays the tape in reverse, accumulating input gradients additively (fan-out
-sums). With no tape active the same ops just compute values, which is how
-inference-mode code runs at full speed.
+replays the tape in reverse, adding each input's gradient, or each part of one
+that a vjp gives as an iterator, in order (fan-out sums). With no tape active the
+same ops just compute values, which is how inference-mode code runs at full speed.
 
 A tape lives for one forward/backward pass and is then discarded; it must
 stay on a single thread. The tape points at its entries and nothing points
@@ -15,6 +15,7 @@ back at the tape, so reference counting frees a finished tape, and the arrays
 its vjps saved, as soon as its last name goes.
 """
 
+from collections.abc import Iterator
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -79,7 +80,9 @@ class Tape:
     def backward(self, loss: Variable) -> None:
         """Propagate d(loss)/d(node) to every variable this tape touched.
 
-        ``loss`` must be a scalar that one of this tape's entries output.
+        ``loss`` must be a scalar that one of this tape's entries output. A vjp
+        may give an input's gradient as an iterator of parts: they are added one
+        at a time in order, the first adopted or copied as a lone gradient is.
         """
         if loss.value.shape != ():
             raise DomainError(
@@ -97,11 +100,12 @@ class Tape:
             if g is None:
                 continue
             for v, dv in zip(inputs, vjp(g)):
-                if v._grad is None:
-                    # adopt fresh arrays; copy anything aliasing g or a view
-                    v._grad = dv.copy() if (dv is g or dv.base is not None) else dv
-                else:
-                    v._grad += dv
+                for part in dv if isinstance(dv, Iterator) else (dv,):
+                    if v._grad is None:
+                        # adopt fresh arrays; copy anything aliasing g or a view
+                        v._grad = part.copy() if (part is g or part.base is not None) else part
+                    else:
+                        v._grad += part
 
 
 _TAPE_STACK: list[Tape] = []
@@ -406,9 +410,9 @@ def cross_entropy_logits(logits, targets) -> Variable:
 # central-difference step: truncation error ~h^2 and float64 rounding ~1e-16/h
 # both stay near 1e-10
 FD_STEP = 1e-5
-# most perturbed points one chunk of ``check_gradients`` holds, so a chunk is at
-# most this many copies of the variables; the gradcheck table's seq2seq rows have
-# 520 ("tiny") and 860 ("small") points: 3 and 4 stacked forwards
+# most perturbed points one chunk of ``check_gradients`` holds, so a chunk is at most this
+# many copies of the variables; the gradcheck table's encoder and decoder rows have 294 and
+# 292 points at "tiny" and 488 and 500 at "small": 2 stacked forwards each
 FD_CHUNK = 256
 
 

@@ -29,8 +29,8 @@ REDUCTION_ONEHOT_TOL = 1e-7
 REDUCTION_D1_TOL = 1e-12
 PROPERTY_TOL = 1e-12
 PROPERTY_SAMPLES = 200  # random instances per property_report check
-# Largest gradcheck --instances: an instance takes about 0.026 s at scale "tiny"
-# and 0.06 s at "small" on a 2-core host, so the cap is 0.5-1 minute; the default is 30.
+# Largest gradcheck --instances: an instance takes about 14-17 ms at scale "tiny" and
+# 33-44 ms at "small" on one core of an x86_64 host, so the cap is 15-45 s; the default is 30.
 MAX_GRADCHECK_INSTANCES = 1_000
 
 

@@ -19,10 +19,10 @@ backward replays the levels in reverse with the primitives' exact arithmetic,
 split at the recurrence: ``ham_v_query_vjp`` pulls the gradient down to the
 query (all the decoder's previous step waits for) and ``ham_v_keys_vjp`` gives
 the 2d contributions to the keys' gradient, in the unfused chain's order, and
-the level-weight sums. ``ham_v_context`` composes them as one tape op listing
-``enc`` 2d times, so that Tape.backward adds the contributions one at a time;
-the fused decoder adds them itself. Either way the bits are the chain's (4d+2
-entries). ham_s has no taped form and no gradcheck row, as
+the level-weight sums. ``ham_v_context`` composes them as one tape op whose vjp
+gives the contributions as ``enc``'s parts, which Tape.backward adds one at a
+time; the fused decoder adds them itself. Either way the bits are the chain's
+(4d+2 entries). ham_s has no taped form and no gradcheck row, as
 nothing trains it; the ops a taped ham_s would record (autodiff's
 ``softmax``, ``scale``, ``transpose``, ``weighted_sum``) keep their rows only
 because the benchmark's trace names them.
@@ -151,12 +151,10 @@ def ham_v_context(enc, query, c) -> ad.Variable:
     def vjp(g):
         g_levels, g_scores, d_query = ham_v_query_vjp(g, keys, probs, pc)
         parts, gw = ham_v_keys_vjp(g, queries, probs, g_levels, g_scores)
-        # + 0.0: the einsum's arithmetic, so a -0.0 product reaches the tape as +0.0
-        return (*(part + 0.0 for part in parts), d_query, kernels.softmax_rows_vjp(pc, gw[None])[0])
+        # enc's parts in the chain's order; + 0.0 is the einsum's arithmetic (-0.0 reaches the tape as +0.0)
+        return ((part + 0.0 for part in parts), d_query, kernels.softmax_rows_vjp(pc, gw[None])[0])
 
-    # enc is listed once per contribution so that Tape.backward adds them to
-    # enc's gradient one at a time, in the primitive chain's order
-    return ad._record((enc,) * (2 * cv.shape[-1]) + (query, c), ad.Variable(context), vjp)
+    return ad._record((enc, query, c), ad.Variable(context), vjp)
 
 
 # ---------------------------------------------------------------------------

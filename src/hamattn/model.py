@@ -20,8 +20,10 @@ runs once after the decoder's loop. The GRU cell accumulates into fresh
 temporaries with ``out=`` and ``+=``, in its operation order. Each number is
 computed with the arithmetic of the per-step chain of ``gru_step``,
 ``decode_step_batch`` and the primitives, which stay as the public per-step
-forms, and gradients that several steps feed are added in that chain's tape
-order, so the fused ops reproduce its loss and gradients bit for bit.
+forms, and gradients that several steps feed are added one step at a time in
+that chain's tape order (the embedding's tables and ``w_out``'s products lazily,
+as parts that Tape.backward adds, so a backward holds one such array at a time),
+so the fused ops reproduce its loss and gradients bit for bit.
 The forward halves also take every parameter stacked on a leading set axis
 ``[R, ...]``: untaped, ``sequence_loss`` then scores R parameter sets in one
 pass, each with the bits of its own call, and the gradient checks' encoder
@@ -197,11 +199,8 @@ def _gru_param_grads(x, hv, s, d_a):
 
 
 def _sum_steps(parts):
-    """Sum per-step gradients over the leading step axis in tape order, last step first.
-
-    The loop adds one step at a time, as Tape.backward would; np.sum may
-    switch to pairwise summation and round differently.
-    """
+    """Sum per-step gradients over the leading step axis one step at a time, last step first, as
+    Tape.backward adds an input's parts; np.sum may switch to pairwise summation and round differently."""
     total = parts[-1].copy()
     for part in parts[-2::-1]:
         total += part
@@ -305,15 +304,14 @@ def _token_matrix(tokens, vocab_size: int) -> np.ndarray:
     return token_ids(arr, vocab_size, 2, "token ids")
 
 
-def _step_tables(table: np.ndarray, ids: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Per-step gather gradients [n, V, H]: step t's rows g[t] added at ids[:, t].
-
-    The fused encoder and decoder list the table once per step and return
-    these last step first, so Tape.backward adds them as n gathers would.
-    """
-    out = np.zeros((ids.shape[1], *table.shape))
-    np.add.at(out, (np.arange(ids.shape[1])[:, None], ids.T), g)
-    return out
+def _step_tables(table: np.ndarray, ids: np.ndarray, g: np.ndarray):
+    """Per-step gather gradients, last step first: step t's rows g[t] added at ids[:, t] to a
+    fresh [V, H] table. The fused encoder and decoder give these lazily as the table's parts,
+    so Tape.backward adds them as n gathers would and holds one table at a time."""
+    for t in reversed(range(ids.shape[1])):
+        out = np.zeros(table.shape)
+        np.add.at(out, ids[:, t], g[t])
+        yield out
 
 
 def _encode(tokens: np.ndarray, model: Seq2SeqModel) -> Variable:
@@ -354,12 +352,12 @@ def _encode(tokens: np.ndarray, model: Seq2SeqModel) -> Variable:
         s = np.array([cache.s for cache in caches])
         dw, du, db = map(_sum_steps, _gru_param_grads(xs, np.array(hs[:-1]), s, d_a))
         d_embs = d_xs[:, 0] if nd == 1 else d_xs[::-1, 1] + d_xs[:, 0]
-        d_tables = _step_tables(model.embedding.value, tokens, d_embs)[::-1]
-        return (*d_tables, *(grad for j in range(nd) for grad in _per_field(dw[j], du[j], db[j])))
+        d_fields = (grad for j in range(nd) for grad in _per_field(dw[j], du[j], db[j]))
+        return (_step_tables(model.embedding.value, tokens, d_embs), *d_fields)
 
     params = (var for cell in cells for var in cell.variables().values())
     out = Variable(np.ascontiguousarray(states.swapaxes(-3, -2)))
-    return ad._record((*[model.embedding] * len(embs), *params), out, vjp)
+    return ad._record((model.embedding, *params), out, vjp)
 
 
 def encode_batch(tokens, model: Seq2SeqModel):
@@ -403,8 +401,8 @@ def _decode(enc: Variable, inputs: np.ndarray, model: Seq2SeqModel) -> Variable:
     concat(embedding of inputs[:, t], context) to the GRU and projects
     h_{t+1}; rows are step-major. The context depends on h, so d_x stays in
     the BPTT loop, while the output projection, its gradient and the weight
-    gradients run once over all steps. Gradients that several steps feed are
-    summed one step at a time, last step first, as Tape.backward adds them.
+    gradients run after it. Gradients that several steps feed are summed one
+    step at a time, last step first, here or by Tape.backward (see module).
     The forward also takes stacked parameters [R, ...] and keys [R, B, n, H]
     and returns [R, T*B, V]; the vjp serves one set.
     """
@@ -446,14 +444,14 @@ def _decode(enc: Variable, inputs: np.ndarray, model: Seq2SeqModel) -> Variable:
         xs = np.array([x for x, _, _ in records])
         s = np.array([cache.s for _, _, cache in records])
         grads = map(_sum_steps, _gru_param_grads(xs, np.array(hs[:-1]), s, d_a))
-        d_tables = _step_tables(model.embedding.value, inputs, d_embs)[::-1]
-        d_w_out = _sum_steps(np.matmul(h_new.swapaxes(-1, -2), g))
+        d_tables = _step_tables(model.embedding.value, inputs, d_embs)
+        d_w_out = (h_new[t].T @ g[t] for t in reversed(range(len(records))))
         d_c = kernels.softmax_rows_vjp(pc, gw)  # each step's row has the bits of its own call
-        return (d_keys, *d_tables, *_per_field(*grads), d_w_out, _sum_steps(d_c))
+        return (d_keys, d_tables, *_per_field(*grads), d_w_out, _sum_steps(d_c))
 
     params = (*model.dec.variables().values(), model.w_out, model.var_c)
     out = Variable(logits.reshape(*logits.shape[:-3], -1, logits.shape[-1]))
-    return ad._record((enc, *[model.embedding] * len(embs), *params), out, vjp)
+    return ad._record((enc, model.embedding, *params), out, vjp)
 
 
 def sequence_loss(model: Seq2SeqModel, src_batch, tgt_batch) -> Variable:

@@ -69,6 +69,32 @@ def test_fanout_gradients_add_exactly():
     np.testing.assert_array_equal(x.grad, a + b)
 
 
+def _parts_op(x, parts):
+    """A toy scalar op whose vjp gives x's gradient as an iterator over ``parts``."""
+    return ad._record((x,), Variable(np.sum(x.value)), lambda g: (iter(parts),))
+
+
+def test_a_gradient_given_as_parts_is_added_in_order():
+    # 1e16 + 1.0 rounds to 1e16, so only the given order gives [1, 0]; reversed gives [0, 1]
+    parts = [np.array([1e16, 1.0]), np.array([-1e16, 1e16]), np.array([1.0, -1e16])]
+    x = Variable(np.zeros(2))
+    with Tape() as tape:
+        loss = _parts_op(x, parts)
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, [1.0, 0.0])
+
+
+def test_a_view_given_as_the_first_part_is_copied_not_adopted():
+    saved = np.arange(6.0)
+    x = Variable(np.zeros(3))
+    with Tape() as tape:
+        loss = _parts_op(x, [saved[:3], np.ones(3)])
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, [1.0, 2.0, 3.0])
+    # adopting the view would have added the second part into the array it views
+    np.testing.assert_array_equal(saved, np.arange(6.0))
+
+
 def test_two_backward_passes_are_bit_identical():
     rng = np.random.default_rng(1)
     x = Variable(rng.uniform(-2, 2, (3, 4)))

@@ -179,6 +179,16 @@ def test_fused_context_is_bit_identical_to_primitive_chain(d, b):
         np.testing.assert_array_equal(got, want, err_msg=name)
 
 
+def test_fused_context_entry_lists_each_input_once():
+    # enc's 2d contributions reach Tape.backward as the parts of one gradient
+    rng = np.random.default_rng(12)
+    enc, query = Variable(rng.uniform(-2, 2, (2, 4, 3))), Variable(rng.uniform(-2, 2, (2, 3)))
+    c = Variable(np.zeros(5))
+    with Tape() as tape:
+        ham_v_context(enc, query, c)
+    assert [entry.inputs for entry in tape.entries] == [(enc, query, c)]
+
+
 def test_fused_context_shape_and_domain_errors():
     enc, q, c = np.zeros((2, 3, 4)), np.zeros((2, 4)), np.zeros(2)
     # stacked: two sets of one example

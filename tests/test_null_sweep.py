@@ -69,6 +69,13 @@ def test_a_bad_late_root_exits_2_before_any_corpus_or_cell(no_training, capsys):
     assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
 
 
+def test_a_root_that_is_not_an_int_exits_2_with_one_line(no_training, capsys):
+    with pytest.raises(SystemExit) as exited:
+        null_sweep.main(["--roots", "x"])
+    assert exited.value.code == 2
+    assert capsys.readouterr().err == "error: argument --roots: invalid int value: 'x'\n"
+
+
 def test_a_bad_out_exits_2_before_any_corpus_or_cell(no_training, tmp_path, capsys):
     for out in (tmp_path, tmp_path / "missing" / "null.json"):
         assert null_sweep.main(["--roots", "0", "--out", str(out)]) == 2

@@ -81,3 +81,17 @@ def test_einsum_and_matmul_scores_differ():
         "against each form (ROADMAP rule: einsum and matmul scores differ)"
     )
     assert np.max(np.abs(einsum - matmul)) < 1e-13
+
+
+def test_per_step_output_products_equal_the_stacked_matmul():
+    rng = np.random.default_rng(3)
+    steps, vocab = T + 1, 11  # the decoder's steps (BOS plus 6 targets) and the copy task's vocab
+    h, g = rng.standard_normal((steps, B, H)), rng.standard_normal((steps, B, vocab))
+    stacked = np.matmul(h.swapaxes(-1, -2), g)
+    for t in range(steps):
+        assert np.array_equal(h[t].T @ g[t], stacked[t]), (
+            "a per-step product h[t].T @ g[t] no longer equals the stacked matmul's item: "
+            "model._decode gives w_out's gradient as these per-step products, and "
+            "tests/golden/train_bench.sha256, train_checkpoint.sha256, sweep_tiny.csv and "
+            "criterion 5's pinned losses were made with the stacked form"
+        )
